@@ -2,6 +2,9 @@
 
 An instance assigns each vertex 1..n a closed interval with rational
 endpoints; the intersection graph connects vertices whose intervals meet.
+An endpoint is stored as a plain `int` when it is a whole number and as an
+exact `Fraction` otherwise, with no common denominator: integer instances
+never touch Fraction arithmetic, and coprime denominators cannot blow up.
 All block and greedy machinery assumes no two distinct intervals share an
 endpoint value (point intervals are fine), which `validate` enforces and
 `normalize` can repair when a graph-preserving strictification exists.
@@ -18,6 +21,7 @@ which keeps the selection rule total without touching the graph.
 """
 
 import bisect
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
@@ -31,11 +35,18 @@ from defdom.graphs import (Graph, VertexMultiset, check_multiset,
 Endpoint = Union[int, Fraction]
 
 
+def _exact(x) -> Endpoint:
+    """The exact value of x: an int when whole, a Fraction otherwise."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 class IntervalInstance:
     """Vertices 1..n, each owning a closed interval [lo, hi] with lo <= hi.
 
-    Endpoints are exact rationals; floats are rejected to keep every
-    comparison exact.
+    Endpoints are exact rationals, stored as `int` when the denominator is 1
+    and as `Fraction` otherwise (the two compare and hash alike); floats are
+    rejected to keep every comparison exact.
     """
 
     __slots__ = ("n", "lo", "hi")
@@ -45,13 +56,14 @@ class IntervalInstance:
         if set(intervals) != set(range(1, n + 1)):
             raise InputError("interval ids must be exactly 1..n")
         self.n = n
-        self.lo: dict[int, Fraction] = {}
-        self.hi: dict[int, Fraction] = {}
+        self.lo: dict[int, Endpoint] = {}
+        self.hi: dict[int, Endpoint] = {}
         for v in range(1, n + 1):
             lo, hi = intervals[v]
-            if isinstance(lo, float) or isinstance(hi, float):
-                raise InputError(f"interval {v} uses float endpoints; use int or Fraction")
-            lo, hi = Fraction(lo), Fraction(hi)
+            if type(lo) is not int or type(hi) is not int:
+                if isinstance(lo, float) or isinstance(hi, float):
+                    raise InputError(f"interval {v} uses float endpoints; use int or Fraction")
+                lo, hi = _exact(lo), _exact(hi)
             if lo > hi:
                 raise InputError(f"interval {v} has lo > hi")
             self.lo[v] = lo
@@ -61,7 +73,7 @@ class IntervalInstance:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def interval(self, v: int) -> tuple[Fraction, Fraction]:
+    def interval(self, v: int) -> tuple[Endpoint, Endpoint]:
         return self.lo[v], self.hi[v]
 
     def items(self):
@@ -77,17 +89,17 @@ class IntervalInstance:
         return f"IntervalInstance(n={self.n})"
 
 
-def _intersects(inst: IntervalInstance, u: int, v: int) -> bool:
-    return inst.lo[u] <= inst.hi[v] and inst.lo[v] <= inst.hi[u]
-
-
 def validate(inst: IntervalInstance) -> None:
     """Require that no two distinct intervals share an endpoint value.
 
     A point interval may coincide with itself (lo == hi); any value reuse
-    across different vertices is rejected.
+    across different vertices is rejected.  The check counts distinct
+    values; only a failing instance is scanned again to name a culprit pair.
     """
-    seen: dict[Fraction, tuple[int, str]] = {}
+    points = sum(map(operator.eq, inst.lo.values(), inst.hi.values()))
+    if len({*inst.lo.values(), *inst.hi.values()}) == 2 * inst.n - points:
+        return
+    seen: dict[Endpoint, tuple[int, str]] = {}
     for v in inst.vertices:
         for value, kind in ((inst.lo[v], "lo"), (inst.hi[v], "hi")):
             if value in seen and seen[value][0] != v:
@@ -124,10 +136,10 @@ def normalize(inst: IntervalInstance) -> IntervalInstance:
     One canonical proposal is tried: sort all endpoints, breaking value ties
     toward separation (closing endpoints before opening ones, then vertex
     id; a point interval keeps its own pair ordered), and replace each
-    endpoint by its position.  The proposal is accepted only if the
-    recomputed intersection graph matches the original; otherwise the first
-    adjacency-changing pair is reported.  In particular, intervals that
-    merely touch are rejected rather than silently glued together.
+    endpoint by its position.  The proposal is accepted only if it keeps
+    the intersection graph; otherwise the least adjacency-changing pair is
+    reported.  In particular, intervals that merely touch are rejected
+    rather than silently glued together.
     """
     def key(entry):
         value, v, kind = entry
@@ -142,17 +154,31 @@ def normalize(inst: IntervalInstance) -> IntervalInstance:
         entries.append((inst.lo[v], v, "lo"))
         entries.append((inst.hi[v], v, "hi"))
     entries.sort(key=key)
-    new: dict[int, dict[str, Fraction]] = {v: {} for v in inst.vertices}
+    new: dict[int, dict[str, int]] = {v: {} for v in inst.vertices}
     for position, (_, v, kind) in enumerate(entries):
-        new[v][kind] = Fraction(position)
-    proposal = IntervalInstance({v: (new[v]["lo"], new[v]["hi"]) for v in inst.vertices})
-    for u in inst.vertices:
-        for v in range(u + 1, inst.n + 1):
-            if _intersects(inst, u, v) != _intersects(proposal, u, v):
-                raise InputError(
-                    f"strictification would change adjacency between intervals "
-                    f"{u} and {v}; separate their endpoints explicitly")
-    return proposal
+        new[v][kind] = position
+    # Distinct values keep their order, so only a tie between one interval's
+    # lo and another's hi can change adjacency: the pair meets at that value,
+    # and stops meeting when the proposal puts the hi first.  Among all such
+    # pairs report the least (u, v), as a check of every pair would.
+    culprit = None
+    value = closed = None
+    for entry_value, v, kind in entries:
+        if entry_value != value:
+            value, closed = entry_value, []   # least two ids whose hi sits here
+        if kind == "hi":
+            closed = sorted(closed + [v])[:2]
+            continue
+        w = next((w for w in closed if w != v), None)
+        if w is not None:
+            pair = (min(v, w), max(v, w))
+            culprit = pair if culprit is None else min(culprit, pair)
+    if culprit is not None:
+        u, v = culprit
+        raise InputError(
+            f"strictification would change adjacency between intervals "
+            f"{u} and {v}; separate their endpoints explicitly")
+    return IntervalInstance({v: (new[v]["lo"], new[v]["hi"]) for v in inst.vertices})
 
 
 def properize(inst: IntervalInstance, defense: VertexMultiset) -> VertexMultiset:
@@ -190,7 +216,7 @@ def properize(inst: IntervalInstance, defense: VertexMultiset) -> VertexMultiset
 class Block:
     """The `size` members of the prefix ending by x with the largest left ends."""
 
-    x: Fraction
+    x: Endpoint
     size: int
     members: frozenset[int]
 
@@ -199,7 +225,7 @@ def block(inst: IntervalInstance, x: Endpoint, size: int) -> Block:
     """Block at sweep position x: among intervals closing at or before x,
     the `size` with the largest left endpoints."""
     validate(inst)
-    x = Fraction(x)
+    x = _exact(x)
     if x not in set(inst.hi.values()):
         raise InputError(f"{x} is not a right endpoint of any interval")
     prefix = [v for v in inst.vertices if inst.hi[v] <= x]
@@ -218,7 +244,7 @@ def is_block_defense(inst: IntervalInstance, defense: VertexMultiset, k: int) ->
     check_multiset(g, defense)
     by_right = sorted(inst.vertices, key=lambda v: inst.hi[v])
     prefix: list[int] = []   # maintained in descending left-endpoint order
-    neg_lefts: list[Fraction] = []
+    neg_lefts: list[Endpoint] = []
     for v in by_right:
         pos = bisect.bisect_left(neg_lefts, -inst.lo[v])
         prefix.insert(pos, v)
@@ -246,24 +272,18 @@ def is_proper(inst: IntervalInstance, defense: VertexMultiset) -> bool:
 def _endpoint_ranks(inst: IntervalInstance) -> tuple[list[int], list[int]]:
     """Positions of each endpoint in the sorted order of all 2n endpoints.
 
-    Exact (one Fraction sort, then machine ints) and order-isomorphic, so
-    every cross-interval comparison is preserved; a point interval comes out
-    with lo rank < hi rank, giving it positive width without changing the
-    intersection graph.
+    Exact (one sort of the stored values, then machine ints) and
+    order-isomorphic, so every cross-interval comparison is preserved; a
+    point interval comes out with lo rank < hi rank, giving it positive
+    width without changing the intersection graph.
     """
-    entries = []
-    for v in inst.vertices:
-        entries.append((inst.lo[v], v, 0))
-        entries.append((inst.hi[v], v, 1))
-    entries.sort(key=lambda e: e[0])   # stable: a point interval keeps lo first
-    l_rank = [0] * (inst.n + 1)
-    r_rank = [0] * (inst.n + 1)
-    for rank, (_, v, kind) in enumerate(entries):
-        if kind == 0:
-            l_rank[v] = rank
-        else:
-            r_rank[v] = rank
-    return l_rank, r_rank
+    n = inst.n
+    values = [*inst.lo.values(), *inst.hi.values()]   # lo of v at v-1, hi at n+v-1
+    ranks = [0] * (2 * n)
+    # stable: a point interval keeps lo before hi
+    for rank, i in enumerate(sorted(range(2 * n), key=values.__getitem__)):
+        ranks[i] = rank
+    return [0, *ranks[:n]], [0, *ranks[n:]]
 
 
 def greedy_defense_reference(inst: IntervalInstance, k: int) -> VertexMultiset:

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from defdom.errors import InputError
 from defdom.formulas import E2Formula
 from defdom.graphs import Graph, VertexMultiset, VertexSet
-from defdom.intervals import IntervalInstance, validate
+from defdom.intervals import Endpoint, IntervalInstance, validate
 
 PathLike = Union[str, Path]
 
@@ -144,10 +144,18 @@ def write_multiset(path: PathLike, d: VertexMultiset) -> None:
     Path(path).write_text(body)
 
 
+def _endpoint(token: str) -> Endpoint:
+    """An integer token as an int; anything else as an exact Fraction."""
+    try:
+        return int(token)
+    except ValueError:
+        return Fraction(token)
+
+
 def read_intervals(path: PathLike) -> IntervalInstance:
     """Parse and validate an interval file ("p intervals <n>" header)."""
     header: Optional[int] = None
-    rows: dict[int, tuple[Fraction, Fraction]] = {}
+    rows: dict[int, tuple[Endpoint, Endpoint]] = {}
     for num, line in _lines(path):
         where = f"{path}:{num}"
         parts = line.split()
@@ -166,7 +174,7 @@ def read_intervals(path: PathLike) -> IntervalInstance:
             raise InputError(f"{where}: interval line must be '<id> <l> <r>'")
         v = _int(parts[0], where)
         try:
-            lo, hi = Fraction(parts[1]), Fraction(parts[2])
+            lo, hi = _endpoint(parts[1]), _endpoint(parts[2])
         except (ValueError, ZeroDivisionError):
             raise InputError(f"{where}: endpoints must be decimal rationals") from None
         if v in rows:

@@ -1,9 +1,13 @@
+import os
 import re
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import defdom
 from defdom.cli import main
 from defdom.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from defdom.io import (read_formula, read_multiset, read_valuation,
@@ -118,9 +122,10 @@ def test_greedy_with_check(tmp_path, capsys):
                      "-o", intervals)
     assert code == 0
     out = tmp_path / "d.ms"
-    code, (verdict, value, cert), _ = run(
+    code, (verdict, value, cert), err = run(
         capsys, "greedy", intervals, 2, "--check", "--emit-defense", out)
     assert code == 0 and verdict == "good" and cert == str(out)
+    assert "GOOD: pruned violator search confirms the defense" in err
     assert sum(read_multiset(out).values()) == int(value)
 
 
@@ -229,6 +234,21 @@ def test_time_limit_exit_code(tmp_path, capsys):
     code, (verdict, _, _), _ = run(
         capsys, "--time-limit", 1, "solve-exact", graph, 4)
     assert code == 3 and verdict == "timeout"
+
+
+def test_python_dash_m(tmp_path):
+    graph = tmp_path / "star.dds"
+    write_graph(graph, star_graph(4))
+    defense = tmp_path / "d.ms"
+    write_multiset(defense, {1: 2})
+    src = str(Path(defdom.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "defdom", "verify", str(graph),
+                           str(defense), "2", "--multiset"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout.strip().splitlines()[-1] == "verdict=good value=0 certificate=-"
 
 
 def test_console_script(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from defdom.intervals import (Block, IntervalInstance, _endpoint_ranks, block,
                               greedy_defense, greedy_defense_reference,
                               intersection_graph, is_block_defense, is_proper,
                               normalize, properize, validate)
+from defdom.io import read_intervals, write_intervals
 from defdom.solvers import min_multiset_defense
 from helpers import attacks_up_to, dense_intervals, random_intervals
 
@@ -81,6 +83,71 @@ def test_normalize_keeps_valid_instances_equivalent():
         assert normalize(fixed) == fixed   # idempotent once separated
 
 
+def normalize_all_pairs(inst):
+    """The tie-breaking proposal of `normalize`, checked pair by pair."""
+    def key(entry):
+        value, v, kind = entry
+        if inst.lo[v] == inst.hi[v]:
+            rank = 0 if kind == "lo" else 1
+        else:
+            rank = 0 if kind == "hi" else 1
+        return (value, rank, v)
+
+    entries = sorted([(inst.lo[v], v, "lo") for v in inst.vertices]
+                     + [(inst.hi[v], v, "hi") for v in inst.vertices], key=key)
+    new = {v: {} for v in inst.vertices}
+    for position, (_, v, kind) in enumerate(entries):
+        new[v][kind] = position
+    proposal = IntervalInstance({v: (new[v]["lo"], new[v]["hi"]) for v in inst.vertices})
+    before = intersection_graph_unchecked(inst)
+    after = intersection_graph_unchecked(proposal)
+    for u, v in itertools.combinations(inst.vertices, 2):
+        if before.has_edge(u, v) != after.has_edge(u, v):
+            raise InputError(
+                f"strictification would change adjacency between intervals "
+                f"{u} and {v}; separate their endpoints explicitly")
+    return proposal
+
+
+def test_normalize_matches_all_pairs_check_under_ties():
+    rng = random.Random(27)
+    rejected = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        rows = {}
+        for v in range(1, n + 1):   # few values, so ties of every kind occur
+            a, b = rng.randint(0, n), rng.randint(0, n)
+            rows[v] = (min(a, b), max(a, b))
+        inst = IntervalInstance(rows)
+        try:
+            expected = normalize_all_pairs(inst)
+        except InputError as exc:
+            rejected += 1
+            with pytest.raises(InputError) as got:
+                normalize(inst)
+            assert str(got.value) == str(exc)
+        else:
+            assert normalize(inst) == expected
+    assert 50 < rejected < 250
+
+
+def test_normalize_is_fast_on_large_tied_instances():
+    # lefts on even values, rights on odd ones: ties abound, yet no lo meets
+    # a hi, so the repair succeeds
+    rng = random.Random(28)
+    n = 20_000
+    rows = {}
+    for v in range(1, n + 1):
+        lo = 2 * rng.randrange(n // 4)
+        rows[v] = (lo, lo + 2 * rng.randrange(1, 20) + 1)
+    inst = IntervalInstance(rows)
+    start = time.perf_counter()
+    fixed = normalize(inst)
+    assert time.perf_counter() - start < 5.0
+    validate(fixed)
+    assert sorted([*fixed.lo.values(), *fixed.hi.values()]) == list(range(2 * n))
+
+
 def test_properize_moves_contained_defenders():
     inst = IntervalInstance({1: (0, 10), 2: (1, 3), 3: (4, 6)})
     out = properize(inst, {2: 2, 3: 1})
@@ -131,6 +198,95 @@ def test_endpoint_ranks_preserve_order_and_thicken_points():
     assert l_rank[2] + 1 == r_rank[2]          # the point got positive width
     assert l_rank[1] < l_rank[2] < l_rank[3]
     assert r_rank[2] < l_rank[3] < r_rank[3] < r_rank[1]
+
+
+def fraction_ranks(inst):
+    """Endpoint ranks from one stable sort of Fraction-converted endpoints."""
+    entries = []
+    for v in inst.vertices:
+        entries.append((Fraction(inst.lo[v]), v, 0))
+        entries.append((Fraction(inst.hi[v]), v, 1))
+    entries.sort(key=lambda e: e[0])
+    ranks = ([0] * (inst.n + 1), [0] * (inst.n + 1))
+    for rank, (_, v, kind) in enumerate(entries):
+        ranks[kind][v] = rank
+    return ranks
+
+
+def spell(x, style):
+    """One of several file spellings of the rational x."""
+    if style == "decimal" and x.denominator in (1, 2, 4):
+        whole, part = divmod(abs(x.numerator), x.denominator)
+        return f"{'-' if x < 0 else ''}{whole}.{part * 100 // x.denominator:02d}"
+    if style == "over" and x.denominator == 1:
+        return f"{3 * x}/3"          # a whole value written as a ratio
+    return str(x)
+
+
+def test_endpoint_ranks_match_fraction_sort_on_mixed_files(tmp_path):
+    rng = random.Random(29)
+    path = tmp_path / "mixed.ivl"
+    for _ in range(40):
+        n = rng.randint(1, 30)
+        pool = sorted({Fraction(rng.randint(-60, 60), rng.choice((1, 1, 2, 3, 4, 7)))
+                       for _ in range(4 * n)})
+        values = rng.sample(pool, 2 * (len(pool) // 2))
+        lines = [f"p intervals {len(values) // 2}"]
+        for v in range(1, len(values) // 2 + 1):
+            lo, hi = sorted(values[2 * v - 2:2 * v])
+            if rng.random() < 0.15:
+                lo = hi                                    # point interval
+            if rng.random() < 0.2:
+                shift = 10**40 + Fraction(1, 3)            # huge, sometimes whole
+                lo, hi = lo + shift, hi + shift
+            style = rng.choice(("plain", "decimal", "over"))
+            lines.append(f"{v} {spell(lo, style)} {spell(hi, style)}")
+        path.write_text("\n".join(lines) + "\n")
+        inst = read_intervals(path)
+        for value in [*inst.lo.values(), *inst.hi.values()]:
+            assert type(value) is (int if value.denominator == 1 else Fraction)
+        assert _endpoint_ranks(inst) == fraction_ranks(inst)
+
+
+def test_duplicate_endpoint_error_names_the_rational_value(tmp_path):
+    path = tmp_path / "dup.ivl"
+    for body, shown in [("1 7/3 5\n2 -1 14/6\n", "7/3"),
+                        ("1 0.5 2\n2 -3 1/2\n", "1/2"),
+                        ("1 -4 2.0\n2 4/2 8\n", "2"),
+                        ("1 0 1e40\n2 10000000000000000000000000000000000000000.000 1e41\n",
+                         "10000000000000000000000000000000000000000")]:
+        path.write_text("p intervals 2\n" + body)
+        with pytest.raises(InputError, match=f"duplicate endpoint value {shown}:"):
+            read_intervals(path)
+    huge = 10**40 + Fraction(1, 3)
+    with pytest.raises(InputError, match=f"value {3 * 10**40 + 1}/3: hi of interval 1"):
+        validate(IntervalInstance({1: (0, huge), 2: (huge, 10**41)}))
+
+
+def test_prime_denominators_stay_fast(tmp_path):
+    # 2 000 pairwise coprime denominators: their common multiple has
+    # thousands of digits, so scaling every endpoint to an integer would not do
+    sieve = bytearray([1]) * 20_000
+    primes = []
+    for p in range(2, len(sieve)):
+        if sieve[p]:
+            primes.append(p)
+            sieve[p * p::p] = bytes(len(sieve[p * p::p]))
+    rng = random.Random(30)
+    rows = {}
+    for v, p in enumerate(primes[:2000], start=1):
+        lo = Fraction(rng.randrange(10**6) * p + rng.randrange(1, p), p)
+        rows[v] = (lo, lo + rng.randrange(1, 50_000))
+    inst = IntervalInstance(rows)
+    path = tmp_path / "primes.ivl"
+    write_intervals(path, inst)
+    start = time.perf_counter()
+    back = read_intervals(path)
+    validate(back)
+    defense = greedy_defense(back, 3)
+    assert time.perf_counter() - start < 3.0
+    assert back == inst
+    assert defense == greedy_defense(normalize(inst), 3)
 
 
 def test_greedy_star_and_disjoint_examples():
