@@ -18,15 +18,28 @@ exact integer order, and a point interval acquires a positive width there,
 which keeps the selection rule total without touching the graph.
 `greedy_defense` is the fast path; the literal restatement
 `greedy_defense_reference` is kept for differential testing.
+
+The fast path rests on two invariants of that rule.  (1) A copy meets a
+block exactly when its right end reaches the block's least left end: a
+copy starts before the line where it is placed, and every block examined
+at that step or later contains the interval closing at the line then, so
+a copy still open meets it; a closed copy that reaches the least left end
+is a member or contains that end.  (2) The furthest-reaching open
+interval only reaches further as the line advances, so copies arrive in
+ascending order of right end, each beyond every left end already in the
+prefix; the number of copies ending before a top left end is therefore
+fixed once that left end is in the prefix.  Together they turn each step
+into a maximum over runs of top left ends, with the standard library alone.
 """
 
-import bisect
 import operator
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappush, heappushpop
+from itertools import chain, islice, repeat
 from typing import Mapping, Union
-
-import numpy as np
 
 from defdom.errors import InputError
 from defdom.graphs import (Graph, VertexMultiset, check_multiset,
@@ -89,6 +102,12 @@ class IntervalInstance:
         return f"IntervalInstance(n={self.n})"
 
 
+def _distinct(values: list[Endpoint], n: int) -> bool:
+    """No value shared across intervals, given n lo's followed by n hi's."""
+    points = sum(map(operator.eq, islice(values, n), islice(values, n, None)))
+    return len(set(values)) == 2 * n - points
+
+
 def validate(inst: IntervalInstance) -> None:
     """Require that no two distinct intervals share an endpoint value.
 
@@ -96,8 +115,7 @@ def validate(inst: IntervalInstance) -> None:
     across different vertices is rejected.  The check counts distinct
     values; only a failing instance is scanned again to name a culprit pair.
     """
-    points = sum(map(operator.eq, inst.lo.values(), inst.hi.values()))
-    if len({*inst.lo.values(), *inst.hi.values()}) == 2 * inst.n - points:
+    if _distinct([*inst.lo.values(), *inst.hi.values()], inst.n):
         return
     seen: dict[Endpoint, tuple[int, str]] = {}
     for v in inst.vertices:
@@ -246,7 +264,7 @@ def is_block_defense(inst: IntervalInstance, defense: VertexMultiset, k: int) ->
     prefix: list[int] = []   # maintained in descending left-endpoint order
     neg_lefts: list[Endpoint] = []
     for v in by_right:
-        pos = bisect.bisect_left(neg_lefts, -inst.lo[v])
+        pos = bisect_left(neg_lefts, -inst.lo[v])
         prefix.insert(pos, v)
         neg_lefts.insert(pos, -inst.lo[v])
         for m in range(1, min(len(prefix), k) + 1):
@@ -322,89 +340,96 @@ def greedy_defense_reference(inst: IntervalInstance, k: int) -> VertexMultiset:
 def greedy_defense(inst: IntervalInstance, k: int) -> VertexMultiset:
     """Fast sweep producing the same multiset as the reference.
 
-    Works in endpoint-rank space (exact order, machine ints).  State per
-    step: the top-k left endpoints of the processed prefix with the running
-    maxima of their rights, defender copies split into expired (interval
-    closed at or before the sweep line; their rights arrive in ascending
-    order) and active (still open; chosen as running argmax of the right
-    endpoint, so their lefts and rights both ascend).  A defender placed at
-    the line always meets every block examined afterwards in the same step,
-    which collapses the inner top-up loop into one running maximum.
+    Works in endpoint-rank space.  After the distinct-value check of
+    `validate`, one stable sort orders the 2n endpoints.  `mate[x]`
+    is the rank of the other endpoint of the interval with an endpoint at
+    rank x, so mate[x] > x marks a left end and mate[x] < x a right end.
+    The sweep walks the ranks.  At a left end, `best_right` keeps the
+    furthest right reach among the intervals opened so far: the interval
+    that carries every copy placed.  At a right end x, the closing
+    interval's left joins the prefix, whose top-k lefts are kept in a heap;
+    if it enters the top-k, every block containing it is topped up at once.
+    Two invariants make that step cheap:
+
+    1. A copy placed at x starts before x, and every block examined at x or
+       later contains the interval that closes there, so a copy still open
+       meets all of them.  A closed copy that reaches the block's least left
+       t is itself a member or contains t.  So a block's nearby count is the
+       number of copies whose right is at or beyond its least left.
+    2. `best_right` is at least the right of the interval closing at x and
+       never falls, so copies arrive in ascending right order, each beyond
+       every current top.  Hence below(t), the number of copies ending
+       before t, is fixed once t is a top, and nondecreasing in t.
+
+    So the block of the m largest tops, with least left t, is short by
+    m + below(t) - copies.  The tops with equal below form runs, and within
+    a run the largest block, reaching down to the run's least top, falls
+    furthest short.  Each run therefore keeps one key, below plus the size
+    of that block.  The blocks containing the new top are those of its own
+    run and the lower ones, so the copies to add are their largest key
+    minus the copies placed.  A new top grows those blocks by one (added
+    lazily through `lift`), and the top pushed out of the top-k shrinks
+    the lowest run's.
     """
     if k < 1:
         raise InputError("attack budget k must be at least 1")
-    validate(inst)
     n = inst.n
+    # Fresh copies, laid out in slot order, keep the distinctness check and
+    # the sort on compact memory wherever the caller's values live.
+    values = list(map(operator.add, chain(inst.lo.values(), inst.hi.values()),
+                      repeat(0)))                 # lo of v at v-1, hi at n+v-1
+    if not _distinct(values, n):
+        validate(inst)                      # raises, naming a shared value
+    # stable, so a point's lo ranks just before its hi; an array, so the
+    # passes below read machine ints rather than scattered int objects
+    order = array("l", sorted(range(2 * n), key=values.__getitem__))
+    del values
+    opened = array("l", [0]) * n            # rank of each lo, by slot
+    mate = array("l", [0]) * (2 * n)
+    for x, i in enumerate(order):           # a lo always ranks before its hi
+        if i < n:
+            opened[i] = x
+        else:
+            lo = opened[i - n]
+            mate[lo] = x
+            mate[x] = lo
+    del opened
+
     defense: VertexMultiset = {}
-    if n == 0:
-        return defense
-
-    l_rank, r_rank = _endpoint_ranks(inst)
-    by_right = sorted(inst.vertices, key=lambda v: r_rank[v])
-    by_left = sorted(inst.vertices, key=lambda v: l_rank[v])
-    lefts_sorted = [l_rank[v] for v in by_left]
-    # pref_best[j]: among the first j+1 intervals in left order, the one
-    # reaching furthest right.  The greedy's defender for sweep position x is
-    # pref_best at the number of lefts below x, minus one.
-    pref_best = [0] * n
-    best = by_left[0]
-    for j, v in enumerate(by_left):
-        if r_rank[v] > r_rank[best]:
-            best = v
-        pref_best[j] = best
-
-    kk = min(k, n)
-    top = np.empty(kk + 1, dtype=np.int64)       # descending prefix lefts
-    run_max = np.empty(kk + 1, dtype=np.int64)   # running max right per rank
-    mlen = 0
-    m_values = np.arange(0, kk + 2, dtype=np.int64)
-    exp_r = np.empty(2 * n + 2, dtype=np.int64)
-    exp_cum = np.zeros(2 * n + 3, dtype=np.int64)
-    ne = 0
-    act_l = np.empty(n + 1, dtype=np.int64)
-    act_r = np.empty(n + 1, dtype=np.int64)
-    act_cum = np.zeros(n + 2, dtype=np.int64)
-    head = 0
-    na = 0
-
-    for i, v in enumerate(by_right, start=1):
-        x = r_rank[v]
-        lv = l_rank[v]
-        while head < na and act_r[head] <= x:
-            exp_r[ne] = act_r[head]
-            exp_cum[ne + 1] = exp_cum[ne] + (act_cum[head + 1] - act_cum[head])
-            ne += 1
-            head += 1
-        big = min(i, k)
-        rho = int(np.searchsorted(-top[:mlen], -lv, side="left")) + 1
-        if rho <= kk:
-            keep = min(mlen, kk - 1)
-            if keep >= rho:
-                tail = top[rho - 1:keep].copy()
-                top[rho:keep + 1] = tail
-            top[rho - 1] = lv
-            mlen = min(mlen + 1, kk)
-            run_max[rho - 1:mlen] = x
-            if rho <= big:
-                a, b = rho - 1, big
-                thresholds = top[a:b]
-                expired = exp_cum[ne] - exp_cum[
-                    np.searchsorted(exp_r[:ne], thresholds, side="left")]
-                active = act_cum[head + np.searchsorted(
-                    act_l[head:na], run_max[a:b], side="right")] - act_cum[head]
-                shortfall = m_values[rho:big + 1] - expired - active
-                need = int(shortfall.max(initial=0))
-                if need > 0:
-                    j = bisect.bisect_left(lefts_sorted, x)
-                    d = pref_best[j - 1]
-                    defense[d] = defense.get(d, 0) + need
-                    if r_rank[d] > x:
-                        act_l[na] = l_rank[d]
-                        act_r[na] = r_rank[d]
-                        act_cum[na + 1] = act_cum[na] + need
-                        na += 1
-                    else:
-                        exp_r[ne] = r_rank[d]
-                        exp_cum[ne + 1] = exp_cum[ne] + need
-                        ne += 1
+    tops: list[int] = []       # min-heap: the top-k left ranks of the prefix
+    run_below: list[int] = []  # below() of each run of tops, ascending
+    run_size: list[int] = []   # tops in each run
+    run_key: list[int] = []    # below() plus tops in this and later runs, minus lift
+    lift = 0
+    rights: list[int] = []     # right rank of every copy placed, ascending
+    best_right = -1
+    for x, m in enumerate(mate):
+        if m > x:                                  # a left end, reaching m
+            if m > best_right:
+                best_right = m
+            continue
+        if len(tops) < k:                          # a right end, opened at m
+            heappush(tops, m)
+        elif heappushpop(tops, m) == m:            # below every top: no new block
+            continue
+        else:                                      # the least top left the top-k
+            run_size[0] -= 1
+            run_key[0] -= 1
+            if not run_size[0]:
+                del run_below[0], run_size[0], run_key[0]
+        below = bisect_left(rights, m)
+        r = bisect_left(run_below, below)
+        if r == len(run_below) or run_below[r] != below:    # m starts a run
+            later = run_key[r] + lift - run_below[r] if r < len(run_below) else 0
+            run_below.insert(r, below)
+            run_size.insert(r, 0)
+            run_key.insert(r, below + later - lift)
+        run_size[r] += 1
+        lift += 1                                  # m joins the blocks of runs 0..r
+        run_key[r + 1:] = [key - 1 for key in run_key[r + 1:]]   # but no later one
+        need = max(run_key[:r + 1]) + lift - len(rights)
+        if need > 0:
+            best = order[best_right] - n + 1
+            defense[best] = defense.get(best, 0) + need
+            rights += [best_right] * need
     return defense

@@ -11,6 +11,7 @@ per line; valuations are a single line of 0/1 bits.
 Every parse failure raises InputError with the offending line number.
 """
 
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -144,11 +145,18 @@ def write_multiset(path: PathLike, d: VertexMultiset) -> None:
     Path(path).write_text(body)
 
 
+# Decimals and ratios only: Fraction would also take an exponent, and a
+# short token such as 1e2000000 expands into a multi-megabit integer.
+_RATIO = re.compile(r"[+-]?(?:[0-9]+/[0-9]+|[0-9]*\.[0-9]+|[0-9]+\.)")
+
+
 def _endpoint(token: str) -> Endpoint:
-    """An integer token as an int; anything else as an exact Fraction."""
+    """An integer token as an int; a decimal or ratio as an exact Fraction."""
     try:
         return int(token)
     except ValueError:
+        if not _RATIO.fullmatch(token):
+            raise
         return Fraction(token)
 
 
@@ -176,7 +184,8 @@ def read_intervals(path: PathLike) -> IntervalInstance:
         try:
             lo, hi = _endpoint(parts[1]), _endpoint(parts[2])
         except (ValueError, ZeroDivisionError):
-            raise InputError(f"{where}: endpoints must be decimal rationals") from None
+            raise InputError(f"{where}: endpoints must be decimal rationals "
+                             f"such as 3, -0.5 or 3/4") from None
         if v in rows:
             raise InputError(f"{where}: interval id {v} listed twice")
         rows[v] = (lo, hi)

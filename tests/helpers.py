@@ -30,6 +30,24 @@ def dense_intervals(rng, n_max=10, allow_points=False):
     return IntervalInstance(rows)
 
 
+def clustered_intervals(rng, n, cluster=(4, 16)):
+    """Bounded-length intervals in well-separated clusters, endpoints distinct.
+
+    A cluster of c intervals draws its 2c endpoints from a window of 3c
+    consecutive integers, and windows are one apart, so no component is
+    larger than its cluster and the ids run left to right.
+    """
+    rows = {}
+    base = 1
+    while len(rows) < n:
+        c = min(rng.randint(*cluster), n - len(rows))
+        values = rng.sample(range(base, base + 3 * c), 2 * c)
+        for a, b in zip(values[0::2], values[1::2]):
+            rows[len(rows) + 1] = (min(a, b), max(a, b))
+        base += 3 * c + 1
+    return IntervalInstance(rows)
+
+
 def random_simple_graph(rng, n_max=8, n_min=1):
     n = rng.randint(n_min, n_max)
     p = rng.uniform(0.15, 0.85)

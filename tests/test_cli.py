@@ -236,19 +236,31 @@ def test_time_limit_exit_code(tmp_path, capsys):
     assert code == 3 and verdict == "timeout"
 
 
+def source_env():
+    """The environment with this checkout's sources first on PYTHONPATH."""
+    src = str(Path(defdom.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_python_dash_m(tmp_path):
     graph = tmp_path / "star.dds"
     write_graph(graph, star_graph(4))
     defense = tmp_path / "d.ms"
     write_multiset(defense, {1: 2})
-    src = str(Path(defdom.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "defdom", "verify", str(graph),
                            str(defense), "2", "--multiset"],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=source_env())
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines()[-1] == "verdict=good value=0 certificate=-"
+
+
+def test_cli_import_leaves_numpy_out():
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, defdom.cli; print('numpy' in sys.modules)"],
+                          capture_output=True, text=True, env=source_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_script(tmp_path):

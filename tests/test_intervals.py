@@ -16,7 +16,8 @@ from defdom.intervals import (Block, IntervalInstance, _endpoint_ranks, block,
                               normalize, properize, validate)
 from defdom.io import read_intervals, write_intervals
 from defdom.solvers import min_multiset_defense
-from helpers import attacks_up_to, dense_intervals, random_intervals
+from helpers import (attacks_up_to, clustered_intervals, dense_intervals,
+                     random_intervals)
 
 
 def test_instance_validation():
@@ -250,11 +251,11 @@ def test_endpoint_ranks_match_fraction_sort_on_mixed_files(tmp_path):
 
 def test_duplicate_endpoint_error_names_the_rational_value(tmp_path):
     path = tmp_path / "dup.ivl"
+    big = 10**40
     for body, shown in [("1 7/3 5\n2 -1 14/6\n", "7/3"),
                         ("1 0.5 2\n2 -3 1/2\n", "1/2"),
                         ("1 -4 2.0\n2 4/2 8\n", "2"),
-                        ("1 0 1e40\n2 10000000000000000000000000000000000000000.000 1e41\n",
-                         "10000000000000000000000000000000000000000")]:
+                        (f"1 0 {4 * big}/4\n2 {big}.000 {10 * big}\n", str(big))]:
         path.write_text("p intervals 2\n" + body)
         with pytest.raises(InputError, match=f"duplicate endpoint value {shown}:"):
             read_intervals(path)
@@ -308,6 +309,31 @@ def test_greedy_fast_equals_reference():
         inst = random_intervals(rng)
         k = rng.randint(1, 4)
         assert greedy_defense(inst, k) == greedy_defense_reference(inst, k)
+    # clustered bounded-length instances, with k from 1 up past n
+    for _ in range(60):
+        inst = clustered_intervals(rng, rng.randint(1, 40), cluster=(1, 10))
+        for k in {1, 2, 3, 5, rng.randint(1, inst.n), inst.n, inst.n + 1}:
+            assert greedy_defense(inst, k) == greedy_defense_reference(inst, k)
+    # point intervals, and Fraction endpoints mixed with whole ones
+    for _ in range(80):
+        base = random_intervals(rng, n_max=10)
+        inst = IntervalInstance({v: (Fraction(lo, 3), Fraction(hi, 3))
+                                 for v, (lo, hi) in base.items()})
+        for k in range(1, inst.n + 2):
+            assert greedy_defense(inst, k) == greedy_defense_reference(inst, k)
+    # many clusters under one large k, so the top lefts form many runs
+    inst = clustered_intervals(random.Random(27), 150)
+    assert greedy_defense(inst, 500) == greedy_defense_reference(inst, 500)
+
+
+def test_greedy_large_k_stays_fast():
+    # n = 10 000 clustered intervals at k = 5 000: a sweep that scans every
+    # top left per step took about 3 s on a 2-vCPU VM, this one about 0.2 s
+    inst = clustered_intervals(random.Random(31), 10_000)
+    start = time.perf_counter()
+    defense = greedy_defense(inst, 5_000)
+    assert time.perf_counter() - start < 2.0
+    assert multiset_size(defense) == inst.n    # k covers every component
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 
+from defdom.cli import main
 from defdom.errors import InputError
 from defdom.formulas import E2Formula
 from defdom.graphs import Graph, random_graph
@@ -116,6 +118,17 @@ def test_interval_parse_errors(tmp_path):
         path.write_text(body)
         with pytest.raises(InputError, match=fragment):
             read_intervals(path)
+
+
+def test_exponent_endpoints_are_rejected_quickly(tmp_path):
+    # Fraction would expand 1e2000000 into a 6.6-million-bit integer
+    path = tmp_path / "huge.ivl"
+    path.write_text("p intervals 1\n1 0 1e2000000\n")
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="decimal rationals"):
+        read_intervals(path)
+    assert time.perf_counter() - start < 1.0
+    assert main(["greedy", str(path), "1"]) == 2
 
 
 def test_formula_roundtrip(tmp_path):
