@@ -406,7 +406,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=STRATEGIES, default="pruned")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("solve-exact", help="smallest defense by exhaustive search")
+    p = sub.add_parser("solve-exact", help="smallest defense by exact, cut-pruned search")
     p.add_argument("graph")
     p.add_argument("k", type=int, nargs="?")
     p.add_argument("--multiset", action="store_true",

@@ -1,29 +1,196 @@
-"""Exact brute-force solvers for smallest defenses.
+"""Exact solvers for smallest defenses: a counterexample-guided search.
 
-These are reference solvers: they enumerate candidate defenses in ascending
-size (lexicographic within a size), verify each one, and return the first
-that survives, so the witness is canonical.  Intended for desk-scale
-instances; the interval greedy is the scalable route.
-"""
+All three solvers run one search over per-vertex copy counts `0..cap`
+(`cap = k` for multisets, `1` for sets, `upper - lower` for the constrained
+variant).  Candidates come in ascending size, lexicographic within a size on
+the expanded sorted tuple of copies, so the first candidate the verifier
+accepts is the optimum and its witness is canonical.
 
+By the counting criterion, a defense counters every attack of size <= k
+exactly when D(N[A]) >= |A| for each such attack A.  So every uncountered
+attack the verifier finds is a Hall cut that all defenses satisfy.  The
+search keeps a pool of these cuts, carried over from one size to the next,
+and skips a subtree as soon as the cuts can no longer all be met: the copies
+already placed in some N[A] plus the most that the remaining budget and
+caps can still put there fall short of |A|, or cuts with pairwise disjoint
+open vertices need more copies between them than the budget has left.
+Only candidates that meet every cut are handed to the verifier.
+
+Invariant: a skipped candidate breaks a valid Hall inequality and so is no
+defense.  The first verified candidate is therefore the same optimum and the
+same witness that plain enumeration of every candidate returns."""
+
+import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Union
 
 from defdom.errors import InputError
 from defdom.graphs import (Graph, VertexMultiset, VertexSet, check_multiset,
-                           multiset_size, require_vertices)
-from defdom.defense import good_defense
+                           closed_neighborhood, count_in, multiset_size,
+                           require_vertices)
+from defdom.defense import find_violator
 from defdom.matching import counters
+
+# A Hall cut: at least `need` copies among the vertices of `hood`.
+Cut = tuple[Iterable[int], int]
+
+# Listed attacks up to this size seed the cut of every nonempty subset;
+# larger ones seed their singletons and themselves, and rely on the final
+# matching check.
+SEEDED_ATTACK_SIZE = 12
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Optimum size, one optimal witness, and how many candidates were tried."""
+    """Optimum size, one optimal witness, and the candidates handed to the
+    verifier (those that met every Hall cut in the pool)."""
 
     optimum: int
     witness: Union[VertexSet, VertexMultiset]
     explored: int
+
+
+def _least_defense(vertices: list[int], caps: list[int], budget: int,
+                   cuts: Iterable[Cut],
+                   separate: Callable[[VertexMultiset], Optional[list[Cut]]]):
+    """First candidate in (size, lexicographic) order that `separate` accepts.
+
+    `separate(counts)` returns None to accept, or the cuts to add (possibly
+    none) to reject.  Returns (size, counts, candidates verified), or None
+    when no candidate of size <= budget is accepted.
+
+    Positions are decided in order, each taking counts from the most it can
+    down to a floor.  Per cut the search keeps its deficit (need minus the
+    copies placed in its hood) and its slack (copies placed plus the caps
+    still open in its hood, minus need).  A count below the floor would make
+    some slack negative or leave more copies than later positions can take.
+    A node survives when the cuts whose open positions are pairwise disjoint
+    have deficits that the copies left can pay: a greedy packing, earliest
+    last position first, which also bounds every single deficit.  The search
+    uses an explicit stack, so its depth is not bounded by the recursion
+    limit.
+    """
+    m = len(vertices)
+    pos = {v: i for i, v in enumerate(vertices)}
+    suffix = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + caps[i]
+    member: list[list[int]] = [[] for _ in range(m)]   # cuts through each position
+    deficit: list[int] = []
+    slack: list[int] = []
+    hmask: list[int] = []  # positions of each cut's hood, as a bitmask
+    order: list[int] = []  # cuts by last position, then hood size
+    x = [0] * m            # copies at each decided position, 0 beyond
+    rem = [0] * (m + 1)    # copies left to place before deciding position i
+    floor = [0] * m        # least count position i may take on this path
+
+    def add_cut(hood: Iterable[int], need: int, depth: int) -> None:
+        j = len(deficit)
+        placed = room = bits = 0
+        for v in hood:
+            p = pos.get(v)
+            if p is None:
+                continue
+            member[p].append(j)
+            bits |= 1 << p
+            if p < depth:
+                placed += x[p]
+            else:
+                room += caps[p]
+        deficit.append(need - placed)
+        slack.append(placed + room - need)
+        hmask.append(bits)
+        bisect.insort(order, j, key=lambda j: (hmask[j].bit_length(), hmask[j].bit_count()))
+
+    for hood, need in cuts:
+        add_cut(hood, need, 0)
+    explored = 0
+    for size in range(min(budget, suffix[0]) + 1):
+        if deficit and max(deficit) > size:
+            continue
+        rem[0] = size
+        i, fresh = 0, True
+        while i >= 0:
+            hoods = member[i] if i < m else ()
+            if fresh:
+                r = rem[i]
+                if r == 0:             # a candidate: later positions stay 0
+                    explored += 1
+                    counts = {vertices[p]: x[p] for p in range(i) if x[p]}
+                    new_cuts = separate(counts)
+                    if new_cuts is None:
+                        return size, counts, explored
+                    for hood, need in new_cuts:
+                        add_cut(hood, need, i)
+                    i, fresh = i - 1, False
+                    continue
+                cap = caps[i]
+                c = min(cap, r)
+                least = max(0, r - suffix[i + 1])
+                if hoods:
+                    least = max(least, cap - min([slack[j] for j in hoods]))
+                if c < least:
+                    i, fresh = i - 1, False
+                    continue
+                floor[i] = least
+                x[i] = c
+                for j in hoods:
+                    slack[j] += c - cap
+                    deficit[j] -= c
+                fresh = False
+            else:
+                c = x[i]
+                if c <= floor[i]:
+                    for j in hoods:
+                        slack[j] += caps[i] - c
+                        deficit[j] += c
+                    x[i] = 0
+                    i -= 1
+                    continue
+                c = x[i] = c - 1
+                for j in hoods:
+                    slack[j] -= 1
+                    deficit[j] += 1
+            # Greedy packing over the cuts still short of their need.
+            left = rem[i] - c
+            above = -1 << (i + 1)
+            used = total = 0
+            for j in order:
+                d = deficit[j]
+                if d > 0:
+                    u = hmask[j] & above
+                    if not u or d > left:
+                        break
+                    if not u & used:
+                        used |= u
+                        total += d
+                        if total > left:
+                            break
+            else:
+                rem[i + 1] = left
+                i, fresh = i + 1, True
+    return None
+
+
+def _min_defense(g: Graph, k: int, cap: int):
+    """Least (size, lexicographic) defense against every attack of size <= k
+    with at most `cap` copies per vertex; the exhaustive verifier separates,
+    and each violator it finds becomes the Hall cut of its attack."""
+    if k < 1:
+        raise InputError("attack budget k must be at least 1")
+
+    def separate(counts: VertexMultiset) -> Optional[list[Cut]]:
+        violator = find_violator(g, counts, k, "exhaustive")
+        if violator is None:
+            return None
+        attack = violator.attack
+        return [(closed_neighborhood(g, attack), len(attack))]
+
+    found = _least_defense(list(g.vertices), [cap] * g.n, g.n, (), separate)
+    if found is None:
+        raise AssertionError("unreachable: one defender per vertex is always enough")
+    return found
 
 
 def min_set_defense(g: Graph, k: int) -> SolveResult:
@@ -32,57 +199,17 @@ def min_set_defense(g: Graph, k: int) -> SolveResult:
     Always solvable: stationing one defender on every vertex matches any
     attack identically.
     """
-    if k < 1:
-        raise InputError("attack budget k must be at least 1")
-    explored = 0
-    for size in range(0, g.n + 1):
-        for combo in itertools.combinations(g.vertices, size):
-            explored += 1
-            defense = {v: 1 for v in combo}
-            if good_defense(g, defense, k, strategy="exhaustive"):
-                return SolveResult(size, frozenset(combo), explored)
-    raise AssertionError("unreachable: the full vertex set is always a defense")
-
-
-def _capped_multisets(vertices: Sequence[int], total: int, cap: int):
-    """Multisets of the given total size with per-vertex count <= cap, in
-    lexicographic order of their expanded sorted tuples."""
-    n = len(vertices)
-
-    def rec(idx: int, remaining: int, acc: list[tuple[int, int]]):
-        if remaining == 0:
-            yield dict(acc)
-            return
-        if idx == n:
-            return
-        if remaining > cap * (n - idx):
-            return
-        v = vertices[idx]
-        for c in range(min(cap, remaining), -1, -1):
-            if c:
-                acc.append((v, c))
-            yield from rec(idx + 1, remaining - c, acc)
-            if c:
-                acc.pop()
-
-    yield from rec(0, total, [])
+    size, counts, explored = _min_defense(g, k, 1)
+    return SolveResult(size, frozenset(counts), explored)
 
 
 def min_multiset_defense(g: Graph, k: int) -> SolveResult:
     """Smallest defender multiset countering every attack of size <= k.
 
     Stacking more than k copies on one vertex is never useful (at most k
-    attackers can be matched there), so enumeration caps multiplicity at k.
+    attackers can be matched there), so the search caps multiplicity at k.
     """
-    if k < 1:
-        raise InputError("attack budget k must be at least 1")
-    explored = 0
-    for size in range(0, g.n + 1):
-        for defense in _capped_multisets(range(1, g.n + 1), size, k):
-            explored += 1
-            if good_defense(g, defense, k, strategy="exhaustive"):
-                return SolveResult(size, dict(defense), explored)
-    raise AssertionError("unreachable: one defender per vertex is always enough")
+    return SolveResult(*_min_defense(g, k, k))
 
 
 def domination_number(g: Graph) -> SolveResult:
@@ -94,7 +221,12 @@ def min_constrained_multiset(g: Graph, attacks: Iterable[Iterable[int]],
                              lower: VertexMultiset,
                              upper: VertexMultiset) -> Optional[SolveResult]:
     """Smallest multiset D with lower <= D <= upper countering each listed
-    attack (only those).  Returns None when even `upper` fails."""
+    attack (only those).  Returns None when even `upper` fails.
+
+    The cut pool starts with the Hall cut of every nonempty subset of every
+    listed attack, net of the copies `lower` already puts there; the
+    matching check on each listed attack stays the verifier.
+    """
     check_multiset(g, lower)
     check_multiset(g, upper)
     for v, c in lower.items():
@@ -111,42 +243,34 @@ def min_constrained_multiset(g: Graph, attacks: Iterable[Iterable[int]],
 
     if not ok(upper):
         return None
-    slack = {v: upper[v] - lower.get(v, 0) for v in sorted(upper)
-             if upper[v] > lower.get(v, 0)}
-    slack_vertices = sorted(slack)
-    base_size = multiset_size(lower)
-    explored = 0
-    max_extra = sum(slack.values())
-    for extra in range(0, max_extra + 1):
-        for add in _capped_multisets_bounded(slack_vertices, extra, slack):
-            explored += 1
-            defense = dict(lower)
-            for v, c in add.items():
-                defense[v] = defense.get(v, 0) + c
-            if ok(defense):
-                return SolveResult(base_size + extra, defense, explored)
-    return None
+    cuts: dict[VertexSet, int] = {}
+    for attack in attack_list:
+        members = sorted(attack)
+        if len(members) <= SEEDED_ATTACK_SIZE:
+            sizes = range(1, len(members) + 1)
+        else:
+            sizes = (1, len(members))
+        for size in sizes:
+            for subset in itertools.combinations(members, size):
+                hood = closed_neighborhood(g, subset)
+                need = size - count_in(lower, hood)
+                if need > cuts.get(hood, 0):
+                    cuts[hood] = need
+    slack_vertices = [v for v in sorted(upper) if upper[v] > lower.get(v, 0)]
+    caps = [upper[v] - lower.get(v, 0) for v in slack_vertices]
+
+    def separate(add: VertexMultiset) -> Optional[list[Cut]]:
+        return None if ok(_plus(lower, add)) else []
+
+    found = _least_defense(slack_vertices, caps, sum(caps), cuts.items(), separate)
+    if found is None:
+        return None
+    extra, add, explored = found
+    return SolveResult(multiset_size(lower) + extra, _plus(lower, add), explored)
 
 
-def _capped_multisets_bounded(vertices: Sequence[int], total: int,
-                              caps: dict[int, int]):
-    """Like _capped_multisets but with a per-vertex cap table."""
-    n = len(vertices)
-
-    def rec(idx: int, remaining: int, acc: list[tuple[int, int]]):
-        if remaining == 0:
-            yield dict(acc)
-            return
-        if idx == n:
-            return
-        if remaining > sum(caps[v] for v in vertices[idx:]):
-            return
-        v = vertices[idx]
-        for c in range(min(caps[v], remaining), -1, -1):
-            if c:
-                acc.append((v, c))
-            yield from rec(idx + 1, remaining - c, acc)
-            if c:
-                acc.pop()
-
-    yield from rec(0, total, [])
+def _plus(lower: VertexMultiset, add: VertexMultiset) -> VertexMultiset:
+    defense = dict(lower)
+    for v, c in add.items():
+        defense[v] = defense.get(v, 0) + c
+    return defense

@@ -1,8 +1,10 @@
 """Small seeded generators and brute-force oracles shared by the tests."""
 
 import itertools
+from defdom.defense import good_defense
 from defdom.graphs import Graph, closed_neighborhood
 from defdom.intervals import IntervalInstance
+from defdom.matching import counters
 
 
 def random_intervals(rng, n_max=8, allow_points=True):
@@ -120,3 +122,72 @@ def brute_has_clique(g, t):
         return g.n >= t
     return any(is_clique(g, combo)
                for combo in itertools.combinations(g.vertices, t))
+
+
+# ------------------------------------------------ enumeration reference solvers
+#
+# Plain enumeration of every candidate defense, in ascending size and
+# lexicographic order on the expanded sorted tuple within a size.  The
+# package's cut-pruned solvers must return the same optimum and witness.
+
+
+def capped_multisets(vertices, total, caps):
+    """Multisets of the given total size with count <= caps[v] per vertex,
+    in lexicographic order of their expanded sorted tuples."""
+    vertices = list(vertices)
+
+    def rec(idx, remaining, acc):
+        if remaining == 0:
+            yield dict(acc)
+            return
+        if idx == len(vertices) or remaining > sum(caps[v] for v in vertices[idx:]):
+            return
+        v = vertices[idx]
+        for c in range(min(caps[v], remaining), -1, -1):
+            if c:
+                acc.append((v, c))
+            yield from rec(idx + 1, remaining - c, acc)
+            if c:
+                acc.pop()
+
+    yield from rec(0, total, [])
+
+
+def reference_min_set_defense(g, k):
+    """(optimum, witness set) by enumerating vertex subsets."""
+    for size in range(0, g.n + 1):
+        for combo in itertools.combinations(g.vertices, size):
+            if good_defense(g, {v: 1 for v in combo}, k, strategy="exhaustive"):
+                return size, frozenset(combo)
+    raise AssertionError("unreachable: the full vertex set is always a defense")
+
+
+def reference_min_multiset_defense(g, k):
+    """(optimum, witness multiset) by enumerating multisets capped at k."""
+    caps = {v: k for v in g.vertices}
+    for size in range(0, g.n + 1):
+        for defense in capped_multisets(g.vertices, size, caps):
+            if good_defense(g, defense, k, strategy="exhaustive"):
+                return size, defense
+    raise AssertionError("unreachable: one defender per vertex is always enough")
+
+
+def reference_min_constrained_multiset(g, attacks, lower, upper):
+    """(optimum, witness) with lower <= D <= upper, or None when upper fails."""
+    attacks = [frozenset(a) for a in attacks]
+
+    def ok(defense):
+        return all(counters(g, defense, a) for a in attacks)
+
+    if not ok(upper):
+        return None
+    slack = {v: upper[v] - lower.get(v, 0) for v in sorted(upper)
+             if upper[v] > lower.get(v, 0)}
+    for extra in range(0, sum(slack.values()) + 1):
+        for add in capped_multisets(sorted(slack), extra, slack):
+            defense = dict(lower)
+            for v, c in add.items():
+                defense[v] = defense.get(v, 0) + c
+            if ok(defense):
+                return sum(lower.values()) + extra, defense
+    return None

@@ -255,6 +255,18 @@ def test_python_dash_m(tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "verdict=good value=0 certificate=-"
 
 
+def test_solve_exact_on_long_path_ends_with_a_record(tmp_path):
+    # a search that recursed once per vertex died here with RecursionError
+    graph = tmp_path / "p.dds"
+    write_graph(graph, path_graph(1500))
+    proc = subprocess.run([sys.executable, "-m", "defdom", "--time-limit", "1",
+                           "solve-exact", str(graph), "1", "--multiset"],
+                          capture_output=True, text=True, env=source_env())
+    assert proc.returncode in (0, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert RECORD.match(proc.stdout.strip().splitlines()[-1])
+
+
 def test_cli_import_leaves_numpy_out():
     proc = subprocess.run([sys.executable, "-c",
                            "import sys, defdom.cli; print('numpy' in sys.modules)"],

@@ -346,6 +346,16 @@ def test_greedy_output_is_good_and_optimal(seed, k):
     assert multiset_size(defense) == min_multiset_defense(g, k).optimum
 
 
+def test_greedy_is_optimal_beyond_ten_vertices():
+    # the cut-pruned exact solver reaches n = 16..24, past acceptance 02
+    rng = random.Random(1)
+    for _ in range(20):
+        n, k = rng.randint(16, 24), rng.randint(1, 3)
+        inst = clustered_intervals(rng, n, cluster=(6, 12))
+        optimum = min_multiset_defense(intersection_graph(inst), k).optimum
+        assert multiset_size(greedy_defense(inst, k)) == optimum
+
+
 def test_greedy_output_is_block_defense_and_proper():
     rng = random.Random(25)
     for _ in range(40):

@@ -8,9 +8,12 @@ from defdom.errors import InputError
 from defdom.graphs import (complete_graph, cycle_graph, multiset_size,
                            path_graph, star_graph)
 from defdom.matching import counters
-from defdom.solvers import (domination_number, min_constrained_multiset,
-                            min_multiset_defense, min_set_defense)
-from helpers import brute_dominating_number, random_simple_graph
+from defdom.solvers import (SEEDED_ATTACK_SIZE, domination_number,
+                            min_constrained_multiset, min_multiset_defense,
+                            min_set_defense)
+from helpers import (brute_dominating_number, random_simple_graph,
+                     reference_min_constrained_multiset,
+                     reference_min_multiset_defense, reference_min_set_defense)
 
 
 def test_star_contrast():
@@ -117,3 +120,51 @@ def test_empty_graph_and_k_validation():
         min_set_defense(g, 0)
     with pytest.raises(InputError):
         min_multiset_defense(g, -1)
+
+
+def test_solvers_equal_enumeration_reference():
+    # cut pruning may skip only non-defenses: same optimum, same witness
+    rng = random.Random(13)
+    outcomes = set()
+    for _ in range(150):
+        g = random_simple_graph(rng, n_max=8)
+        k = rng.randint(1, 4)
+        result = min_set_defense(g, k)
+        assert (result.optimum, result.witness) == reference_min_set_defense(g, k)
+        result = min_multiset_defense(g, k)
+        assert (result.optimum, result.witness) == reference_min_multiset_defense(g, k)
+        attacks = [rng.sample(range(1, g.n + 1), rng.randint(1, min(4, g.n)))
+                   for _ in range(rng.randint(1, 4))]
+        lower = {v: rng.randint(1, 2) for v in g.vertices if rng.random() < 0.3}
+        upper = {v: lower.get(v, 0) + rng.randint(0, 3) for v in g.vertices
+                 if v in lower or rng.random() < 0.7}
+        upper = {v: c for v, c in upper.items() if c}
+        result = min_constrained_multiset(g, attacks, lower, upper)
+        expected = reference_min_constrained_multiset(g, attacks, lower, upper)
+        outcomes.add(expected is None)
+        if expected is None:
+            assert result is None
+        else:
+            assert (result.optimum, result.witness) == expected
+    assert outcomes == {True, False}    # both feasible and infeasible bounds
+
+
+def test_constrained_solver_with_large_listed_attacks():
+    # an attack above SEEDED_ATTACK_SIZE seeds only some of its Hall cuts, so
+    # candidates meeting them can still fail the matching check, which decides
+    rng = random.Random(14)
+    rejected = 0
+    for _ in range(20):
+        g = random_simple_graph(rng, n_min=14, n_max=14)
+        attack = rng.sample(range(1, 15), SEEDED_ATTACK_SIZE + 1)
+        lower = {v: 1 for v in rng.sample(range(1, 15), 6)}
+        upper = {v: 1 for v in g.vertices}
+        upper.update((v, 2) for v in rng.sample(range(1, 15), 3))
+        result = min_constrained_multiset(g, [attack], lower, upper)
+        expected = reference_min_constrained_multiset(g, [attack], lower, upper)
+        if expected is None:
+            assert result is None
+            continue
+        assert (result.optimum, result.witness) == expected
+        rejected += result.explored > 1
+    assert rejected
