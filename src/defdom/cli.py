@@ -6,9 +6,7 @@ with one machine-readable record line:
     verdict=<word> value=<number or -> certificate=<path or ->
 
 Exit codes: 0 = affirmative/optimal, 1 = negative/infeasible, 2 = usage or
-input error, 3 = time limit exceeded.  A --jobs flag is accepted for
-symmetry with batch runners; all searches are single-process and their
-output does not depend on it.
+input error, 3 = time limit exceeded.
 """
 
 import argparse
@@ -30,13 +28,16 @@ from defdom.io import (read_attacks, read_formula, read_graph, read_intervals,
                        write_formula, write_graph, write_intervals,
                        write_multiset, write_valuation, write_vertex_set)
 from defdom.matching import counters
-from defdom.reductions import (CndInstance, cnd_to_dds, dds_from_graph,
-                               e2sat_to_cnd, enumerate_serious_attacks,
+from defdom.reductions import (ELL_MODES, CndInstance, cnd_to_dds,
+                               dds_from_graph, e2sat_to_cnd, enumerate_serious_attacks,
                                extract_deletion_set, proof_defense,
                                sat_cnd_from_graph, solve_cnd_bruteforce,
                                typed_clique_audit, valuation_to_deletion)
 from defdom.solvers import (min_constrained_multiset, min_multiset_defense,
                             min_set_defense)
+
+
+MAX_TIME_LIMIT = 2**31 - 1   # signal.alarm takes a C int
 
 
 class _Timeout(Exception):
@@ -45,9 +46,11 @@ class _Timeout(Exception):
 
 @contextmanager
 def _alarm(seconds: Optional[int]):
-    if not seconds:
+    if seconds is None:
         yield
         return
+    if not 1 <= seconds <= MAX_TIME_LIMIT:
+        raise InputError(f"--time-limit must lie in 1..{MAX_TIME_LIMIT} seconds")
 
     def handler(signum, frame):
         raise _Timeout()
@@ -338,6 +341,8 @@ def cmd_clique(args) -> int:
 
 
 def _gen_intervals(n: int, seed: int) -> IntervalInstance:
+    if n < 0:
+        raise InputError("interval generation needs n >= 0")
     rng = random.Random(seed)
     values = rng.sample(range(1, 20 * n + 1), 2 * n)
     rows = {}
@@ -350,6 +355,8 @@ def _gen_intervals(n: int, seed: int) -> IntervalInstance:
 def _gen_formula(a: int, b: int, c: int, seed: int) -> E2Formula:
     if a + b < 3:
         raise InputError("formula generation needs at least three variables")
+    if c < 0:
+        raise InputError("formula generation needs c >= 0")
     rng = random.Random(seed)
     clauses = []
     for _ in range(c):
@@ -392,9 +399,6 @@ def _parser() -> argparse.ArgumentParser:
                     "greedy solvers, hardness reductions, audits")
     parser.add_argument("--time-limit", type=int, metavar="SECONDS",
                         help="abort with exit code 3 after this many seconds")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker budget (accepted for compatibility; "
-                             "searches are single-process)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check a defense against all attacks up to size k")
@@ -434,8 +438,7 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("-o", "--output", required=True)
     q.add_argument("--s", type=int)
     q.add_argument("--t", type=int)
-    q.add_argument("--ell-mode", choices=("proof-consistent", "literal"),
-                   default="proof-consistent")
+    q.add_argument("--ell-mode", choices=ELL_MODES, default=ELL_MODES[0])
     q.set_defaults(func=cmd_reduce)
     q = psub.add_parser("e2sat-to-cnd",
                         help="two-level satisfiability -> clique node deletion")

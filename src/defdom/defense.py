@@ -159,33 +159,3 @@ def good_defense(g: Graph, defense: VertexMultiset, k: int,
     """True iff the defense counters every attack of size at most k."""
     return find_violator(g, defense, k, strategy) is None
 
-
-def hall_set(g: Graph, side_u: Iterable[int], side_w: Iterable[int],
-             k: int) -> Optional[VertexSet]:
-    """In a bipartite graph, search side U for a set X with |N(X)| < |X| <= k.
-
-    Returns the (size, lexicographic)-least such X, or None.  The bipartition
-    is validated first.
-    """
-    if k < 1:
-        raise InputError("size budget k must be at least 1")
-    u_side = set(side_u)
-    w_side = set(side_w)
-    require_vertices(g, u_side, "side U")
-    require_vertices(g, w_side, "side W")
-    if u_side & w_side:
-        raise InputError("bipartition sides overlap")
-    if u_side | w_side != set(g.vertices):
-        raise InputError("bipartition must cover every vertex")
-    for a, b in g.edges():
-        if (a in u_side) == (b in u_side):
-            raise InputError(f"edge ({a},{b}) stays inside one side")
-    ordered = sorted(u_side)
-    for size in range(1, min(k, len(ordered)) + 1):
-        for combo in itertools.combinations(ordered, size):
-            nbhd: set[int] = set()
-            for v in combo:
-                nbhd |= g.adj[v]
-            if len(nbhd) < size:
-                return frozenset(combo)
-    return None

@@ -44,12 +44,6 @@ class E2Formula:
     def c(self) -> int:
         return len(self.clauses)
 
-    def x_vars(self) -> range:
-        return range(1, self.a + 1)
-
-    def y_vars(self) -> range:
-        return range(self.a + 1, self.a + self.b + 1)
-
 
 def literal_satisfied(lit: int, values: dict[int, bool]) -> bool:
     value = values[abs(lit)]

@@ -35,15 +35,13 @@ into a maximum over runs of top left ends, with the standard library alone.
 import operator
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappush, heappushpop
 from itertools import chain, islice, repeat
 from typing import Mapping, Union
 
 from defdom.errors import InputError
-from defdom.graphs import (Graph, VertexMultiset, check_multiset,
-                           closed_neighborhood, count_in)
+from defdom.graphs import Graph, VertexMultiset
 
 Endpoint = Union[int, Fraction]
 
@@ -228,63 +226,6 @@ def properize(inst: IntervalInstance, defense: VertexMultiset) -> VertexMultiset
             changed = True
             break
     return out
-
-
-@dataclass(frozen=True)
-class Block:
-    """The `size` members of the prefix ending by x with the largest left ends."""
-
-    x: Endpoint
-    size: int
-    members: frozenset[int]
-
-
-def block(inst: IntervalInstance, x: Endpoint, size: int) -> Block:
-    """Block at sweep position x: among intervals closing at or before x,
-    the `size` with the largest left endpoints."""
-    validate(inst)
-    x = _exact(x)
-    if x not in set(inst.hi.values()):
-        raise InputError(f"{x} is not a right endpoint of any interval")
-    prefix = [v for v in inst.vertices if inst.hi[v] <= x]
-    if not (1 <= size <= len(prefix)):
-        raise InputError(f"block size {size} outside 1..{len(prefix)}")
-    prefix.sort(key=lambda v: inst.lo[v], reverse=True)
-    return Block(x, size, frozenset(prefix[:size]))
-
-
-def is_block_defense(inst: IntervalInstance, defense: VertexMultiset, k: int) -> bool:
-    """Check every block of size up to k has at least that many nearby copies."""
-    if k < 1:
-        raise InputError("attack budget k must be at least 1")
-    validate(inst)
-    g = intersection_graph(inst)
-    check_multiset(g, defense)
-    by_right = sorted(inst.vertices, key=lambda v: inst.hi[v])
-    prefix: list[int] = []   # maintained in descending left-endpoint order
-    neg_lefts: list[Endpoint] = []
-    for v in by_right:
-        pos = bisect_left(neg_lefts, -inst.lo[v])
-        prefix.insert(pos, v)
-        neg_lefts.insert(pos, -inst.lo[v])
-        for m in range(1, min(len(prefix), k) + 1):
-            hood = closed_neighborhood(g, prefix[:m])
-            if count_in(defense, hood) < m:
-                return False
-    return True
-
-
-def is_proper(inst: IntervalInstance, defense: VertexMultiset) -> bool:
-    """No defender's interval properly contained in another defender's."""
-    support = sorted(v for v, c in defense.items() if c > 0)
-    for u in support:
-        for w in support:
-            if u == w:
-                continue
-            if (inst.lo[w] <= inst.lo[u] and inst.hi[u] <= inst.hi[w]
-                    and (inst.lo[w], inst.hi[w]) != (inst.lo[u], inst.hi[u])):
-                return False
-    return True
 
 
 def _endpoint_ranks(inst: IntervalInstance) -> tuple[list[int], list[int]]:

@@ -7,50 +7,26 @@ coverage check reduces to Hopcroft-Karp.
 """
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from defdom.errors import InputError
 from defdom.graphs import Graph, VertexMultiset, check_multiset, require_vertices
 
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class BipartiteInstance:
-    """Left/right token counts plus the admissible (left, right) index pairs."""
-
-    num_left: int
-    num_right: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.num_left < 0 or self.num_right < 0:
-            raise InputError("token counts must be nonnegative")
-        seen = set()
-        for li, ri in self.edges:
-            if not (0 <= li < self.num_left and 0 <= ri < self.num_right):
-                raise InputError(f"edge ({li},{ri}) outside token ranges")
-            if (li, ri) in seen:
-                raise InputError(f"duplicate edge ({li},{ri})")
-            seen.add((li, ri))
-
-
-def max_matching(inst: BipartiteInstance) -> tuple[int, dict[int, int]]:
-    """Hopcroft-Karp.  Returns the matching size and a left->right pairing."""
-    adj: list[list[int]] = [[] for _ in range(inst.num_left)]
-    for li, ri in inst.edges:
-        adj[li].append(ri)
-    for rows in adj:
-        rows.sort()
-
-    match_l = [-1] * inst.num_left
-    match_r = [-1] * inst.num_right
-    dist = [INF] * inst.num_left
+def max_matching(adj: Sequence[Sequence[int]],
+                 num_right: int) -> tuple[int, dict[int, int]]:
+    """Hopcroft-Karp on left tokens 0..len(adj)-1, where adj[u] lists the
+    right tokens in 0..num_right-1 that u may take, in the order tried.
+    Returns the matching size and a left->right pairing."""
+    num_left = len(adj)
+    match_l = [-1] * num_left
+    match_r = [-1] * num_right
+    dist = [INF] * num_left
 
     def bfs() -> bool:
         q = deque()
-        for u in range(inst.num_left):
+        for u in range(num_left):
             if match_l[u] == -1:
                 dist[u] = 0
                 q.append(u)
@@ -80,10 +56,10 @@ def max_matching(inst: BipartiteInstance) -> tuple[int, dict[int, int]]:
 
     size = 0
     while bfs():
-        for u in range(inst.num_left):
+        for u in range(num_left):
             if match_l[u] == -1 and dfs(u):
                 size += 1
-    pairing = {u: match_l[u] for u in range(inst.num_left) if match_l[u] != -1}
+    pairing = {u: match_l[u] for u in range(num_left) if match_l[u] != -1}
     return size, pairing
 
 
@@ -104,12 +80,7 @@ def counters(g: Graph, defense: VertexMultiset, attack: Iterable[int]) -> bool:
     copies = defender_copies(defense)
     if len(attackers) > len(copies):
         return False
-    edges = []
-    for li, a in enumerate(attackers):
-        hood = g.adj[a]
-        for ri, d in enumerate(copies):
-            if d == a or d in hood:
-                edges.append((li, ri))
-    inst = BipartiteInstance(len(attackers), len(copies), tuple(edges))
-    size, _ = max_matching(inst)
+    adj = [[ri for ri, d in enumerate(copies) if d == a or d in g.adj[a]]
+           for a in attackers]
+    size, _ = max_matching(adj, len(copies))
     return size == len(attackers)

@@ -123,9 +123,6 @@ class DdsInstance:
     def source_n(self) -> int:
         return len(self.layout.v_prime)
 
-    def source_graph(self) -> Graph:
-        return Graph(self.source_n, sorted(self.layout.e_vertex))
-
     def check(self) -> None:
         """Verify every structural invariant of the construction."""
         n, s, t = self.source_n, self.s, self.t

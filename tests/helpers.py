@@ -19,6 +19,19 @@ def random_intervals(rng, n_max=8, allow_points=True):
     return IntervalInstance(rows)
 
 
+def is_proper(inst, defense):
+    """No defender's interval properly contained in another defender's."""
+    support = sorted(v for v, c in defense.items() if c > 0)
+    for u in support:
+        for w in support:
+            if u == w:
+                continue
+            if (inst.lo[w] <= inst.lo[u] and inst.hi[u] <= inst.hi[w]
+                    and (inst.lo[w], inst.hi[w]) != (inst.lo[u], inst.hi[u])):
+                return False
+    return True
+
+
 def dense_intervals(rng, n_max=10, allow_points=False):
     # endpoints packed into a narrow range, so overlaps are the norm
     n = rng.randint(1, n_max)

@@ -236,6 +236,23 @@ def test_time_limit_exit_code(tmp_path, capsys):
     assert code == 3 and verdict == "timeout"
 
 
+def test_out_of_range_values_are_input_errors(tmp_path, capsys):
+    graph = tmp_path / "p3.dds"
+    write_graph(graph, path_graph(3))
+    defense = tmp_path / "d.set"
+    write_vertex_set(defense, [2])
+    out = tmp_path / "out.txt"
+    for argv in (["--time-limit", 99999999999, "verify", graph, defense, 2],
+                 ["--time-limit", -1, "verify", graph, defense, 2],
+                 ["--time-limit", 0, "verify", graph, defense, 2],
+                 ["gen", "interval", "--n", -3, "-o", out],
+                 ["gen", "formula", "--a", 2, "--b", 2, "--c", -1, "-o", out]):
+        code, (verdict, _, _), err = run(capsys, *argv)
+        assert code == 2 and verdict == "error", argv
+        assert "Traceback" not in err
+    assert not out.exists()
+
+
 def source_env():
     """The environment with this checkout's sources first on PYTHONPATH."""
     src = str(Path(defdom.__file__).resolve().parents[1])

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defdom.defense import (STRATEGIES, find_violator, good_defense,
-                            hall_deficiency, hall_set)
+from defdom.defense import STRATEGIES, find_violator, good_defense, hall_deficiency
 from defdom.errors import InputError
 from defdom.graphs import Graph, path_graph, random_graph, star_graph
 from defdom.matching import counters
@@ -110,22 +109,3 @@ def test_strategy_names_and_validation():
     with pytest.raises(InputError):
         find_violator(g, {5: 1}, 1)
 
-
-def test_hall_set_reports_least_witness():
-    g = star_graph(3)
-    # two leaves share the hub as their only neighbor
-    assert hall_set(g, [2, 3, 4], [1], 2) == frozenset({2, 3})
-    assert hall_set(g, [2, 3, 4], [1], 1) is None
-    # perfect matching: no shrinking set exists
-    m = Graph(4, [(1, 3), (2, 4)])
-    assert hall_set(m, [1, 2], [3, 4], 2) is None
-
-
-def test_hall_set_validates_bipartition():
-    g = path_graph(3)
-    with pytest.raises(InputError):
-        hall_set(g, [1, 2], [3], 2)      # edge (1,2) inside side U
-    with pytest.raises(InputError):
-        hall_set(g, [1, 3], [1, 2], 2)   # overlapping sides
-    with pytest.raises(InputError):
-        hall_set(g, [1], [2], 2)         # vertex 3 uncovered

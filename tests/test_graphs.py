@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,6 +109,21 @@ def test_find_clique_witness_is_a_clique(n, seed, t):
     if witness is not None:
         assert is_clique(g, witness)
         assert len(witness) == t
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.floats(0.1, 0.9), st.integers(0, 10_000), st.integers(-1, 1))
+def test_find_clique_agrees_with_networkx_clique_number(n, p, seed, offset):
+    g = random_graph(n, p, seed)
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges())
+    omega = max(len(c) for c in nx.find_cliques(h))
+    t = max(1, omega + offset)
+    witness = find_clique(g, t)
+    assert (witness is not None) == (t <= omega)
+    if witness is not None:
+        assert len(witness) == t and is_clique(g, witness)
 
 
 def test_delete_vertices_induces_subgraph():

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from defdom.defense import find_violator, good_defense, hall_deficiency
 from defdom.errors import InputError
 from defdom.graphs import multiset_size
-from defdom.intervals import (Block, IntervalInstance, _endpoint_ranks, block,
-                              greedy_defense, greedy_defense_reference,
-                              intersection_graph, is_block_defense, is_proper,
+from defdom.intervals import (IntervalInstance, _endpoint_ranks, greedy_defense,
+                              greedy_defense_reference, intersection_graph,
                               normalize, properize, validate)
 from defdom.io import read_intervals, write_intervals
 from defdom.solvers import min_multiset_defense
 from helpers import (attacks_up_to, clustered_intervals, dense_intervals,
-                     random_intervals)
+                     is_proper, random_intervals)
 
 
 def test_instance_validation():
@@ -179,18 +178,6 @@ def test_properize_preserves_size_and_counterings():
         for attack in attacks_up_to(g, 2):
             if hall_deficiency(g, defense, attack) <= 0:
                 assert hall_deficiency(g, moved, attack) <= 0
-
-
-def test_block_and_block_defense():
-    inst = IntervalInstance({1: (0, 4), 2: (1, 6), 3: (3, 8)})
-    b = block(inst, 6, 2)
-    assert b == Block(Fraction(6), 2, frozenset({1, 2}))
-    with pytest.raises(InputError):
-        block(inst, 5, 1)       # not a right endpoint
-    with pytest.raises(InputError):
-        block(inst, 4, 2)       # only one interval closed by 4
-    assert is_block_defense(inst, {2: 2, 3: 1}, 2)
-    assert not is_block_defense(inst, {3: 1}, 2)
 
 
 def test_endpoint_ranks_preserve_order_and_thicken_points():
@@ -356,14 +343,15 @@ def test_greedy_is_optimal_beyond_ten_vertices():
         assert multiset_size(greedy_defense(inst, k)) == optimum
 
 
-def test_greedy_output_is_block_defense_and_proper():
+def test_greedy_output_is_good_and_proper():
     rng = random.Random(25)
     for _ in range(40):
         inst = random_intervals(rng, n_max=7)
         k = rng.randint(1, 3)
         defense = greedy_defense(inst, k)
-        if defense:
-            assert is_block_defense(inst, defense, k)
+        g = intersection_graph(inst)
+        assert find_violator(g, defense, k, strategy="exhaustive") is None
+        assert is_proper(inst, defense)
 
 
 def test_greedy_rejects_duplicate_endpoints_and_bad_k():

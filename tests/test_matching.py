@@ -1,18 +1,32 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defdom.errors import InputError
 from defdom.graphs import path_graph, star_graph
-from defdom.matching import BipartiteInstance, counters, defender_copies, max_matching
+from defdom.matching import counters, defender_copies, max_matching
 from helpers import brute_matching_size
 
 
+def adjacency(nl, edges):
+    adj = [[] for _ in range(nl)]
+    for u, v in sorted(edges):
+        adj[u].append(v)
+    return adj
+
+
+def assert_valid_matching(adj, size, assignment):
+    assert len(assignment) == size
+    assert len(set(assignment.values())) == size
+    for u, v in assignment.items():
+        assert v in adj[u]
+
+
 def test_perfect_matching_on_complete_bipartite():
-    edges = [(u, v) for u in range(3) for v in range(3)]
-    size, assignment = max_matching(BipartiteInstance(3, 3, tuple(edges)))
+    size, assignment = max_matching([[0, 1, 2]] * 3, 3)
     assert size == 3
     assert sorted(assignment) == [0, 1, 2]
     assert len(set(assignment.values())) == 3
@@ -20,21 +34,14 @@ def test_perfect_matching_on_complete_bipartite():
 
 def test_matching_respects_missing_edges():
     # both left tokens compete for the single right token
-    size, assignment = max_matching(BipartiteInstance(2, 1, ((0, 0), (1, 0))))
+    size, assignment = max_matching([[0], [0]], 1)
     assert size == 1
     assert len(assignment) == 1
 
 
 def test_empty_instance():
-    size, assignment = max_matching(BipartiteInstance(0, 0, ()))
+    size, assignment = max_matching([], 0)
     assert size == 0 and assignment == {}
-
-
-def test_instance_rejects_out_of_range_and_duplicates():
-    with pytest.raises(InputError):
-        BipartiteInstance(1, 1, ((0, 1),))
-    with pytest.raises(InputError):
-        BipartiteInstance(2, 2, ((0, 0), (0, 0)))
 
 
 def test_matching_agrees_with_brute_force():
@@ -43,16 +50,27 @@ def test_matching_agrees_with_brute_force():
         nl, nr = rng.randint(1, 6), rng.randint(1, 6)
         edges = [(u, v) for u in range(nl) for v in range(nr)
                  if rng.random() < 0.45]
-        size, assignment = max_matching(BipartiteInstance(nl, nr, tuple(edges)))
-        adjacency = {}
-        for u, v in edges:
-            adjacency.setdefault(u, []).append(v)
-        assert size == brute_matching_size(adjacency, nl)
-        # returned assignment must itself be a valid matching
-        assert len(assignment) == size
-        assert len(set(assignment.values())) == len(assignment)
-        for u, v in assignment.items():
-            assert (u, v) in set(edges)
+        adj = adjacency(nl, edges)
+        size, assignment = max_matching(adj, nr)
+        assert size == brute_matching_size(dict(enumerate(adj)), nl)
+        assert_valid_matching(adj, size, assignment)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 40), st.floats(0.0, 0.5),
+       st.integers(0, 2**32))
+def test_matching_agrees_with_networkx(nl, nr, p, seed):
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(nl) for v in range(nr) if rng.random() < p]
+    adj = adjacency(nl, edges)
+    size, assignment = max_matching(adj, nr)
+    b = nx.Graph()
+    b.add_nodes_from(("L", u) for u in range(nl))
+    b.add_nodes_from(("R", v) for v in range(nr))
+    b.add_edges_from((("L", u), ("R", v)) for u, v in edges)
+    top = [("L", u) for u in range(nl)]
+    assert size == len(nx.bipartite.maximum_matching(b, top_nodes=top)) // 2
+    assert_valid_matching(adj, size, assignment)
 
 
 @settings(max_examples=80, deadline=None)
@@ -60,8 +78,8 @@ def test_matching_agrees_with_brute_force():
 def test_matching_size_is_monotone_in_edges(nl, nr, data):
     all_pairs = [(u, v) for u in range(nl) for v in range(nr)]
     chosen = data.draw(st.lists(st.sampled_from(all_pairs), unique=True, max_size=12))
-    small, _ = max_matching(BipartiteInstance(nl, nr, tuple(chosen[: len(chosen) // 2])))
-    large, _ = max_matching(BipartiteInstance(nl, nr, tuple(chosen)))
+    small, _ = max_matching(adjacency(nl, chosen[: len(chosen) // 2]), nr)
+    large, _ = max_matching(adjacency(nl, chosen), nr)
     assert small <= large
 
 
