@@ -6,38 +6,44 @@ matching each attacker to its own guard copy in the attacker's closed
 neighborhood.  This package verifies defenses, solves small instances
 exactly, runs the fast greedy for interval graphs, and builds the two
 hardness reductions with checkable certificates.
+
+The public names below load their submodule on first access (PEP 562), so
+importing the package, or one submodule, does not import the others.
 """
 
-from defdom.defense import Violator, find_violator, good_defense, hall_deficiency
-from defdom.errors import InputError
-from defdom.graphs import Graph, delete_vertices, find_clique, has_clique
-from defdom.intervals import (IntervalInstance, greedy_defense,
-                              intersection_graph, normalize, properize)
-from defdom.matching import counters
-from defdom.solvers import (domination_number, min_constrained_multiset,
-                            min_multiset_defense, min_set_defense)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Graph",
-    "InputError",
-    "IntervalInstance",
-    "Violator",
-    "counters",
-    "delete_vertices",
-    "domination_number",
-    "find_clique",
-    "find_violator",
-    "good_defense",
-    "greedy_defense",
-    "hall_deficiency",
-    "has_clique",
-    "intersection_graph",
-    "min_constrained_multiset",
-    "min_multiset_defense",
-    "min_set_defense",
-    "normalize",
-    "properize",
-    "__version__",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "Graph": "graphs",
+    "InputError": "errors",
+    "IntervalInstance": "intervals",
+    "Violator": "defense",
+    "counters": "matching",
+    "delete_vertices": "graphs",
+    "domination_number": "solvers",
+    "find_clique": "graphs",
+    "find_violator": "defense",
+    "good_defense": "defense",
+    "greedy_defense": "intervals",
+    "hall_deficiency": "defense",
+    "has_clique": "graphs",
+    "intersection_graph": "intervals",
+    "min_constrained_multiset": "solvers",
+    "min_multiset_defense": "solvers",
+    "min_set_defense": "solvers",
+    "normalize": "intervals",
+    "properize": "intervals",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

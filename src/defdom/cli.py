@@ -7,34 +7,22 @@ with one machine-readable record line:
 
 Exit codes: 0 = affirmative/optimal, 1 = negative/infeasible, 2 = usage or
 input error, 3 = time limit exceeded.
+
+Each command imports the modules it runs when it runs, so a job loads only
+its own code.
 """
 
 import argparse
-import random
 import signal
 import sys
 from contextlib import contextmanager
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from defdom.defense import STRATEGIES, find_violator
 from defdom.errors import InputError
-from defdom.formulas import E2Formula, solve_e2sat
-from defdom.graphs import (complete_graph, cycle_graph, delete_vertices,
-                           find_clique, multiset_size, path_graph, random_graph,
-                           star_graph)
-from defdom.intervals import IntervalInstance, greedy_defense, intersection_graph
-from defdom.io import (read_attacks, read_formula, read_graph, read_intervals,
-                       read_multiset, read_valuation, read_vertex_set,
-                       write_formula, write_graph, write_intervals,
-                       write_multiset, write_valuation, write_vertex_set)
-from defdom.matching import counters
-from defdom.reductions import (ELL_MODES, CndInstance, cnd_to_dds,
-                               dds_from_graph, e2sat_to_cnd, enumerate_serious_attacks,
-                               extract_deletion_set, proof_defense,
-                               sat_cnd_from_graph, solve_cnd_bruteforce,
-                               typed_clique_audit, valuation_to_deletion)
-from defdom.solvers import (min_constrained_multiset, min_multiset_defense,
-                            min_set_defense)
+
+if TYPE_CHECKING:
+    from defdom.formulas import E2Formula
+    from defdom.intervals import IntervalInstance
 
 
 MAX_TIME_LIMIT = 2**31 - 1   # signal.alarm takes a C int
@@ -95,6 +83,7 @@ def _format_multiset(d) -> str:
 def _emit_defense(path: Optional[str], defense, as_multiset: bool) -> str:
     if path is None:
         return "-"
+    from defdom.io import write_multiset, write_vertex_set
     if as_multiset:
         write_multiset(path, defense)
     else:
@@ -106,6 +95,8 @@ def _emit_defense(path: Optional[str], defense, as_multiset: bool) -> str:
 
 
 def cmd_verify(args) -> int:
+    from defdom.defense import find_violator
+    from defdom.io import read_graph, read_multiset, read_vertex_set
     g, _ = read_graph(args.graph)
     k = _require_k(args.k)
     if args.multiset:
@@ -124,6 +115,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve_exact(args) -> int:
+    from defdom.io import read_attacks, read_graph, read_multiset
+    from defdom.solvers import (min_constrained_multiset, min_multiset_defense,
+                                min_set_defense)
     g, _ = read_graph(args.graph)
     if args.attacks is not None:
         attacks = read_attacks(args.attacks)
@@ -163,6 +157,9 @@ def cmd_solve_exact(args) -> int:
 
 
 def cmd_greedy(args) -> int:
+    from defdom.graphs import multiset_size
+    from defdom.intervals import greedy_defense
+    from defdom.io import read_intervals
     inst = read_intervals(args.intervals)
     k = _require_k(args.k)
     defense = greedy_defense(inst, k)
@@ -170,6 +167,8 @@ def cmd_greedy(args) -> int:
     _log(f"greedy defense of size {size}: {_format_multiset(defense)}")
     cert = _emit_defense(args.emit_defense, defense, True)
     if args.check:
+        from defdom.defense import find_violator
+        from defdom.intervals import intersection_graph
         g = intersection_graph(inst)
         violator = find_violator(g, defense, k, strategy="pruned")
         if violator is not None:
@@ -183,7 +182,9 @@ def cmd_greedy(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from defdom.io import read_formula, read_graph, write_graph
     if args.kind == "cnd-to-dds":
+        from defdom.reductions.dds import CndInstance, cnd_to_dds
         g, params = read_graph(args.input)
         s = _param(args.s, params, "s")
         t = _param(args.t, params, "t")
@@ -193,6 +194,7 @@ def cmd_reduce(args) -> int:
         _log(f"wrote instance with {dds.graph.n} vertices, k={dds.k}, ell={dds.ell}")
         _record("ok", dds.k, args.output)
         return 0
+    from defdom.reductions.sat import e2sat_to_cnd
     formula = read_formula(args.input)
     sc = e2sat_to_cnd(formula, allow_small=args.allow_small)
     write_graph(args.output, sc.graph,
@@ -204,6 +206,8 @@ def cmd_reduce(args) -> int:
 
 
 def _load_dds(args):
+    from defdom.io import read_graph
+    from defdom.reductions.dds import dds_from_graph
     g, params = read_graph(args.graph)
     k = _param(args.k, params, "k")
     ell = _param(args.ell, params, "ell")
@@ -211,6 +215,11 @@ def _load_dds(args):
 
 
 def cmd_audit_dds_forward(args) -> int:
+    from defdom.defense import find_violator
+    from defdom.graphs import multiset_size
+    from defdom.io import read_vertex_set
+    from defdom.matching import counters
+    from defdom.reductions.dds import enumerate_serious_attacks, proof_defense
     dds = _load_dds(args)
     deletion = read_vertex_set(args.deletion)
     defense = proof_defense(dds, deletion)
@@ -232,6 +241,8 @@ def cmd_audit_dds_forward(args) -> int:
 
 
 def cmd_audit_dds_roundtrip(args) -> int:
+    from defdom.io import read_vertex_set
+    from defdom.reductions.dds import extract_deletion_set, proof_defense
     dds = _load_dds(args)
     deletion = read_vertex_set(args.deletion)
     defense = proof_defense(dds, deletion)
@@ -247,6 +258,10 @@ def cmd_audit_dds_roundtrip(args) -> int:
 
 
 def cmd_audit_cnd_certificate(args) -> int:
+    from defdom.graphs import delete_vertices
+    from defdom.io import read_graph, read_valuation
+    from defdom.reductions.sat import (sat_cnd_from_graph, typed_clique_audit,
+                                       valuation_to_deletion)
     g, params = read_graph(args.graph)
     s = _param(args.s, params, "s")
     t = _param(args.t, params, "t")
@@ -267,6 +282,9 @@ def cmd_audit_cnd_certificate(args) -> int:
 
 
 def cmd_audit_clique_typed(args) -> int:
+    from defdom.graphs import find_clique
+    from defdom.io import read_graph
+    from defdom.reductions.sat import typed_clique_audit
     g, params = read_graph(args.graph)
     t = _param(args.t, params, "t")
     typed = typed_clique_audit(g, t)
@@ -282,6 +300,8 @@ def cmd_audit_clique_typed(args) -> int:
 
 
 def cmd_e2sat(args) -> int:
+    from defdom.formulas import solve_e2sat
+    from defdom.io import read_formula, write_valuation
     formula = read_formula(args.formula)
     result = solve_e2sat(formula)
     if result.verdict:
@@ -303,6 +323,8 @@ def cmd_e2sat(args) -> int:
 
 
 def cmd_solve_cnd(args) -> int:
+    from defdom.io import read_graph, write_vertex_set
+    from defdom.reductions.dds import CndInstance, solve_cnd_bruteforce
     g, params = read_graph(args.graph)
     s = _param(args.s, params, "s")
     t = _param(args.t, params, "t")
@@ -322,6 +344,8 @@ def cmd_solve_cnd(args) -> int:
 
 
 def cmd_clique(args) -> int:
+    from defdom.graphs import find_clique
+    from defdom.io import read_graph, write_vertex_set
     g, _ = read_graph(args.graph)
     if args.t < 1:
         raise InputError("t must be at least 1")
@@ -340,7 +364,10 @@ def cmd_clique(args) -> int:
     return 0
 
 
-def _gen_intervals(n: int, seed: int) -> IntervalInstance:
+def _gen_intervals(n: int, seed: int) -> "IntervalInstance":
+    import random
+
+    from defdom.intervals import IntervalInstance
     if n < 0:
         raise InputError("interval generation needs n >= 0")
     rng = random.Random(seed)
@@ -352,7 +379,10 @@ def _gen_intervals(n: int, seed: int) -> IntervalInstance:
     return IntervalInstance(rows)
 
 
-def _gen_formula(a: int, b: int, c: int, seed: int) -> E2Formula:
+def _gen_formula(a: int, b: int, c: int, seed: int) -> "E2Formula":
+    import random
+
+    from defdom.formulas import E2Formula
     if a + b < 3:
         raise InputError("formula generation needs at least three variables")
     if c < 0:
@@ -367,10 +397,15 @@ def _gen_formula(a: int, b: int, c: int, seed: int) -> E2Formula:
 
 def cmd_gen(args) -> int:
     if args.kind == "interval":
+        from defdom.io import write_intervals
         write_intervals(args.output, _gen_intervals(args.n, args.seed))
     elif args.kind == "formula":
+        from defdom.io import write_formula
         write_formula(args.output, _gen_formula(args.a, args.b, args.c, args.seed))
     else:
+        from defdom.graphs import (complete_graph, cycle_graph, path_graph,
+                                   random_graph, star_graph)
+        from defdom.io import write_graph
         if args.kind == "star":
             g = star_graph(args.leaves)
         elif args.kind == "random":
@@ -407,7 +442,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int, nargs="?")
     p.add_argument("--multiset", action="store_true",
                    help="read the defense as '<v> <count>' lines")
-    p.add_argument("--strategy", choices=STRATEGIES, default="pruned")
+    p.add_argument("--strategy", default="pruned",
+                   help="violator search: pruned or exhaustive (default: %(default)s)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("solve-exact", help="smallest defense by exact, cut-pruned search")
@@ -438,7 +474,9 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("-o", "--output", required=True)
     q.add_argument("--s", type=int)
     q.add_argument("--t", type=int)
-    q.add_argument("--ell-mode", choices=ELL_MODES, default=ELL_MODES[0])
+    q.add_argument("--ell-mode", default="proof-consistent",
+                   help="defense bound: proof-consistent or literal "
+                        "(default: %(default)s)")
     q.set_defaults(func=cmd_reduce)
     q = psub.add_parser("e2sat-to-cnd",
                         help="two-level satisfiability -> clique node deletion")

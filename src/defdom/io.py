@@ -8,33 +8,45 @@ as k/ell or s/t.  Vertex sets are one id per line; multisets are
 "<v> <count>" lines; attack lists hold one attack (space-separated ids)
 per line; valuations are a single line of 0/1 bits.
 
-Every parse failure raises InputError with the offending line number.
+Every parse failure raises InputError with the offending line number; a
+file that cannot be read as UTF-8 text, or cannot be written, raises it too.
 """
 
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 
 from defdom.errors import InputError
-from defdom.formulas import E2Formula
 from defdom.graphs import Graph, VertexMultiset, VertexSet
 from defdom.intervals import Endpoint, IntervalInstance, validate
+
+if TYPE_CHECKING:
+    from defdom.formulas import E2Formula
 
 PathLike = Union[str, Path]
 
 
 def _lines(path: PathLike) -> list[tuple[int, str]]:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     out = []
     for num, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line:
             out.append((num, line))
     return out
+
+
+def _write(path: PathLike, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _int(token: str, where: str) -> int:
@@ -106,7 +118,7 @@ def write_graph(path: PathLike, g: Graph, params: Optional[Mapping[str, int]] = 
         lines.append(f"c role {v} {g.labels[v]}")
     for u, v in g.edges():
         lines.append(f"e {u} {v}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def read_vertex_set(path: PathLike) -> VertexSet:
@@ -121,7 +133,7 @@ def read_vertex_set(path: PathLike) -> VertexSet:
 
 def write_vertex_set(path: PathLike, vertices: Iterable[int]) -> None:
     body = "".join(f"{v}\n" for v in sorted(set(vertices)))
-    Path(path).write_text(body)
+    _write(path, body)
 
 
 def read_multiset(path: PathLike) -> VertexMultiset:
@@ -142,7 +154,7 @@ def read_multiset(path: PathLike) -> VertexMultiset:
 
 def write_multiset(path: PathLike, d: VertexMultiset) -> None:
     body = "".join(f"{v} {count}\n" for v, count in sorted(d.items()) if count)
-    Path(path).write_text(body)
+    _write(path, body)
 
 
 # Decimals and ratios only: Fraction would also take an exponent, and a
@@ -202,11 +214,12 @@ def write_intervals(path: PathLike, inst: IntervalInstance) -> None:
     lines = [f"p intervals {inst.n}"]
     for v, (lo, hi) in inst.items():
         lines.append(f"{v} {lo} {hi}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
-def read_formula(path: PathLike) -> E2Formula:
+def read_formula(path: PathLike) -> "E2Formula":
     """Parse "p e2cnf <a> <b> <c>" plus c zero-terminated clause lines."""
+    from defdom.formulas import E2Formula
     header: Optional[tuple[int, int, int]] = None
     clauses: list[tuple[int, int, int]] = []
     for num, line in _lines(path):
@@ -235,11 +248,11 @@ def read_formula(path: PathLike) -> E2Formula:
     return E2Formula(a, b, tuple(clauses))
 
 
-def write_formula(path: PathLike, f: E2Formula) -> None:
+def write_formula(path: PathLike, f: "E2Formula") -> None:
     lines = [f"p e2cnf {f.a} {f.b} {f.c}"]
     for clause in f.clauses:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def read_attacks(path: PathLike) -> list[list[int]]:
@@ -260,7 +273,7 @@ def read_attacks(path: PathLike) -> list[list[int]]:
 def write_attacks(path: PathLike, attacks: Iterable[Iterable[int]]) -> None:
     body = "".join(" ".join(str(v) for v in sorted(attack)) + "\n"
                    for attack in attacks)
-    Path(path).write_text(body)
+    _write(path, body)
 
 
 def read_valuation(path: PathLike, expected: Optional[int] = None) -> tuple[bool, ...]:
@@ -279,4 +292,4 @@ def read_valuation(path: PathLike, expected: Optional[int] = None) -> tuple[bool
 
 
 def write_valuation(path: PathLike, bits: Sequence[bool]) -> None:
-    Path(path).write_text("".join("1" if bit else "0" for bit in bits) + "\n")
+    _write(path, "".join("1" if bit else "0" for bit in bits) + "\n")

@@ -1,41 +1,36 @@
-"""Hardness reductions with executable certificate transformations."""
+"""Hardness reductions with executable certificate transformations.
 
-from defdom.reductions.dds import (
-    ELL_MODES,
-    CndInstance,
-    DdsInstance,
-    cnd_to_dds,
-    dds_from_graph,
-    enumerate_serious_attacks,
-    extract_deletion_set,
-    proof_defense,
-    solve_cnd_bruteforce,
-)
-from defdom.reductions.sat import (
-    SatCnd,
-    deletion_to_valuation,
-    e2sat_to_cnd,
-    kt_witness_from_y,
-    sat_cnd_from_graph,
-    typed_clique_audit,
-    valuation_to_deletion,
-)
+The public names below load their submodule on first access (PEP 562).
+"""
 
-__all__ = [
-    "ELL_MODES",
-    "CndInstance",
-    "DdsInstance",
-    "SatCnd",
-    "cnd_to_dds",
-    "dds_from_graph",
-    "deletion_to_valuation",
-    "e2sat_to_cnd",
-    "enumerate_serious_attacks",
-    "extract_deletion_set",
-    "kt_witness_from_y",
-    "proof_defense",
-    "sat_cnd_from_graph",
-    "solve_cnd_bruteforce",
-    "typed_clique_audit",
-    "valuation_to_deletion",
-]
+import importlib
+
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "ELL_MODES": "dds",
+    "CndInstance": "dds",
+    "DdsInstance": "dds",
+    "SatCnd": "sat",
+    "cnd_to_dds": "dds",
+    "dds_from_graph": "dds",
+    "deletion_to_valuation": "sat",
+    "e2sat_to_cnd": "sat",
+    "enumerate_serious_attacks": "dds",
+    "extract_deletion_set": "dds",
+    "kt_witness_from_y": "sat",
+    "proof_defense": "dds",
+    "sat_cnd_from_graph": "sat",
+    "solve_cnd_bruteforce": "dds",
+    "typed_clique_audit": "sat",
+    "valuation_to_deletion": "sat",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

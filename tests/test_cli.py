@@ -10,9 +10,11 @@ import pytest
 import defdom
 from defdom.cli import main
 from defdom.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
+from defdom.intervals import IntervalInstance
 from defdom.io import (read_formula, read_multiset, read_valuation,
                        read_vertex_set, write_attacks, write_formula,
-                       write_graph, write_multiset, write_vertex_set)
+                       write_graph, write_intervals, write_multiset,
+                       write_vertex_set)
 
 RECORD = re.compile(r"^verdict=(\w+) value=(\S+) certificate=(\S+)$")
 
@@ -253,6 +255,71 @@ def test_out_of_range_values_are_input_errors(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_non_utf8_input_is_an_input_error(tmp_path, capsys):
+    from defdom.formulas import E2Formula
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    graph = tmp_path / "p3.dds"
+    write_graph(graph, path_graph(3))
+    defense = tmp_path / "d.set"
+    write_vertex_set(defense, [2])
+    formula = tmp_path / "f.cnf"
+    write_formula(formula, E2Formula(
+        1, 2, ((-1, 2, 3), (-1, 2, -3), (-1, -2, 3), (-1, -2, -3))))
+    cnd = tmp_path / "cnd.dds"
+    code, _, _ = run(capsys, "reduce", "e2sat-to-cnd", formula, "-o", cnd, "--allow-small")
+    assert code == 0
+    out = tmp_path / "out.txt"
+    for argv in (["verify", bad, defense, 2],                      # read_graph
+                 ["verify", graph, bad, 2],                        # read_vertex_set
+                 ["verify", graph, bad, 2, "--multiset"],          # read_multiset
+                 ["greedy", bad, 2],                               # read_intervals
+                 ["solve-exact", graph, "--attacks", bad],         # read_attacks
+                 ["e2sat", bad],                                   # read_formula
+                 ["reduce", "e2sat-to-cnd", bad, "-o", out],
+                 ["audit", "cnd-certificate", cnd, "--valuation", bad]):   # read_valuation
+        code, (verdict, _, _), err = run(capsys, *argv)
+        assert code == 2 and verdict == "error", argv
+        assert "Traceback" not in err and str(bad) in err, argv
+    assert not out.exists()
+
+
+def test_unwritable_output_is_an_input_error(tmp_path, capsys):
+    intervals = tmp_path / "i.ivl"
+    code, _, _ = run(capsys, "gen", "interval", "--n", 5, "-o", intervals)
+    assert code == 0
+    for argv in (["gen", "path", "--n", 3, "-o", tmp_path / "missing" / "p.dds"],
+                 ["greedy", intervals, 2, "--emit-defense", tmp_path]):
+        code, (verdict, _, _), err = run(capsys, *argv)
+        assert code == 2 and verdict == "error", argv
+        assert "Traceback" not in err and "cannot write" in err, argv
+
+
+def test_unknown_mode_values_are_input_errors(tmp_path, capsys, monkeypatch):
+    from defdom.defense import STRATEGIES
+    from defdom.reductions.dds import ELL_MODES
+    graph = tmp_path / "p3.dds"
+    write_graph(graph, path_graph(3))
+    defense = tmp_path / "d.set"
+    write_vertex_set(defense, [2])
+    source = k4_pendant_file(tmp_path, {"s": 1, "t": 4})
+    out = tmp_path / "out.dds"
+    for argv in (["verify", graph, defense, 2, "--strategy", "bogus"],
+                 ["reduce", "cnd-to-dds", source, "-o", out, "--ell-mode", "bogus"]):
+        code, (verdict, _, _), err = run(capsys, *argv)
+        assert code == 2 and verdict == "error", argv
+        assert "Traceback" not in err and "bogus" in err, argv
+    assert not out.exists()
+    # the help text names every valid value; wide enough not to wrap a name
+    monkeypatch.setenv("COLUMNS", "200")
+    for argv, values in ((["verify", "--help"], STRATEGIES),
+                         (["reduce", "cnd-to-dds", "--help"], ELL_MODES)):
+        with pytest.raises(SystemExit):
+            main(argv)
+        text = capsys.readouterr().out
+        assert all(value in text for value in values), (argv, text)
+
+
 def source_env():
     """The environment with this checkout's sources first on PYTHONPATH."""
     src = str(Path(defdom.__file__).resolve().parents[1])
@@ -284,12 +351,48 @@ def test_solve_exact_on_long_path_ends_with_a_record(tmp_path):
     assert RECORD.match(proc.stdout.strip().splitlines()[-1])
 
 
-def test_cli_import_leaves_numpy_out():
+LOADED = "print(' '.join(sorted(m for m in sys.modules if m.startswith('defdom'))))"
+
+
+def test_cli_import_leaves_numpy_out(tmp_path):
     proc = subprocess.run([sys.executable, "-c",
-                           "import sys, defdom.cli; print('numpy' in sys.modules)"],
+                           "import sys, defdom.cli; print('numpy' in sys.modules); " + LOADED],
                           capture_output=True, text=True, env=source_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split("\n")[:2] == ["False", "defdom defdom.cli defdom.errors"]
+
+    # a greedy job loads the interval path only: no verifier, solver,
+    # matching, formula or reduction module, and no dataclasses
+    intervals = tmp_path / "i.ivl"
+    write_intervals(intervals, IntervalInstance({1: (0, 2), 2: (1, 3), 3: (4, 5)}))
+    out = tmp_path / "d.ms"
+    code = ("import sys, defdom.cli; "
+            f"defdom.cli.main(['greedy', {str(intervals)!r}, '2', '--emit-defense', {str(out)!r}]); "
+            "print('dataclasses' in sys.modules, 'numpy' in sys.modules); " + LOADED)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=source_env())
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0].startswith("verdict=ok value=3")
+    assert lines[1] == "False False"
+    assert lines[2] == "defdom defdom.cli defdom.errors defdom.graphs defdom.intervals defdom.io"
+
+
+def test_lazy_namespace_resolves_every_public_name():
+    import importlib
+
+    import defdom.reductions
+    for package in (defdom, defdom.reductions):
+        for name, module in package._EXPORTS.items():
+            source = importlib.import_module(f"{package.__name__}.{module}")
+            assert getattr(package, name) is getattr(source, name), name
+        namespace = {}
+        exec(f"from {package.__name__} import *", namespace)
+        assert set(package.__all__) <= set(namespace)
+        with pytest.raises(AttributeError):
+            package.no_such_name
+    assert set(defdom.__all__) == {*defdom._EXPORTS, "__version__"}
+    assert set(defdom.reductions.__all__) == set(defdom.reductions._EXPORTS)
 
 
 def test_console_script(tmp_path):
