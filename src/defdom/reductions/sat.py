@@ -19,7 +19,7 @@ from typing import Optional
 from defdom.errors import InputError
 from defdom.formulas import Assignment, E2Formula
 from defdom.graphs import Graph, VertexSet, find_clique
-from defdom.reductions.dds import CndInstance
+from defdom.reductions.dds import CndInstance, _require_construction
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def _occurrence(f: E2Formula, k: int, o: int) -> tuple[str, int, bool]:
     return ("y", var - f.a, lit > 0)
 
 
-def _sat_expected_edges(f: E2Formula, lay: SatLayout, t: int) -> set[tuple[int, int]]:
+def _sat_expected_edges(f: E2Formula, lay: SatLayout) -> set[tuple[int, int]]:
     edges: set[tuple[int, int]] = set()
 
     def add(u: int, v: int) -> None:
@@ -123,36 +123,6 @@ class SatCnd:
     def graph(self) -> Graph:
         return self.cnd.graph
 
-    def check(self) -> None:
-        f, lay, t = self.formula, self.layout, self.cnd.t
-        if self.cnd.s != f.a * f.c + 3 * f.c:
-            raise InputError("deletion budget must equal ac+3c")
-        if t != f.b + f.c:
-            raise InputError("clique size must equal b+c")
-        for i in range(1, f.a + 1):
-            if len(lay.x_pos.get(i, ())) != f.c or len(lay.x_neg.get(i, ())) != f.c:
-                raise InputError(f"variable gadget {i} has wrong class sizes")
-        for k in range(1, f.c + 1):
-            g = sum(1 for o in (1, 2, 3) if _occurrence(f, k, o)[0] == "x")
-            if len(lay.qpads[k]) != t - 1 - g:
-                raise InputError(f"clause clique {k} has wrong pad count")
-            if len(lay.q_members[k]) != t - 1 + g:
-                raise InputError(f"clause clique {k} has wrong size")
-        for pads in lay.x_pads.values():
-            if len(pads) != t - 2:
-                raise InputError("variable edge padding has wrong size")
-        for pads in lay.c_pads.values():
-            if len(pads) != t - 2:
-                raise InputError("clause edge padding has wrong size")
-        expected = _sat_expected_edges(f, lay, t)
-        actual = set(self.graph.edges())
-        if expected != actual:
-            missing = sorted(expected - actual)[:3]
-            extra = sorted(actual - expected)[:3]
-            raise InputError(
-                f"edge set deviates from the construction: missing {missing}, "
-                f"unexpected {extra}")
-
 
 def e2sat_to_cnd(f: E2Formula, allow_small: bool = False) -> SatCnd:
     """Build the deletion instance for a formula.
@@ -227,11 +197,8 @@ def e2sat_to_cnd(f: E2Formula, allow_small: bool = False) -> SatCnd:
     layout = SatLayout(x_pos=x_pos, x_neg=x_neg, x_pads=x_pads,
                        y_pos=y_pos, y_neg=y_neg, goods=goods, bads=bads,
                        c_pads=c_pads, qpads=qpads, q_members=q_members)
-    edges = sorted(_sat_expected_edges(f, layout, t))
-    graph = Graph(counter, edges, labels)
-    out = SatCnd(f, CndInstance(graph, s, t), layout)
-    out.check()
-    return out
+    graph = Graph(counter, _sat_expected_edges(f, layout), labels)
+    return SatCnd(f, CndInstance(graph, s, t), layout)
 
 
 _SAT_PATTERNS = (
@@ -263,20 +230,21 @@ def _parse_sat_labels(g: Graph) -> dict[str, dict]:
 
 
 def sat_cnd_from_graph(g: Graph, s: int, t: int) -> SatCnd:
-    """Rebuild a full (undeleted) instance, formula included, from labels."""
+    """Rebuild a full (undeleted) instance, formula included, from labels.
+
+    The clauses come from the good labels, a and b from the largest
+    existential and universal indices.  The graph is accepted exactly when
+    it is the construction of that formula with these s and t, vertex ids
+    included.
+    """
     parsed = _parse_sat_labels(g)
     a = max((int(grp[0]) for grp in parsed["xcore"].values()), default=0)
     b = max((int(grp[0]) for grp in parsed["y"].values()), default=0)
-    c = max((int(grp[0]) for grp in parsed["good"].values()), default=0)
+    occ = {(int(k), int(o)): (family, int(idx), sign == "pos")
+           for k, o, family, idx, sign in parsed["good"].values()}
+    c = max((k for k, _ in occ), default=0)
     if c < 1:
         raise InputError("no clause gadgets found in labels")
-
-    occ: dict[tuple[int, int], tuple[str, int, bool]] = {}
-    goods_ids: dict[int, dict[int, int]] = {}
-    for vid, (k, o, family, idx, sign) in parsed["good"].items():
-        key = (int(k), int(o))
-        occ[key] = (family, int(idx), sign == "pos")
-        goods_ids.setdefault(int(k), {})[int(o)] = vid
     clauses = []
     for k in range(1, c + 1):
         lits = []
@@ -288,86 +256,23 @@ def sat_cnd_from_graph(g: Graph, s: int, t: int) -> SatCnd:
             lits.append(var if positive else -var)
         clauses.append(tuple(lits))
     formula = E2Formula(a, b, tuple(clauses))
-
-    def slot_tuple(mapping: dict[int, int], size: int, what: str) -> tuple[int, ...]:
-        if set(mapping) != set(range(1, size + 1)):
-            raise InputError(f"{what} slots must cover 1..{size}")
-        return tuple(mapping[i] for i in range(1, size + 1))
-
-    x_pos: dict[int, dict[int, int]] = {}
-    x_neg: dict[int, dict[int, int]] = {}
-    q_flagged: set[int] = set()
-    for vid, (i, kind, p, qflag) in parsed["xcore"].items():
-        target = x_pos if kind == "pos" else x_neg
-        target.setdefault(int(i), {})[int(p)] = vid
-        if qflag:
-            q_flagged.add(vid)
-    x_pads: dict[tuple[int, int, int], dict[int, int]] = {}
-    for vid, (i, p, q, j) in parsed["xpad"].items():
-        x_pads.setdefault((int(i), int(p), int(q)), {})[int(j)] = vid
-    y_pos: dict[int, int] = {}
-    y_neg: dict[int, int] = {}
-    for vid, (j, kind) in parsed["y"].items():
-        (y_pos if kind == "pos" else y_neg)[int(j)] = vid
-    bads_ids: dict[int, dict[int, int]] = {}
-    for vid, (k, _, o) in parsed["bad"].items():
-        bads_ids.setdefault(int(k), {})[int(o)] = vid
-    c_pads: dict[tuple[int, int, int], dict[int, int]] = {}
-    for vid, (k, o, op, j) in parsed["cpad"].items():
-        c_pads.setdefault((int(k), int(o), int(op)), {})[int(j)] = vid
-    qpads_ids: dict[int, dict[int, int]] = {}
-    for vid, (k, j) in parsed["qpad"].items():
-        qpads_ids.setdefault(int(k), {})[int(j)] = vid
-
-    if set(goods_ids) != set(range(1, c + 1)) or set(bads_ids) != set(range(1, c + 1)):
-        raise InputError("clause gadgets must cover clause indices 1..c")
-    if set(x_pos) != set(range(1, a + 1)) or set(x_neg) != set(range(1, a + 1)):
-        raise InputError("variable gadgets must cover variable indices 1..a")
-    if set(y_pos) != set(range(1, b + 1)) or set(y_neg) != set(range(1, b + 1)):
-        raise InputError("universal gadgets must cover variable indices 1..b")
-    want_xpad = {(i, p, q) for i in range(1, a + 1)
-                 for p in range(1, c + 1) for q in range(1, c + 1)}
-    if set(x_pads) != want_xpad:
-        raise InputError("variable-edge paddings must cover every gadget edge")
-    want_cpad = {(k, o, op) for k in range(1, c + 1)
-                 for o in (1, 2, 3) for op in (1, 2, 3)}
-    if set(c_pads) != want_cpad:
-        raise InputError("clause-edge paddings must cover every gadget edge")
-
-    q_members = {}
-    qpads = {}
-    for k in range(1, c + 1):
-        z = []
-        for o in (1, 2, 3):
-            family, i, positive = occ[(k, o)]
-            if family != "x":
-                continue
-            z.append(goods_ids[k][o])
-            member = (x_pos if positive else x_neg)[i][k]
-            if member not in q_flagged:
-                raise InputError(
-                    f"variable vertex for clause {k} occurrence {o} lacks its "
-                    "clause-clique flag")
-            z.append(member)
-        g_count = len(z) // 2
-        qpads[k] = slot_tuple(qpads_ids.get(k, {}), t - 1 - g_count, f"clause {k} qpad")
-        q_members[k] = tuple(sorted(z + list(qpads[k])))
-
-    layout = SatLayout(
-        x_pos={i: slot_tuple(m, c, f"x{i} positive") for i, m in sorted(x_pos.items())},
-        x_neg={i: slot_tuple(m, c, f"x{i} negative") for i, m in sorted(x_neg.items())},
-        x_pads={key: slot_tuple(m, t - 2, f"x pad {key}")
-                for key, m in sorted(x_pads.items())},
-        y_pos=y_pos, y_neg=y_neg,
-        goods={k: slot_tuple(m, 3, f"clause {k} good") for k, m in sorted(goods_ids.items())},
-        bads={k: slot_tuple(m, 3, f"clause {k} bad") for k, m in sorted(bads_ids.items())},
-        c_pads={key: slot_tuple(m, t - 2, f"clause pad {key}")
-                for key, m in sorted(c_pads.items())},
-        qpads=qpads,
-        q_members=q_members)
-    out = SatCnd(formula, CndInstance(g, s, t), layout)
-    out.check()
-    return out
+    if t != b + c:
+        raise InputError(f"clique size t={t} must equal b+c={b + c}")
+    if s != a * c + 3 * c:
+        raise InputError(f"deletion budget s={s} must equal ac+3c={a * c + 3 * c}")
+    # what e2sat_to_cnd builds: variable classes and their t-2 paddings per
+    # gadget edge, universal pairs, clause classes and their paddings, and
+    # the clause-clique pads
+    x_occurrences = sum(1 for clause in clauses for lit in clause if abs(lit) <= a)
+    want = (2 * a * c + a * c * c * (t - 2) + 2 * b + 6 * c + 9 * c * (t - 2)
+            + c * (t - 1) - x_occurrences)
+    if want != g.n:
+        raise InputError(
+            f"labels (a={a}, b={b}, c={c}) give a construction of {want} "
+            f"vertices, the graph has {g.n}")
+    built = e2sat_to_cnd(formula, allow_small=True)
+    _require_construction(g, built.graph)
+    return built
 
 
 def valuation_to_deletion(sc: SatCnd, nu: Assignment) -> VertexSet:

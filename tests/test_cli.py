@@ -1,5 +1,6 @@
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from defdom.intervals import IntervalInstance
 from defdom.io import (read_formula, read_multiset, read_valuation,
                        read_vertex_set, write_attacks, write_formula,
                        write_graph, write_intervals, write_multiset,
-                       write_vertex_set)
+                       write_valuation, write_vertex_set)
 
 RECORD = re.compile(r"^verdict=(\w+) value=(\S+) certificate=(\S+)$")
 
@@ -131,7 +132,7 @@ def test_greedy_with_check(tmp_path, capsys):
     assert sum(read_multiset(out).values()) == int(value)
 
 
-def test_reduce_and_audit_chain(tmp_path, capsys):
+def test_reduce_and_audit_chain(tmp_path, capsys, monkeypatch):
     source = k4_pendant_file(tmp_path, {"s": 1, "t": 4})
     reduced = tmp_path / "out.dds"
     code, (verdict, value, cert), _ = run(
@@ -152,6 +153,17 @@ def test_reduce_and_audit_chain(tmp_path, capsys):
         capsys, "audit", "dds-forward", reduced, "--deletion", deletion)
     assert code == 1 and verdict == "fail"
     assert "serious attack" in err
+
+    # parameters far beyond the file are refused before anything is built
+    def no_build(*args):
+        raise AssertionError("built a construction the file cannot hold")
+
+    monkeypatch.setattr("defdom.reductions.dds._build_dds", no_build)
+    for audit in ("dds-forward", "dds-roundtrip"):
+        for flag in ("--k", "--ell"):
+            code, (verdict, _, _), err = run(
+                capsys, "audit", audit, reduced, "--deletion", deletion, flag, 10 ** 12)
+            assert code == 2 and verdict == "error", (audit, flag)
 
 
 def test_sat_reduction_chain(tmp_path, capsys):
@@ -349,6 +361,35 @@ def test_solve_exact_on_long_path_ends_with_a_record(tmp_path):
     assert proc.returncode in (0, 3), proc.stderr
     assert "Traceback" not in proc.stderr
     assert RECORD.match(proc.stdout.strip().splitlines()[-1])
+
+
+def test_hostile_sat_labels_exit_2_in_bounded_memory(tmp_path):
+    # labels naming a = c = 400 on an edgeless 3 202-vertex file; a rebuild
+    # that laid out the a*c^2 variable paddings before checking s ran out of
+    # memory here
+    a = c = 400
+    labels = [f"x{i}:{sign}:1" for i in range(1, a + 1) for sign in ("pos", "neg")]
+    labels += ["y1:pos", "y1:neg"]
+    for k in range(1, c + 1):
+        labels += [f"c{k}:good:1:x{k}:pos", f"c{k}:good:2:y1:pos",
+                   f"c{k}:good:3:x{k % a + 1}:neg",
+                   f"c{k}:ugly:1", f"c{k}:bad:2", f"c{k}:bad:3"]
+    graph = tmp_path / "hostile.dds"
+    write_graph(graph, Graph(len(labels), [], dict(enumerate(labels, start=1))),
+                {"s": 1, "t": 401})
+    valuation = tmp_path / "nu.val"
+    write_valuation(valuation, [True] * a)
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "defdom", "audit", "cnd-certificate",
+                           str(graph), "--valuation", str(valuation)],
+                          capture_output=True, text=True, env=source_env(),
+                          preexec_fn=limit_address_space, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert RECORD.match(proc.stdout.strip().splitlines()[-1]).group(1) == "error"
+    assert "Traceback" not in proc.stderr
 
 
 LOADED = "print(' '.join(sorted(m for m in sys.modules if m.startswith('defdom'))))"

@@ -158,6 +158,28 @@ def test_file_reconstruction_equals_original():
         dds_from_graph(dds.graph, dds.k + 1, dds.ell)
     with pytest.raises(InputError):
         dds_from_graph(Graph(2, [(1, 2)]), 1, 1)
+    # another well-formed role label on one vertex, or one edge gone
+    q1 = dds.layout.q1[0]
+    labels = dict(dds.graph.labels)
+    labels[q1] = "Q4#1"
+    with pytest.raises(InputError, match=rf"^vertex {q1} "):
+        dds_from_graph(Graph(dds.graph.n, dds.graph.edges(), labels), dds.k, dds.ell)
+    u, v = sorted((dds.layout.v_prime[1], dds.layout.e_vertex[(1, 2)]))
+    edges = [e for e in dds.graph.edges() if e != (u, v)]
+    with pytest.raises(InputError, match=rf"^vertex {u} "):
+        dds_from_graph(Graph(dds.graph.n, edges, dds.graph.labels), dds.k, dds.ell)
+    # the same construction with two vertex ids swapped is not the construction
+    swap = {1: 2, 2: 1}
+    renumbered = Graph(dds.graph.n,
+                       [(swap.get(x, x), swap.get(y, y)) for x, y in dds.graph.edges()],
+                       {swap.get(v, v): label for v, label in dds.graph.labels.items()})
+    with pytest.raises(InputError, match="^vertex 1 "):
+        dds_from_graph(renumbered, dds.k, dds.ell)
+    # a construction cut short so that a negative ell would explain its size
+    small = cnd_to_dds(CndInstance(Graph(3, []), 3, 4))
+    cut, _ = delete_vertices(small.graph, small.layout.i3 + (small.graph.n,))
+    with pytest.raises(InputError, match="ell must be nonnegative"):
+        dds_from_graph(cut, small.k, -(small.k + 1))
 
 
 def test_solve_cnd_bruteforce_examples():

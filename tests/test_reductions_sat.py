@@ -195,3 +195,13 @@ def test_reconstruction_rejects_corruption():
         sat_cnd_from_graph(Graph(3, [(1, 2)]), sc.cnd.s, sc.cnd.t)
     with pytest.raises(InputError):
         sat_cnd_from_graph(sc.graph, sc.cnd.s + 1, sc.cnd.t)
+    # another well-formed role label on one vertex, or one edge gone
+    pad = sc.layout.x_pads[(1, 1, 1)][0]
+    labels = dict(sc.graph.labels)
+    labels[pad] = "x1:pad:1:1:9"
+    with pytest.raises(InputError, match=rf"^vertex {pad} "):
+        sat_cnd_from_graph(Graph(sc.graph.n, sc.graph.edges(), labels), sc.cnd.s, sc.cnd.t)
+    u, v = sorted((sc.layout.x_pos[1][0], sc.layout.x_neg[1][0]))
+    edges = [e for e in sc.graph.edges() if e != (u, v)]
+    with pytest.raises(InputError, match=rf"^vertex {u} "):
+        sat_cnd_from_graph(Graph(sc.graph.n, edges, sc.graph.labels), sc.cnd.s, sc.cnd.t)
