@@ -1,12 +1,16 @@
 """Command-line front end.
 
-Every command prints human-readable detail to stderr and finishes stdout
-with one machine-readable record line:
+Every command prints human-readable detail to stderr and returns its record
+(verdict, value, certificate); value and certificate default to "-".  Only
+`main` prints the record, as one stdout line, once: after the command
+finishes or after the time limit fires, with the alarm cancelled.
 
     verdict=<word> value=<number or -> certificate=<path or ->
 
-Exit codes: 0 = affirmative/optimal, 1 = negative/infeasible, 2 = usage or
-input error, 3 = time limit exceeded.
+`_EXIT_CODES` maps the verdict to the exit code: 0 = affirmative/optimal
+(good, optimal, ok, pass, yes, found), 1 = negative/infeasible (bad, none,
+fail, no), 2 = usage or input error (error), 3 = time limit exceeded
+(timeout).
 
 Each command imports the modules it runs when it runs, so a job loads only
 its own code.
@@ -26,6 +30,10 @@ if TYPE_CHECKING:
 
 
 MAX_TIME_LIMIT = 2**31 - 1   # signal.alarm takes a C int
+
+_EXIT_CODES = {**dict.fromkeys(("good", "optimal", "ok", "pass", "yes", "found"), 0),
+               **dict.fromkeys(("bad", "none", "fail", "no"), 1),
+               "error": 2, "timeout": 3}
 
 
 class _Timeout(Exception):
@@ -80,21 +88,22 @@ def _format_multiset(d) -> str:
     return " ".join(f"{v}x{c}" for v, c in sorted(d.items()) if c) or "(empty)"
 
 
-def _emit_defense(path: Optional[str], defense, as_multiset: bool) -> str:
+def _listing(vertices) -> str:
+    return " ".join(str(v) for v in sorted(vertices))
+
+
+def _emit(path: Optional[str], write, data) -> str:
+    """Write a certificate if one was asked for; the record's certificate field."""
     if path is None:
         return "-"
-    from defdom.io import write_multiset, write_vertex_set
-    if as_multiset:
-        write_multiset(path, defense)
-    else:
-        write_vertex_set(path, defense)
+    write(path, data)
     return path
 
 
 # ---------------------------------------------------------------- commands
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     from defdom.defense import find_violator
     from defdom.io import read_graph, read_multiset, read_vertex_set
     g, _ = read_graph(args.graph)
@@ -106,25 +115,20 @@ def cmd_verify(args) -> int:
     violator = find_violator(g, defense, k, strategy=args.strategy)
     if violator is None:
         _log(f"GOOD: defense counters every attack of size <= {k}")
-        _record("good", 0)
-        return 0
-    attack = " ".join(str(v) for v in sorted(violator.attack))
-    _log(f"BAD: attack {attack} exceeds nearby defenders by {violator.deficiency}")
-    _record("bad", violator.deficiency)
-    return 1
+        return "good", 0
+    _log(f"BAD: attack {_listing(violator.attack)} exceeds nearby defenders "
+         f"by {violator.deficiency}")
+    return "bad", violator.deficiency
 
 
-def cmd_solve_exact(args) -> int:
-    from defdom.io import read_attacks, read_graph, read_multiset
+def cmd_solve_exact(args) -> tuple:
+    from defdom.io import (read_attacks, read_graph, read_multiset,
+                           write_multiset, write_vertex_set)
     from defdom.solvers import (min_constrained_multiset, min_multiset_defense,
                                 min_set_defense)
     g, _ = read_graph(args.graph)
     if args.attacks is not None:
         attacks = read_attacks(args.attacks)
-        for attack in attacks:
-            for v in attack:
-                if not 1 <= v <= g.n:
-                    raise InputError(f"attack vertex {v} outside 1..{g.n}")
         lower = read_multiset(args.lower) if args.lower else {}
         if args.upper:
             upper = read_multiset(args.upper)
@@ -134,54 +138,44 @@ def cmd_solve_exact(args) -> int:
         result = min_constrained_multiset(g, attacks, lower, upper)
         if result is None:
             _log("NONE: even the upper bound fails to counter the attack list")
-            _record("none")
-            return 1
-        _log(f"optimum {result.optimum}: {_format_multiset(result.witness)}")
-        cert = _emit_defense(args.emit_defense, result.witness, True)
-        _record("optimal", result.optimum, cert)
-        return 0
-    k = _require_k(args.k)
-    if args.lower or args.upper:
-        raise InputError("--lower/--upper require --attacks")
-    if args.multiset:
-        result = min_multiset_defense(g, k)
-        _log(f"optimum {result.optimum}: {_format_multiset(result.witness)}")
-        cert = _emit_defense(args.emit_defense, result.witness, True)
+            return ("none",)
     else:
-        result = min_set_defense(g, k)
-        listing = " ".join(str(v) for v in sorted(result.witness))
-        _log(f"optimum {result.optimum}: {{{listing}}}")
-        cert = _emit_defense(args.emit_defense, result.witness, False)
-    _record("optimal", result.optimum, cert)
-    return 0
+        k = _require_k(args.k)
+        if args.lower or args.upper:
+            raise InputError("--lower/--upper require --attacks")
+        result = (min_multiset_defense if args.multiset else min_set_defense)(g, k)
+    if args.attacks is not None or args.multiset:
+        _log(f"optimum {result.optimum}: {_format_multiset(result.witness)}")
+        write = write_multiset
+    else:
+        _log(f"optimum {result.optimum}: {{{_listing(result.witness)}}}")
+        write = write_vertex_set
+    return "optimal", result.optimum, _emit(args.emit_defense, write, result.witness)
 
 
-def cmd_greedy(args) -> int:
+def cmd_greedy(args) -> tuple:
     from defdom.graphs import multiset_size
     from defdom.intervals import greedy_defense
-    from defdom.io import read_intervals
+    from defdom.io import read_intervals, write_multiset
     inst = read_intervals(args.intervals)
     k = _require_k(args.k)
     defense = greedy_defense(inst, k)
     size = multiset_size(defense)
     _log(f"greedy defense of size {size}: {_format_multiset(defense)}")
-    cert = _emit_defense(args.emit_defense, defense, True)
-    if args.check:
-        from defdom.defense import find_violator
-        from defdom.intervals import intersection_graph
-        g = intersection_graph(inst)
-        violator = find_violator(g, defense, k, strategy="pruned")
-        if violator is not None:
-            attack = " ".join(str(v) for v in sorted(violator.attack))
-            _log(f"BAD: greedy output failed its own check on attack {attack}")
-            _record("bad", size, cert)
-            return 1
-        _log("GOOD: pruned violator search confirms the defense")
-    _record("good" if args.check else "ok", size, cert)
-    return 0
+    cert = _emit(args.emit_defense, write_multiset, defense)
+    if not args.check:
+        return "ok", size, cert
+    from defdom.defense import find_violator
+    from defdom.intervals import intersection_graph
+    violator = find_violator(intersection_graph(inst), defense, k, strategy="pruned")
+    if violator is not None:
+        _log(f"BAD: greedy output failed its own check on attack {_listing(violator.attack)}")
+        return "bad", size, cert
+    _log("GOOD: pruned violator search confirms the defense")
+    return "good", size, cert
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> tuple:
     from defdom.io import read_formula, read_graph, write_graph
     if args.kind == "cnd-to-dds":
         from defdom.reductions.dds import CndInstance, cnd_to_dds
@@ -192,8 +186,7 @@ def cmd_reduce(args) -> int:
         write_graph(args.output, dds.graph,
                     {"k": dds.k, "ell": dds.ell, "s": s, "t": t})
         _log(f"wrote instance with {dds.graph.n} vertices, k={dds.k}, ell={dds.ell}")
-        _record("ok", dds.k, args.output)
-        return 0
+        return "ok", dds.k, args.output
     from defdom.reductions.sat import e2sat_to_cnd
     formula = read_formula(args.input)
     sc = e2sat_to_cnd(formula, allow_small=args.allow_small)
@@ -201,63 +194,50 @@ def cmd_reduce(args) -> int:
                 {"s": sc.cnd.s, "t": sc.cnd.t,
                  "a": formula.a, "b": formula.b, "c": formula.c})
     _log(f"wrote instance with {sc.graph.n} vertices, s={sc.cnd.s}, t={sc.cnd.t}")
-    _record("ok", sc.cnd.s, args.output)
-    return 0
+    return "ok", sc.cnd.s, args.output
 
 
 def _load_dds(args):
-    from defdom.io import read_graph
-    from defdom.reductions.dds import dds_from_graph
+    """The rebuilt instance, the deletion set and the proof's defense for it."""
+    from defdom.io import read_graph, read_vertex_set
+    from defdom.reductions.dds import dds_from_graph, proof_defense
     g, params = read_graph(args.graph)
-    k = _param(args.k, params, "k")
-    ell = _param(args.ell, params, "ell")
-    return dds_from_graph(g, k, ell)
+    dds = dds_from_graph(g, _param(args.k, params, "k"), _param(args.ell, params, "ell"))
+    deletion = read_vertex_set(args.deletion)
+    return dds, deletion, proof_defense(dds, deletion)
 
 
-def cmd_audit_dds_forward(args) -> int:
+def cmd_audit_dds_forward(args) -> tuple:
     from defdom.defense import find_violator
     from defdom.graphs import multiset_size
-    from defdom.io import read_vertex_set
     from defdom.matching import counters
-    from defdom.reductions.dds import enumerate_serious_attacks, proof_defense
-    dds = _load_dds(args)
-    deletion = read_vertex_set(args.deletion)
-    defense = proof_defense(dds, deletion)
+    from defdom.reductions.dds import enumerate_serious_attacks
+    dds, _, defense = _load_dds(args)
     for attack in enumerate_serious_attacks(dds):
         if not counters(dds.graph, defense, attack):
-            listing = " ".join(str(v) for v in sorted(attack))
-            _log(f"FAIL: serious attack {listing} is not countered")
-            _record("fail", len(attack))
-            return 1
+            _log(f"FAIL: serious attack {_listing(attack)} is not countered")
+            return "fail", len(attack)
     violator = find_violator(dds.graph, defense, dds.k, strategy="pruned")
     if violator is not None:
-        listing = " ".join(str(v) for v in sorted(violator.attack))
-        _log(f"FAIL: attack {listing} exceeds nearby defenders by {violator.deficiency}")
-        _record("fail", violator.deficiency)
-        return 1
+        _log(f"FAIL: attack {_listing(violator.attack)} exceeds nearby defenders "
+             f"by {violator.deficiency}")
+        return "fail", violator.deficiency
     _log("PASS: defense counters every serious attack and the full search finds none")
-    _record("pass", multiset_size(defense))
-    return 0
+    return "pass", multiset_size(defense)
 
 
-def cmd_audit_dds_roundtrip(args) -> int:
-    from defdom.io import read_vertex_set
-    from defdom.reductions.dds import extract_deletion_set, proof_defense
-    dds = _load_dds(args)
-    deletion = read_vertex_set(args.deletion)
-    defense = proof_defense(dds, deletion)
+def cmd_audit_dds_roundtrip(args) -> tuple:
+    from defdom.reductions.dds import extract_deletion_set
+    dds, deletion, defense = _load_dds(args)
     recovered = extract_deletion_set(dds, defense)
     if recovered != deletion:
-        got = " ".join(str(v) for v in sorted(recovered))
-        _log(f"FAIL: extraction returned {{{got}}}")
-        _record("fail", len(recovered))
-        return 1
+        _log(f"FAIL: extraction returned {{{_listing(recovered)}}}")
+        return "fail", len(recovered)
     _log("PASS: extraction recovered the deletion set exactly")
-    _record("pass", len(recovered))
-    return 0
+    return "pass", len(recovered)
 
 
-def cmd_audit_cnd_certificate(args) -> int:
+def cmd_audit_cnd_certificate(args) -> tuple:
     from defdom.graphs import delete_vertices
     from defdom.io import read_graph, read_valuation
     from defdom.reductions.sat import (sat_cnd_from_graph, typed_clique_audit,
@@ -272,16 +252,14 @@ def cmd_audit_cnd_certificate(args) -> int:
     back = {new: old for old, new in mapping.items()}
     witness = typed_clique_audit(remnant, t)
     if witness is not None:
-        listing = " ".join(str(back[v]) for v in sorted(witness))
-        _log(f"FAIL: a size-{t} clique survives the deletion: {listing}")
-        _record("fail", t)
-        return 1
+        _log(f"FAIL: a size-{t} clique survives the deletion: "
+             f"{_listing(back[v] for v in witness)}")
+        return "fail", t
     _log(f"PASS: no size-{t} clique survives; the valuation wins")
-    _record("pass", len(deletion))
-    return 0
+    return "pass", len(deletion)
 
 
-def cmd_audit_clique_typed(args) -> int:
+def cmd_audit_clique_typed(args) -> tuple:
     from defdom.graphs import find_clique
     from defdom.io import read_graph
     from defdom.reductions.sat import typed_clique_audit
@@ -291,15 +269,13 @@ def cmd_audit_clique_typed(args) -> int:
     generic = find_clique(g, t)
     if (typed is None) != (generic is None):
         _log(f"FAIL: typed audit says {typed}, generic search says {generic}")
-        _record("fail")
-        return 1
+        return ("fail",)
     state = "both found a clique" if typed is not None else "both found none"
     _log(f"PASS: {state}")
-    _record("pass", t)
-    return 0
+    return "pass", t
 
 
-def cmd_e2sat(args) -> int:
+def cmd_e2sat(args) -> tuple:
     from defdom.formulas import solve_e2sat
     from defdom.io import read_formula, write_valuation
     formula = read_formula(args.formula)
@@ -307,22 +283,17 @@ def cmd_e2sat(args) -> int:
     if result.verdict:
         bits = "".join("1" if b else "0" for b in result.winning_nu)
         _log(f"YES: assignment {bits} defeats every universal response")
-        cert = "-"
-        if args.emit_valuation:
-            write_valuation(args.emit_valuation, result.winning_nu)
-            cert = args.emit_valuation
-        _record("yes", bits if bits else "-", cert)
-        return 0
+        return "yes", bits or "-", _emit(args.emit_valuation, write_valuation,
+                                         result.winning_nu)
     _log("NO: every existential assignment admits a satisfying response")
     for nu, mu in sorted(result.refutations.items()):
         nu_bits = "".join("1" if b else "0" for b in nu) or "(empty)"
         mu_bits = "".join("1" if b else "0" for b in mu) or "(empty)"
         _log(f"  nu={nu_bits} is beaten by mu={mu_bits}")
-    _record("no")
-    return 1
+    return ("no",)
 
 
-def cmd_solve_cnd(args) -> int:
+def cmd_solve_cnd(args) -> tuple:
     from defdom.io import read_graph, write_vertex_set
     from defdom.reductions.dds import CndInstance, solve_cnd_bruteforce
     g, params = read_graph(args.graph)
@@ -331,37 +302,21 @@ def cmd_solve_cnd(args) -> int:
     deletion = solve_cnd_bruteforce(CndInstance(g, s, t))
     if deletion is None:
         _log(f"NO: no {s} vertices remove every size-{t} clique")
-        _record("no")
-        return 1
-    listing = " ".join(str(v) for v in sorted(deletion))
-    _log(f"YES: delete {{{listing}}}")
-    cert = "-"
-    if args.emit_deletion:
-        write_vertex_set(args.emit_deletion, deletion)
-        cert = args.emit_deletion
-    _record("yes", len(deletion), cert)
-    return 0
+        return ("no",)
+    _log(f"YES: delete {{{_listing(deletion)}}}")
+    return "yes", len(deletion), _emit(args.emit_deletion, write_vertex_set, deletion)
 
 
-def cmd_clique(args) -> int:
+def cmd_clique(args) -> tuple:
     from defdom.graphs import find_clique
     from defdom.io import read_graph, write_vertex_set
     g, _ = read_graph(args.graph)
-    if args.t < 1:
-        raise InputError("t must be at least 1")
     witness = find_clique(g, args.t)
     if witness is None:
         _log(f"NONE: no clique of size {args.t}")
-        _record("none")
-        return 1
-    listing = " ".join(str(v) for v in sorted(witness))
-    _log(f"FOUND: {{{listing}}}")
-    cert = "-"
-    if args.emit_witness:
-        write_vertex_set(args.emit_witness, witness)
-        cert = args.emit_witness
-    _record("found", args.t, cert)
-    return 0
+        return ("none",)
+    _log(f"FOUND: {{{_listing(witness)}}}")
+    return "found", args.t, _emit(args.emit_witness, write_vertex_set, witness)
 
 
 def _gen_intervals(n: int, seed: int) -> "IntervalInstance":
@@ -395,7 +350,7 @@ def _gen_formula(a: int, b: int, c: int, seed: int) -> "E2Formula":
     return E2Formula(a, b, tuple(clauses))
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> tuple:
     if args.kind == "interval":
         from defdom.io import write_intervals
         write_intervals(args.output, _gen_intervals(args.n, args.seed))
@@ -409,8 +364,6 @@ def cmd_gen(args) -> int:
         if args.kind == "star":
             g = star_graph(args.leaves)
         elif args.kind == "random":
-            if not 0.0 <= args.p <= 1.0:
-                raise InputError("edge probability must lie in [0, 1]")
             g = random_graph(args.n, args.p, args.seed)
         elif args.kind == "path":
             g = path_graph(args.n)
@@ -420,8 +373,7 @@ def cmd_gen(args) -> int:
             g = complete_graph(args.n)
         write_graph(args.output, g)
     _log(f"wrote {args.kind} instance to {args.output} (seed {args.seed})")
-    _record("ok", args.seed, args.output)
-    return 0
+    return "ok", args.seed, args.output
 
 
 # ----------------------------------------------------------------- parser
@@ -488,20 +440,15 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="run an invariant suite entry on an instance")
     psub = p.add_subparsers(dest="kind", required=True)
-    q = psub.add_parser("dds-forward",
-                        help="deletion set -> defense -> full verification")
-    q.add_argument("graph")
-    q.add_argument("--deletion", required=True, metavar="FILE")
-    q.add_argument("--k", type=int)
-    q.add_argument("--ell", type=int)
-    q.set_defaults(func=cmd_audit_dds_forward)
-    q = psub.add_parser("dds-roundtrip",
-                        help="deletion set -> defense -> extracted deletion set")
-    q.add_argument("graph")
-    q.add_argument("--deletion", required=True, metavar="FILE")
-    q.add_argument("--k", type=int)
-    q.add_argument("--ell", type=int)
-    q.set_defaults(func=cmd_audit_dds_roundtrip)
+    for kind, func, outcome in (("dds-forward", cmd_audit_dds_forward, "full verification"),
+                                ("dds-roundtrip", cmd_audit_dds_roundtrip,
+                                 "extracted deletion set")):
+        q = psub.add_parser(kind, help=f"deletion set -> defense -> {outcome}")
+        q.add_argument("graph")
+        q.add_argument("--deletion", required=True, metavar="FILE")
+        q.add_argument("--k", type=int)
+        q.add_argument("--ell", type=int)
+        q.set_defaults(func=func)
     q = psub.add_parser("cnd-certificate",
                         help="valuation -> deletion -> typed no-clique audit")
     q.add_argument("graph")
@@ -556,15 +503,15 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         with _alarm(args.time_limit):
-            return args.func(args)
+            record = args.func(args)
     except InputError as exc:
         _log(f"error: {exc}")
-        _record("error")
-        return 2
+        record = ("error",)
     except _Timeout:
         _log("time limit exceeded")
-        _record("timeout")
-        return 3
+        record = ("timeout",)
+    _record(*record)
+    return _EXIT_CODES[record[0]]
 
 
 if __name__ == "__main__":

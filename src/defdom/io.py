@@ -1,12 +1,13 @@
 """Line-based text formats for graphs, defenses, intervals, and formulas.
 
-Graph files follow the DIMACS habit: "c" comment lines, a "p dds <n> <m>"
-header, then "e <u> <v>" edge lines with 1 <= u < v <= n.  Two comment
-forms carry data and round-trip: "c role <v> <label>" attaches a vertex
-label, and "c params <name> <value> ..." records instance parameters such
-as k/ell or s/t.  Vertex sets are one id per line; multisets are
-"<v> <count>" lines; attack lists hold one attack (space-separated ids)
-per line; valuations are a single line of 0/1 bits.
+In every format, blank lines and "c" comment lines are skipped.  Graph
+files follow the DIMACS habit: a "p dds <n> <m>" header, then "e <u> <v>"
+edge lines with 1 <= u < v <= n.  Two comment forms carry data and
+round-trip: "c role <v> <label>" attaches a vertex label, and "c params
+<name> <value> ..." records instance parameters such as k/ell or s/t.
+Vertex sets are one id per line; multisets are "<v> <count>" lines;
+attack lists hold one attack (space-separated ids) per line; valuations
+are a single line of 0/1 bits.
 
 Every parse failure raises InputError with the offending line number; a
 file that cannot be read as UTF-8 text, or cannot be written, raises it too.
@@ -27,7 +28,9 @@ if TYPE_CHECKING:
 PathLike = Union[str, Path]
 
 
-def _lines(path: PathLike) -> list[tuple[int, str]]:
+def _lines(path: PathLike, keep: tuple[str, ...] = ()) -> list[tuple[int, str]]:
+    """Numbered nonblank lines, stripped; "c" comment lines are dropped
+    unless their second word is in `keep`."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -37,8 +40,13 @@ def _lines(path: PathLike) -> list[tuple[int, str]]:
     out = []
     for num, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if line:
-            out.append((num, line))
+        if not line:
+            continue
+        if line[0] == "c":
+            words = line.split(None, 2)
+            if words[0] == "c" and (len(words) < 2 or words[1] not in keep):
+                continue
+        out.append((num, line))
     return out
 
 
@@ -62,15 +70,15 @@ def read_graph(path: PathLike) -> tuple[Graph, dict[str, int]]:
     edges: list[tuple[int, int]] = []
     labels: dict[int, str] = {}
     params: dict[str, int] = {}
-    for num, line in _lines(path):
+    for num, line in _lines(path, keep=("role", "params")):
         where = f"{path}:{num}"
         parts = line.split()
         if parts[0] == "c":
-            if len(parts) >= 2 and parts[1] == "role":
+            if parts[1] == "role":
                 if len(parts) < 4:
                     raise InputError(f"{where}: role line needs a vertex and a label")
                 labels[_int(parts[2], where)] = " ".join(parts[3:])
-            elif len(parts) >= 2 and parts[1] == "params":
+            else:
                 pairs = parts[2:]
                 if not pairs or len(pairs) % 2:
                     raise InputError(f"{where}: params line needs name/value pairs")
@@ -179,8 +187,6 @@ def read_intervals(path: PathLike) -> IntervalInstance:
     for num, line in _lines(path):
         where = f"{path}:{num}"
         parts = line.split()
-        if parts[0] == "c":
-            continue
         if parts[0] == "p":
             if header is not None:
                 raise InputError(f"{where}: duplicate header")
@@ -225,8 +231,6 @@ def read_formula(path: PathLike) -> "E2Formula":
     for num, line in _lines(path):
         where = f"{path}:{num}"
         parts = line.split()
-        if parts[0] == "c" and header is None:
-            continue
         if parts[0] == "p":
             if header is not None:
                 raise InputError(f"{where}: duplicate header")
@@ -260,10 +264,7 @@ def read_attacks(path: PathLike) -> list[list[int]]:
     out: list[list[int]] = []
     for num, line in _lines(path):
         where = f"{path}:{num}"
-        parts = line.split()
-        if parts[0] == "c":
-            continue
-        attack = [_int(tok, where) for tok in parts]
+        attack = [_int(tok, where) for tok in line.split()]
         if len(set(attack)) != len(attack):
             raise InputError(f"{where}: attack repeats a vertex")
         out.append(attack)

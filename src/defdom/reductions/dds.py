@@ -205,7 +205,10 @@ def _require_construction(g: Graph, built: Graph) -> None:
         f"unexpected neighbours {extra}")
 
 
-_EDGE_LABEL = re.compile(r"e'\((\d+),(\d+)\)")
+# A label index has at most 18 digits: no buildable instance has 10**18
+# vertices, and int() refuses a string of more than 4 300 digits.
+_INDEX = r"(\d{1,18})"
+_EDGE_LABEL = re.compile(rf"e'\({_INDEX},{_INDEX}\)")
 
 
 def dds_from_graph(g: Graph, k: int, ell: int) -> DdsInstance:

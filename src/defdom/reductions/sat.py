@@ -19,7 +19,7 @@ from typing import Optional
 from defdom.errors import InputError
 from defdom.formulas import Assignment, E2Formula
 from defdom.graphs import Graph, VertexSet, find_clique
-from defdom.reductions.dds import CndInstance, _require_construction
+from defdom.reductions.dds import _INDEX, CndInstance, _require_construction
 
 
 @dataclass(frozen=True)
@@ -202,13 +202,13 @@ def e2sat_to_cnd(f: E2Formula, allow_small: bool = False) -> SatCnd:
 
 
 _SAT_PATTERNS = (
-    ("xcore", re.compile(r"^x(\d+):(pos|neg):(\d+)(:Q)?$")),
-    ("xpad", re.compile(r"^x(\d+):pad:(\d+):(\d+):(\d+)$")),
-    ("y", re.compile(r"^y(\d+):(pos|neg)$")),
-    ("good", re.compile(r"^c(\d+):good:([123]):([xy])(\d+):(pos|neg)$")),
-    ("bad", re.compile(r"^c(\d+):(bad|ugly):([123])$")),
-    ("cpad", re.compile(r"^c(\d+):pad:([123]):([123]):(\d+)$")),
-    ("qpad", re.compile(r"^c(\d+):qpad:(\d+)$")),
+    ("xcore", re.compile(rf"^x{_INDEX}:(pos|neg):{_INDEX}(:Q)?$")),
+    ("xpad", re.compile(rf"^x{_INDEX}:pad:{_INDEX}:{_INDEX}:{_INDEX}$")),
+    ("y", re.compile(rf"^y{_INDEX}:(pos|neg)$")),
+    ("good", re.compile(rf"^c{_INDEX}:good:([123]):([xy]){_INDEX}:(pos|neg)$")),
+    ("bad", re.compile(rf"^c{_INDEX}:(bad|ugly):([123])$")),
+    ("cpad", re.compile(rf"^c{_INDEX}:pad:([123]):([123]):{_INDEX}$")),
+    ("qpad", re.compile(rf"^c{_INDEX}:qpad:{_INDEX}$")),
 )
 
 

@@ -23,10 +23,10 @@ RECORD = re.compile(r"^verdict=(\w+) value=(\S+) certificate=(\S+)$")
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out, err = capsys.readouterr()
-    lines = out.strip().splitlines()
-    assert lines, "no record line on stdout"
-    m = RECORD.match(lines[-1])
-    assert m, f"malformed record line: {lines[-1]!r}"
+    lines = out.splitlines()
+    assert len(lines) == 1, f"stdout must hold exactly one record line: {out!r}"
+    m = RECORD.match(lines[0])
+    assert m, f"malformed record line: {lines[0]!r}"
     return code, m.groups(), err
 
 
@@ -255,12 +255,18 @@ def test_out_of_range_values_are_input_errors(tmp_path, capsys):
     write_graph(graph, path_graph(3))
     defense = tmp_path / "d.set"
     write_vertex_set(defense, [2])
+    attacks = tmp_path / "a.atk"
+    write_attacks(attacks, [[1, 99]])
     out = tmp_path / "out.txt"
     for argv in (["--time-limit", 99999999999, "verify", graph, defense, 2],
                  ["--time-limit", -1, "verify", graph, defense, 2],
                  ["--time-limit", 0, "verify", graph, defense, 2],
                  ["gen", "interval", "--n", -3, "-o", out],
-                 ["gen", "formula", "--a", 2, "--b", 2, "--c", -1, "-o", out]):
+                 ["gen", "formula", "--a", 2, "--b", 2, "--c", -1, "-o", out],
+                 # the library checks each of these three inputs
+                 ["solve-exact", graph, "--attacks", attacks],
+                 ["gen", "random", "--n", 5, "--p", 2, "-o", out],
+                 ["clique", graph, 0]):
         code, (verdict, _, _), err = run(capsys, *argv)
         assert code == 2 and verdict == "error", argv
         assert "Traceback" not in err
@@ -390,6 +396,24 @@ def test_hostile_sat_labels_exit_2_in_bounded_memory(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert RECORD.match(proc.stdout.strip().splitlines()[-1]).group(1) == "error"
     assert "Traceback" not in proc.stderr
+
+
+NINES = "9" * 5000   # beyond int()'s 4 300-digit string limit
+
+
+@pytest.mark.parametrize("argv, label, params", [
+    (["clique-typed", "g.dds"], f"x{NINES}:pos:1", {"t": 5}),
+    (["dds-forward", "g.dds", "--deletion", "x.set"], f"e'({NINES},1)", {"k": 5, "ell": 3}),
+    (["cnd-certificate", "g.dds", "--valuation", "nu.val"], f"y{NINES}:pos", {"s": 1, "t": 5}),
+], ids=["clique-typed", "dds-forward", "cnd-certificate"])
+def test_long_label_indices_are_input_errors(tmp_path, capsys, monkeypatch, argv, label, params):
+    monkeypatch.chdir(tmp_path)
+    write_graph("g.dds", Graph(1, [], {1: label}), params)
+    write_vertex_set("x.set", [1])
+    write_valuation("nu.val", [True])
+    code, (verdict, _, _), err = run(capsys, "audit", *argv)
+    assert code == 2 and verdict == "error"
+    assert "Traceback" not in err
 
 
 LOADED = "print(' '.join(sorted(m for m in sys.modules if m.startswith('defdom'))))"

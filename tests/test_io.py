@@ -15,6 +15,12 @@ from defdom.io import (read_attacks, read_formula, read_graph, read_intervals,
                        write_vertex_set)
 
 
+def add_comments(path):
+    """Rewrite a file with a leading comment line and one after its first line."""
+    first, *rest = path.read_text().splitlines(keepends=True)
+    path.write_text("c leading comment\n" + first + "c mid-file comment\n" + "".join(rest))
+
+
 def test_graph_roundtrip(tmp_path):
     g = Graph(4, [(1, 2), (2, 3), (1, 4)], {1: "hub", 2: "mid x", 3: "leaf", 4: "leaf2"})
     path = tmp_path / "g.dds"
@@ -69,6 +75,7 @@ def test_missing_file():
 def test_vertex_set_roundtrip(tmp_path):
     path = tmp_path / "x.set"
     write_vertex_set(path, [5, 1, 3])
+    add_comments(path)
     assert read_vertex_set(path) == frozenset({1, 3, 5})
     path.write_text("1\n1\n")
     with pytest.raises(InputError, match="listed twice"):
@@ -78,6 +85,7 @@ def test_vertex_set_roundtrip(tmp_path):
 def test_multiset_roundtrip(tmp_path):
     path = tmp_path / "d.ms"
     write_multiset(path, {3: 2, 1: 1, 7: 0})   # zero rows are dropped
+    add_comments(path)
     assert read_multiset(path) == {1: 1, 3: 2}
     for body, fragment in [("1 0\n", "count must be positive"),
                            ("1 2 3\n", "'<v> <count>'"),
@@ -135,6 +143,7 @@ def test_formula_roundtrip(tmp_path):
     f = E2Formula(2, 1, ((1, -2, 3), (-1, 2, 3)))
     path = tmp_path / "f.cnf"
     write_formula(path, f)
+    add_comments(path)
     assert read_formula(path) == f
 
 
@@ -166,6 +175,7 @@ def test_attacks_roundtrip(tmp_path):
 def test_valuation_roundtrip(tmp_path):
     path = tmp_path / "v.val"
     write_valuation(path, (True, False, True))
+    add_comments(path)
     assert read_valuation(path) == (True, False, True)
     assert read_valuation(path, expected=3) == (True, False, True)
     with pytest.raises(InputError, match="expected 2 bits"):
