@@ -36,6 +36,7 @@ _EXPORTS = {
     "min_set_defense": "solvers",
     "normalize": "intervals",
     "properize": "intervals",
+    "uncountered": "matching",
 }
 
 __all__ = [*_EXPORTS, "__version__"]

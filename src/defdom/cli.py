@@ -3,7 +3,8 @@
 Every command prints human-readable detail to stderr and returns its record
 (verdict, value, certificate); value and certificate default to "-".  Only
 `main` prints the record, as one stdout line, once: after the command
-finishes or after the time limit fires, with the alarm cancelled.
+finishes or after the time limit fires, with the alarm cancelled, or after
+a usage error.  `--help` alone prints its text and exits 0 without one.
 
     verdict=<word> value=<number or -> certificate=<path or ->
 
@@ -210,13 +211,13 @@ def _load_dds(args):
 def cmd_audit_dds_forward(args) -> tuple:
     from defdom.defense import find_violator
     from defdom.graphs import multiset_size
-    from defdom.matching import counters
+    from defdom.matching import uncountered
     from defdom.reductions.dds import enumerate_serious_attacks
     dds, _, defense = _load_dds(args)
-    for attack in enumerate_serious_attacks(dds):
-        if not counters(dds.graph, defense, attack):
-            _log(f"FAIL: serious attack {_listing(attack)} is not countered")
-            return "fail", len(attack)
+    attack = uncountered(dds.graph, defense, enumerate_serious_attacks(dds))
+    if attack is not None:
+        _log(f"FAIL: serious attack {_listing(attack)} is not countered")
+        return "fail", len(attack)
     violator = find_violator(dds.graph, defense, dds.k, strategy="pruned")
     if violator is not None:
         _log(f"FAIL: attack {_listing(violator.attack)} exceeds nearby defenders "
@@ -379,8 +380,17 @@ def cmd_gen(args) -> tuple:
 # ----------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end in the ("error",) record, like any input error;
+    subparsers inherit the class, so this covers every command."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="defdom",
         description="defensive graph domination: verification, exact and "
                     "greedy solvers, hardness reductions, audits")
@@ -500,8 +510,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         with _alarm(args.time_limit):
             record = args.func(args)
     except InputError as exc:

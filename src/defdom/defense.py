@@ -6,6 +6,14 @@ matching formulation and this counting formulation agree by Hall's theorem.
 `find_violator` hunts for a counterexample attack either exhaustively or with
 a pruned search that only visits attacks whose members sit within distance
 two of each other.
+
+The pruned search grows each such attack one vertex at a time and carries
+its copy cover, the union of the copy sets of N[v] over its members.  It
+drops a branch as soon as the cover holds m copies for a size-m attack.
+Invariant: the cover only grows as the attack grows, so a dropped branch
+holds no size-m violator.  The surviving branches keep the order of the
+unbounded enumeration, so the first violator found, and its deficiency,
+are the ones that enumeration returns.
 """
 
 import itertools
@@ -74,40 +82,51 @@ def _violator_exhaustive(g: Graph, dmask: list[int], k: int) -> Optional[Violato
     return None
 
 
-def _connected_subsets(neighbors: list[int], members: list[int], size: int):
-    """Yield the size-`size` subsets of `members` that induce a connected
-    subgraph of the mask-encoded graph `neighbors`, each exactly once.
+def _uncovered_subset(neighbors: list[int], dmask: list[int], members: list[int],
+                      size: int) -> Optional[tuple[tuple[int, ...], int]]:
+    """First size-`size` subset of `members`, connected in the mask-encoded
+    graph `neighbors`, whose copy cover has fewer than `size` copies; returns
+    it with its cover, or None.
 
     Root-anchored extension search: subsets containing a root only ever use
     higher-numbered vertices, and each new vertex must be a fresh neighbor of
-    the current subset, which makes every subset appear exactly once.
+    the current subset, which makes every subset appear exactly once.  The
+    search carries the cover of the subset so far and skips a branch once
+    the cover holds `size` copies: covers only grow as a subset grows, so no
+    subset in that branch is uncovered.
     """
     member_mask = 0
     for v in members:
         member_mask |= 1 << (v - 1)
+    sub: list[int] = []
+
+    def extend(ext: int, hood: int, cover: int, above: int):
+        if len(sub) == size:
+            return tuple(sub), cover
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            w = low.bit_length()
+            grown = cover | dmask[w]
+            if grown.bit_count() >= size:
+                continue
+            sub.append(w)
+            found = extend(ext | (neighbors[w] & above & ~hood),
+                           hood | neighbors[w] | low, grown, above)
+            if found is not None:
+                return found
+            sub.pop()
+        return None
+
     for root in members:
+        sub.append(root)
         above = member_mask & ~((1 << root) - 1)  # ids strictly above root
-        sub = [root]
-        sub_mask = 1 << (root - 1)
-        hood = neighbors[root] | sub_mask
-
-        def extend(ext: int, hood: int):
-            if len(sub) == size:
-                yield tuple(sub)
-                return
-            while ext:
-                low = ext & -ext
-                ext ^= low
-                w = low.bit_length()
-                fresh = neighbors[w] & above & ~hood
-                sub.append(w)
-                yield from extend(ext | fresh, hood | neighbors[w] | low)
-                sub.pop()
-
-        if size == 1:
-            yield (root,)
-        else:
-            yield from extend(neighbors[root] & above, hood)
+        found = extend(neighbors[root] & above, neighbors[root] | (1 << (root - 1)),
+                       dmask[root], above)
+        if found is not None:
+            return found
+        sub.pop()
+    return None
 
 
 def _violator_pruned(g: Graph, dmask: list[int], k: int) -> Optional[Violator]:
@@ -126,12 +145,10 @@ def _violator_pruned(g: Graph, dmask: list[int], k: int) -> Optional[Violator]:
         cand = [v for v in g.vertices if dmask[v].bit_count() < m]
         if len(cand) < m:
             continue
-        for combo in _connected_subsets(square, cand, m):
-            cover = 0
-            for v in combo:
-                cover |= dmask[v]
-            if cover.bit_count() < m:
-                return Violator(frozenset(combo), m - cover.bit_count())
+        found = _uncovered_subset(square, dmask, cand, m)
+        if found is not None:
+            combo, cover = found
+            return Violator(frozenset(combo), m - cover.bit_count())
     return None
 
 

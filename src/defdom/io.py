@@ -14,16 +14,15 @@ file that cannot be read as UTF-8 text, or cannot be written, raises it too.
 """
 
 import re
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 
 from defdom.errors import InputError
 from defdom.graphs import Graph, VertexMultiset, VertexSet
-from defdom.intervals import Endpoint, IntervalInstance, validate
 
 if TYPE_CHECKING:
     from defdom.formulas import E2Formula
+    from defdom.intervals import Endpoint, IntervalInstance
 
 PathLike = Union[str, Path]
 
@@ -170,18 +169,20 @@ def write_multiset(path: PathLike, d: VertexMultiset) -> None:
 _RATIO = re.compile(r"[+-]?(?:[0-9]+/[0-9]+|[0-9]*\.[0-9]+|[0-9]+\.)")
 
 
-def _endpoint(token: str) -> Endpoint:
+def _endpoint(token: str) -> "Endpoint":
     """An integer token as an int; a decimal or ratio as an exact Fraction."""
     try:
         return int(token)
     except ValueError:
         if not _RATIO.fullmatch(token):
             raise
+        from fractions import Fraction
         return Fraction(token)
 
 
-def read_intervals(path: PathLike) -> IntervalInstance:
+def read_intervals(path: PathLike) -> "IntervalInstance":
     """Parse and validate an interval file ("p intervals <n>" header)."""
+    from defdom.intervals import IntervalInstance, validate
     header: Optional[int] = None
     rows: dict[int, tuple[Endpoint, Endpoint]] = {}
     for num, line in _lines(path):
@@ -216,7 +217,7 @@ def read_intervals(path: PathLike) -> IntervalInstance:
     return inst
 
 
-def write_intervals(path: PathLike, inst: IntervalInstance) -> None:
+def write_intervals(path: PathLike, inst: "IntervalInstance") -> None:
     lines = [f"p intervals {inst.n}"]
     for v, (lo, hi) in inst.items():
         lines.append(f"{v} {lo} {hi}")

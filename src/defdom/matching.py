@@ -3,13 +3,16 @@
 An attack is countered when every attacker can be assigned its own defender
 copy stationed in the attacker's closed neighborhood, no copy reused.  That
 is exactly a perfect matching of the attackers into defender copies, so the
-coverage check reduces to Hopcroft-Karp.
+coverage check reduces to Hopcroft-Karp.  `uncountered` checks a whole list
+of attacks against one defense and shares the per-vertex copy lists across
+them; `counters` is its one-attack case.
 """
 
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from defdom.graphs import Graph, VertexMultiset, check_multiset, require_vertices
+from defdom.graphs import (Graph, VertexMultiset, VertexSet, check_multiset,
+                           require_vertices)
 
 INF = float("inf")
 
@@ -71,16 +74,35 @@ def defender_copies(defense: VertexMultiset) -> list[int]:
     return out
 
 
+def uncountered(g: Graph, defense: VertexMultiset,
+                attacks: Iterable[Iterable[int]]) -> Optional[VertexSet]:
+    """The first listed attack the defense does not counter, or None.
+
+    The defense is checked and expanded into copies once, and each vertex
+    gets the ascending list of copies stationed in its closed neighborhood
+    once; every attack then runs Hopcroft-Karp on those shared lists.  Each
+    attack is validated when its turn comes, so a bad vertex after the
+    first uncountered attack goes unnoticed.
+    """
+    check_multiset(g, defense)
+    copies = defender_copies(defense)
+    reach: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for ri, d in enumerate(copies):
+        reach[d].append(ri)
+        for u in g.adj[d]:
+            reach[u].append(ri)
+    for attack in attacks:
+        attackers = frozenset(attack)
+        require_vertices(g, attackers, "attack")
+        if len(attackers) > len(copies):
+            return attackers
+        size, _ = max_matching([reach[a] for a in sorted(attackers)], len(copies))
+        if size < len(attackers):
+            return attackers
+    return None
+
+
 def counters(g: Graph, defense: VertexMultiset, attack: Iterable[int]) -> bool:
     """True iff the defense counters the attack: the attackers admit a
     matching into distinct defender copies from their closed neighborhoods."""
-    attackers: Sequence[int] = sorted(set(attack))
-    require_vertices(g, attackers, "attack")
-    check_multiset(g, defense)
-    copies = defender_copies(defense)
-    if len(attackers) > len(copies):
-        return False
-    adj = [[ri for ri, d in enumerate(copies) if d == a or d in g.adj[a]]
-           for a in attackers]
-    size, _ = max_matching(adj, len(copies))
-    return size == len(attackers)
+    return uncountered(g, defense, [attack]) is None

@@ -30,7 +30,7 @@ from defdom.graphs import (Graph, VertexMultiset, VertexSet, check_multiset,
                            closed_neighborhood, count_in, multiset_size,
                            require_vertices)
 from defdom.defense import find_violator
-from defdom.matching import counters
+from defdom.matching import uncountered
 
 # A Hall cut: at least `need` copies among the vertices of `hood`.
 Cut = tuple[Iterable[int], int]
@@ -239,7 +239,7 @@ def min_constrained_multiset(g: Graph, attacks: Iterable[Iterable[int]],
         attack_list.append(a)
 
     def ok(defense: VertexMultiset) -> bool:
-        return all(counters(g, defense, a) for a in attack_list)
+        return uncountered(g, defense, attack_list) is None
 
     if not ok(upper):
         return None

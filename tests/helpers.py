@@ -2,7 +2,7 @@
 
 import itertools
 from defdom.defense import good_defense
-from defdom.graphs import Graph, closed_neighborhood
+from defdom.graphs import Graph, closed_neighborhood, count_in
 from defdom.intervals import IntervalInstance
 from defdom.matching import counters
 
@@ -69,6 +69,20 @@ def random_simple_graph(rng, n_max=8, n_min=1):
     edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
              if rng.random() < p]
     return Graph(n, edges)
+
+
+def random_split_graph(rng, parts=3, n_max=6):
+    """Disjoint union of 1..parts random graphs, vertex ids shuffled so the
+    components interleave."""
+    pieces = [random_simple_graph(rng, n_max=n_max) for _ in range(rng.randint(1, parts))]
+    ids = list(range(1, sum(p.n for p in pieces) + 1))
+    rng.shuffle(ids)
+    edges, base = [], 0
+    for piece in pieces:
+        edges += [(ids[base + u - 1], ids[base + v - 1])
+                  for u in piece.vertices for v in piece.adj[u] if u < v]
+        base += piece.n
+    return Graph(len(ids), edges)
 
 
 def random_defense(rng, g, max_copies=2, density=0.5):
@@ -203,4 +217,61 @@ def reference_min_constrained_multiset(g, attacks, lower, upper):
                 defense[v] = defense.get(v, 0) + c
             if ok(defense):
                 return sum(lower.values()) + extra, defense
+    return None
+
+
+# ------------------------------------------------ unbounded pruned-search reference
+#
+# The pruned violator search before its cover bound: enumerate every
+# connected size-m subset of the distance-two graph over vertices with fewer
+# than m nearby copies, then test each one.  The bounded search must return
+# the same first violator and deficiency.
+
+
+def connected_subsets(neighbors, members, size):
+    """The size-`size` subsets of `members` that induce a connected subgraph
+    of the mask-encoded graph `neighbors`, each once, in root-anchored
+    extension order."""
+    member_mask = 0
+    for v in members:
+        member_mask |= 1 << (v - 1)
+    for root in members:
+        above = member_mask & ~((1 << root) - 1)
+        sub = [root]
+
+        def extend(ext, hood):
+            if len(sub) == size:
+                yield tuple(sub)
+                return
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                w = low.bit_length()
+                sub.append(w)
+                yield from extend(ext | (neighbors[w] & above & ~hood),
+                                  hood | neighbors[w] | low)
+                sub.pop()
+
+        yield from extend(neighbors[root] & above, neighbors[root] | (1 << (root - 1)))
+
+
+def reference_pruned_violator(g, defense, k):
+    """(attack, deficiency) of the first violator the unbounded enumeration
+    finds, or None."""
+    masks = g.neighborhood_masks()
+    square = [0] * (g.n + 1)
+    for v in g.vertices:
+        m = masks[v]
+        for u in g.adj[v]:
+            m |= masks[u]
+        square[v] = m & ~(1 << (v - 1))
+    nearby = {v: count_in(defense, closed_neighborhood(g, [v])) for v in g.vertices}
+    for m in range(1, min(k, g.n) + 1):
+        cand = [v for v in g.vertices if nearby[v] < m]
+        if len(cand) < m:
+            continue
+        for combo in connected_subsets(square, cand, m):
+            copies = count_in(defense, closed_neighborhood(g, combo))
+            if copies < m:
+                return frozenset(combo), m - copies
     return None

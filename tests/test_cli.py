@@ -338,6 +338,14 @@ def test_unknown_mode_values_are_input_errors(tmp_path, capsys, monkeypatch):
         assert all(value in text for value in values), (argv, text)
 
 
+def test_usage_errors_end_in_an_error_record(capsys):
+    for argv in (["verify"], ["gen", "random", "--n", "3", "--p", "abc", "-o", "g.dds"],
+                 ["frobnicate"]):
+        code, (verdict, _, _), err = run(capsys, *argv)
+        assert code == 2 and verdict == "error", argv
+        assert err.startswith("usage: defdom") and "Traceback" not in err, argv
+
+
 def source_env():
     """The environment with this checkout's sources first on PYTHONPATH."""
     src = str(Path(defdom.__file__).resolve().parents[1])
@@ -441,6 +449,21 @@ def test_cli_import_leaves_numpy_out(tmp_path):
     assert lines[0].startswith("verdict=ok value=3")
     assert lines[1] == "False False"
     assert lines[2] == "defdom defdom.cli defdom.errors defdom.graphs defdom.intervals defdom.io"
+
+    # a graph job loads neither the interval module nor fractions
+    graph = tmp_path / "star.dds"
+    write_graph(graph, star_graph(3))
+    defense = tmp_path / "d.set"
+    write_vertex_set(defense, [1])
+    code = ("import sys, defdom.cli; "
+            f"defdom.cli.main(['verify', {str(graph)!r}, {str(defense)!r}, '1']); "
+            "print('fractions' in sys.modules); " + LOADED)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=source_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines() == [
+        "verdict=good value=0 certificate=-", "False",
+        "defdom defdom.cli defdom.defense defdom.errors defdom.graphs defdom.io"]
 
 
 def test_lazy_namespace_resolves_every_public_name():

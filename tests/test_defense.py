@@ -8,7 +8,9 @@ from defdom.defense import STRATEGIES, find_violator, good_defense, hall_deficie
 from defdom.errors import InputError
 from defdom.graphs import Graph, path_graph, random_graph, star_graph
 from defdom.matching import counters
-from helpers import attacks_up_to, hall_ok, random_defense, random_simple_graph
+from defdom.reductions import CndInstance, cnd_to_dds, proof_defense, solve_cnd_bruteforce
+from helpers import (attacks_up_to, hall_ok, random_defense, random_simple_graph,
+                     random_split_graph, reference_pruned_violator)
 
 
 def test_hall_deficiency_examples():
@@ -65,6 +67,41 @@ def test_strategies_agree_on_violator_existence():
             if violator is not None:
                 assert hall_deficiency(g, defense, violator.attack) > 0
                 assert 1 <= len(violator.attack) <= k
+
+
+def pruned_witness(g, defense, k):
+    violator = find_violator(g, defense, k, strategy="pruned")
+    return None if violator is None else (violator.attack, violator.deficiency)
+
+
+def test_pruned_witness_matches_unbounded_enumeration():
+    # the cover bound only drops branches without a violator, so the first
+    # witness and its deficiency are the ones plain enumeration finds
+    rng = random.Random(10)
+    found = 0
+    for _ in range(1200):
+        g = random_split_graph(rng)
+        defense = random_defense(rng, g, max_copies=3)
+        k = rng.randint(1, 5)
+        expected = reference_pruned_violator(g, defense, k)
+        assert pruned_witness(g, defense, k) == expected, (g.n, defense, k)
+        found += expected is not None
+    assert 300 < found < 1100   # both outcomes are well represented
+
+
+def test_pruned_witness_on_dds_with_a_copy_removed():
+    g = Graph(5, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5)])
+    inst = CndInstance(g, 1, 4)
+    dds = cnd_to_dds(inst)
+    defense = proof_defense(dds, solve_cnd_bruteforce(inst))
+    # every sixth defended vertex, so each of the defense's three vertex
+    # groups loses a copy somewhere; without a copy at vertex 5 the
+    # unbounded enumeration runs for minutes
+    for v in sorted(defense)[::6]:
+        weaker = {u: c - (u == v) for u, c in defense.items() if c - (u == v)}
+        expected = reference_pruned_violator(dds.graph, weaker, dds.k)
+        assert expected is not None
+        assert pruned_witness(dds.graph, weaker, dds.k) == expected, v
 
 
 def test_pruned_search_handles_disconnected_graphs():

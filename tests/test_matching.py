@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import networkx as nx
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defdom.defense import hall_deficiency
 from defdom.errors import InputError
 from defdom.graphs import path_graph, star_graph
-from defdom.matching import counters, defender_copies, max_matching
-from helpers import brute_matching_size
+from defdom.matching import counters, defender_copies, max_matching, uncountered
+from helpers import brute_matching_size, random_defense, random_split_graph
 
 
 def adjacency(nl, edges):
@@ -111,3 +113,40 @@ def test_counters_rejects_bad_input():
         counters(g, {1: 1}, [0])
     with pytest.raises(InputError):
         counters(g, {1: 0}, [1])
+
+
+def test_uncountered_matches_per_attack_checks():
+    rng = random.Random(12)
+    failing = 0
+    for _ in range(300):
+        g = random_split_graph(rng)
+        defense = random_defense(rng, g, max_copies=3)
+        attacks = [rng.sample(g.vertices, rng.randint(1, min(5, g.n)))
+                   for _ in range(rng.randint(0, 6))]
+        if attacks and rng.random() < 0.3:
+            attacks.append(list(attacks[0]))   # a repeated attack
+        for a in attacks:
+            # Hall: countered iff no subset of the attack has positive deficiency
+            subsets = (s for size in range(1, len(a) + 1)
+                       for s in itertools.combinations(a, size))
+            assert counters(g, defense, a) == all(hall_deficiency(g, defense, s) <= 0
+                                                  for s in subsets)
+        first = next((frozenset(a) for a in attacks if not counters(g, defense, a)), None)
+        assert uncountered(g, defense, attacks) == first
+        failing += first is not None
+    assert 50 < failing < 250
+
+
+def test_uncountered_edge_cases():
+    g = star_graph(3)
+    assert uncountered(g, {1: 1}, []) is None
+    # more attackers than copies, found without a matching
+    assert uncountered(g, {1: 2}, [[1, 2], [2, 3, 4]]) == {2, 3, 4}
+    # a repeated attack is checked again, and the first failure wins
+    assert uncountered(g, {2: 1}, [[2], [2], [3], [4]]) == {3}
+    with pytest.raises(InputError):
+        uncountered(g, {1: 1}, [[1], [5]])
+    with pytest.raises(InputError):
+        uncountered(g, {1: 0}, [[1]])
+    with pytest.raises(InputError):
+        uncountered(g, {1: 1}, [[0]])
