@@ -327,7 +327,10 @@ def _gen_intervals(n: int, seed: int) -> "IntervalInstance":
     if n < 0:
         raise InputError("interval generation needs n >= 0")
     rng = random.Random(seed)
-    values = rng.sample(range(1, 20 * n + 1), 2 * n)
+    # `sample` picks its objects from a list of the whole range, so they lie
+    # scattered over a heap ten times their size; fresh copies, made in draw
+    # order, sit next to each other.
+    values = [v + 0 for v in rng.sample(range(1, 20 * n + 1), 2 * n)]
     rows = {}
     for v in range(1, n + 1):
         a, b = values[2 * v - 2], values[2 * v - 1]

@@ -19,7 +19,7 @@ which keeps the selection rule total without touching the graph.
 `greedy_defense` is the fast path; the literal restatement
 `greedy_defense_reference` is kept for differential testing.
 
-The fast path rests on two invariants of that rule.  (1) A copy meets a
+The fast path rests on three invariants of that rule.  (1) A copy meets a
 block exactly when its right end reaches the block's least left end: a
 copy starts before the line where it is placed, and every block examined
 at that step or later contains the interval closing at the line then, so
@@ -28,8 +28,12 @@ is a member or contains that end.  (2) The furthest-reaching open
 interval only reaches further as the line advances, so copies arrive in
 ascending order of right end, each beyond every left end already in the
 prefix; the number of copies ending before a top left end is therefore
-fixed once that left end is in the prefix.  Together they turn each step
-into a maximum over runs of top left ends, with the standard library alone.
+fixed once that left end is in the prefix.  Together these two turn each
+step into a maximum over runs of top left ends, with the standard library
+alone.  (3) The rule never looks back across a gap between components: a
+block that mixes components is short by no more than its part in the
+latest component, so the sweep starts afresh at every gap, and a step
+costs time in the size of the largest component, not of the whole prefix.
 """
 
 import operator
@@ -310,7 +314,20 @@ def greedy_defense(inst: IntervalInstance, k: int) -> VertexMultiset:
     run and the lower ones, so the copies to add are their largest key
     minus the copies placed.  A new top grows those blocks by one (added
     lazily through `lift`), and the top pushed out of the top-k shrinks
-    the lowest run's.
+    the lowest run's.  A third invariant keeps those lists short:
+
+    3. No interval is open at a left end x exactly when x > best_right,
+       and then x starts a new component: every earlier interval and copy
+       lies left of x.  A block that mixes components splits into an
+       earlier-prefix block, topped up when its last member entered
+       (copies only accumulate), and a new-component block, whose closed
+       neighbourhood meets no earlier interval or copy.  So a mixed block
+       is short by at most what its new part is short by and never needs
+       copies, and the new blocks fall equally short with or without the
+       earlier state.  The sweep therefore empties `tops`, the runs and
+       `rights` there, while `best_right` stays, as the new interval
+       reaches furthest.  A step then does O(min(k, c)) list work, c being
+       the largest component, and the sweep O(n log n + n·min(k, c)) in all.
     """
     if k < 1:
         raise InputError("attack budget k must be at least 1")
@@ -346,6 +363,9 @@ def greedy_defense(inst: IntervalInstance, k: int) -> VertexMultiset:
     best_right = -1
     for x, m in enumerate(mate):
         if m > x:                                  # a left end, reaching m
+            if x > best_right:                     # nothing open: a new component
+                tops, run_below, run_size, run_key, rights = [], [], [], [], []
+                lift = 0
             if m > best_right:
                 best_right = m
             continue

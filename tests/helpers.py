@@ -63,6 +63,31 @@ def clustered_intervals(rng, n, cluster=(4, 16)):
     return IntervalInstance(rows)
 
 
+def interval_components(inst):
+    """The components of the intersection graph, left to right.
+
+    One sweep over the sorted endpoints (a point interval opens before it
+    closes) cuts wherever no interval is open.  Each component comes back
+    as `(part, ids)`: its own instance on vertices 1..|C|, and the id map,
+    `ids[j - 1]` being the original id of the part's vertex j.
+    """
+    events = sorted([(inst.lo[v], 0, v) for v in inst.vertices]
+                    + [(inst.hi[v], 1, v) for v in inst.vertices])
+    parts, members, open_now = [], [], 0
+    for _, closing, v in events:
+        if not closing:
+            open_now += 1
+            members.append(v)
+            continue
+        open_now -= 1
+        if not open_now:
+            ids = sorted(members)
+            parts.append((IntervalInstance({j: inst.interval(w) for j, w in enumerate(ids, 1)}),
+                          ids))
+            members = []
+    return parts
+
+
 def random_simple_graph(rng, n_max=8, n_min=1):
     n = rng.randint(n_min, n_max)
     p = rng.uniform(0.15, 0.85)

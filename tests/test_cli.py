@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import resource
@@ -238,6 +239,14 @@ def test_gen_is_deterministic(tmp_path, capsys):
     assert code == 0
     parsed = read_formula(f)
     assert (parsed.a, parsed.b, parsed.c) == (2, 2, 5)
+
+    # the interval file is pinned byte for byte, so a change in how the
+    # generator draws or stores its values cannot alter the instances
+    ivl = tmp_path / "g.ivl"
+    code, _, _ = run(capsys, "gen", "interval", "--n", 1000, "--seed", 7, "-o", ivl)
+    assert code == 0
+    assert hashlib.sha256(ivl.read_bytes()).hexdigest() == (
+        "5b6656ff5829f4e18d5e7ad91e600773216f7d00a85a924a2034eb3834b6a6c9")
 
 
 def test_time_limit_exit_code(tmp_path, capsys):

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from defdom.defense import find_violator, good_defense, hall_deficiency
 from defdom.errors import InputError
-from defdom.graphs import multiset_size
+from defdom.graphs import closed_neighborhood, multiset_size
 from defdom.intervals import (IntervalInstance, _endpoint_ranks, greedy_defense,
                               greedy_defense_reference, intersection_graph,
                               normalize, properize, validate)
 from defdom.io import read_intervals, write_intervals
 from defdom.solvers import min_multiset_defense
 from helpers import (attacks_up_to, clustered_intervals, dense_intervals,
-                     is_proper, random_intervals)
+                     interval_components, is_proper, random_intervals)
 
 
 def test_instance_validation():
@@ -321,6 +321,53 @@ def test_greedy_large_k_stays_fast():
     defense = greedy_defense(inst, 5_000)
     assert time.perf_counter() - start < 2.0
     assert multiset_size(defense) == inst.n    # k covers every component
+
+
+def test_greedy_cost_follows_component_size():
+    # n = 50 000 clustered intervals at k = 25 000: a sweep that carried its
+    # tops and copies across the gaps between components took about 4.5 s
+    # on a 2-vCPU VM, one that starts afresh at every gap about 0.2 s
+    inst = clustered_intervals(random.Random(31), 50_000)
+    start = time.perf_counter()
+    defense = greedy_defense(inst, 25_000)
+    assert time.perf_counter() - start < 2.0
+    assert multiset_size(defense) == inst.n
+
+
+def test_greedy_splits_along_components():
+    # invariant 3 of greedy_defense: the answer is the union of the answers
+    # on the components, each found on its own
+    rng = random.Random(32)
+    for _ in range(200):
+        base = clustered_intervals(rng, rng.randint(1, 40), cluster=(1, 8))
+        ids = list(base.vertices)
+        rng.shuffle(ids)                        # components interleave by id
+        den = rng.choice((1, 2, 3))             # 2 and 3 give Fraction endpoints
+        rows = {}
+        for v, (lo, hi) in base.items():
+            if rng.random() < 0.15:
+                hi = lo                         # a point interval
+            rows[ids[v - 1]] = (Fraction(lo, den), Fraction(hi, den))
+        inst = IntervalInstance(rows)
+        parts = interval_components(inst)
+        g = intersection_graph(inst)
+        part_of = {v: i for i, (_, part_ids) in enumerate(parts) for v in part_ids}
+        assert len(part_of) == inst.n
+        assert all(part_of[u] == part_of[v] for u, v in g.edges())
+        for part, _ in parts:                   # and each part is connected
+            part_graph, reach = intersection_graph(part), {1}
+            while (grown := closed_neighborhood(part_graph, reach)) != reach:
+                reach = grown
+            assert len(reach) == part.n
+        c = max(part.n for part, _ in parts)
+        for k in {1, 2, c - 1, c, inst.n + 1, 500} - {0}:
+            union = {}
+            for part, part_ids in parts:
+                for j, copies in greedy_defense_reference(part, k).items():
+                    union[part_ids[j - 1]] = copies
+            fast = greedy_defense(inst, k)
+            assert fast == union
+            assert fast == greedy_defense_reference(inst, k)
 
 
 @settings(max_examples=60, deadline=None)

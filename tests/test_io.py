@@ -128,6 +128,27 @@ def test_interval_parse_errors(tmp_path):
             read_intervals(path)
 
 
+def test_interval_errors_name_the_file_line(tmp_path):
+    # the bad line is file line 6 but the fourth data line, after a comment
+    # and a blank line, so only the file's own count gives the right number
+    lead = "p intervals 3\n1 0 2\n2 5 7\nc a comment\n\n"
+    cases = [
+        ("3 9", "interval line must be"),
+        ("3 9 11 13", "interval line must be"),
+        ("x 9 11", "expected an integer"),
+        ("3 1e5 11", "decimal rationals"),
+        ("p intervals 3", "duplicate header"),
+        ("2 9 11", "listed twice"),
+    ]
+    path = tmp_path / "bad.ivl"
+    for line, fragment in cases:
+        path.write_text(lead + line + "\n")
+        with pytest.raises(InputError) as err:
+            read_intervals(path)
+        assert str(err.value).startswith(f"{path}:6: "), str(err.value)
+        assert fragment in str(err.value)
+
+
 def test_exponent_endpoints_are_rejected_quickly(tmp_path):
     # Fraction would expand 1e2000000 into a 6.6-million-bit integer
     path = tmp_path / "huge.ivl"
