@@ -17,17 +17,16 @@ are the ones that enumeration returns.
 """
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from defdom.errors import InputError
+from defdom.errors import InputError, record
 from defdom.graphs import (Graph, VertexMultiset, VertexSet, check_multiset,
                            closed_neighborhood, count_in, require_vertices)
 
 STRATEGIES = ("exhaustive", "pruned")
 
 
-@dataclass(frozen=True)
+@record
 class Violator:
     """An attack the defense fails to counter, with its defender shortfall."""
 

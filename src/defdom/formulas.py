@@ -7,17 +7,16 @@ assignment of the x variables leaves the conjunction unsatisfiable no
 matter how the y variables are set.
 """
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from defdom.errors import InputError
+from defdom.errors import InputError, record
 
 Clause = tuple[int, int, int]
 Assignment = tuple[bool, ...]
 
 
-@dataclass(frozen=True)
+@record
 class E2Formula:
     a: int
     b: int
@@ -75,7 +74,7 @@ def satisfying_mu(f: E2Formula, nu: Assignment) -> Optional[Assignment]:
     return None
 
 
-@dataclass(frozen=True)
+@record
 class E2SatResult:
     verdict: bool
     winning_nu: Optional[Assignment]

@@ -39,20 +39,21 @@ costs time in the size of the largest component, not of the whole prefix.
 import operator
 from array import array
 from bisect import bisect_left
-from fractions import Fraction
 from heapq import heappush, heappushpop
 from itertools import chain, islice, repeat
-from typing import Mapping, Union
+from typing import TYPE_CHECKING, Mapping, Union
 
 from defdom.errors import InputError
 from defdom.graphs import Graph, VertexMultiset
 
-Endpoint = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Endpoint = Union[int, "Fraction"]
 
 
-def _exact(x) -> Endpoint:
-    """The exact value of x: an int when whole, a Fraction otherwise."""
-    x = Fraction(x)
+def _exact(x: "Fraction") -> Endpoint:
+    """x as an int when whole, else x itself."""
     return x.numerator if x.denominator == 1 else x
 
 
@@ -73,12 +74,15 @@ class IntervalInstance:
         self.n = n
         self.lo: dict[int, Endpoint] = {}
         self.hi: dict[int, Endpoint] = {}
+        fraction = None   # bound on the first non-int endpoint
         for v in range(1, n + 1):
             lo, hi = intervals[v]
             if type(lo) is not int or type(hi) is not int:
                 if isinstance(lo, float) or isinstance(hi, float):
                     raise InputError(f"interval {v} uses float endpoints; use int or Fraction")
-                lo, hi = _exact(lo), _exact(hi)
+                if fraction is None:  # so an all-int instance never imports it
+                    from fractions import Fraction as fraction
+                lo, hi = _exact(fraction(lo)), _exact(fraction(hi))
             if lo > hi:
                 raise InputError(f"interval {v} has lo > hi")
             self.lo[v] = lo

@@ -4,7 +4,8 @@ In every format, blank lines and "c" comment lines are skipped.  Graph
 files follow the DIMACS habit: a "p dds <n> <m>" header, then "e <u> <v>"
 edge lines with 1 <= u < v <= n.  Two comment forms carry data and
 round-trip: "c role <v> <label>" attaches a vertex label, and "c params
-<name> <value> ..." records instance parameters such as k/ell or s/t.
+<name> <value> ..." records instance parameters such as k/ell or s/t;
+a vertex gets at most one role line and a name at most one value.
 Vertex sets are one id per line; multisets are "<v> <count>" lines;
 attack lists hold one attack (space-separated ids) per line; valuations
 are a single line of 0/1 bits.
@@ -76,12 +77,17 @@ def read_graph(path: PathLike) -> tuple[Graph, dict[str, int]]:
             if parts[1] == "role":
                 if len(parts) < 4:
                     raise InputError(f"{where}: role line needs a vertex and a label")
-                labels[_int(parts[2], where)] = " ".join(parts[3:])
+                v = _int(parts[2], where)
+                if v in labels:
+                    raise InputError(f"{where}: second role line for vertex {v}")
+                labels[v] = " ".join(parts[3:])
             else:
                 pairs = parts[2:]
                 if not pairs or len(pairs) % 2:
                     raise InputError(f"{where}: params line needs name/value pairs")
                 for name, value in zip(pairs[0::2], pairs[1::2]):
+                    if name in params:
+                        raise InputError(f"{where}: parameter {name} given twice")
                     params[name] = _int(value, where)
             continue
         if parts[0] == "p":

@@ -11,19 +11,18 @@ directions and instances can be audited after a round trip through files.
 """
 
 import re
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Optional
 
-from defdom.errors import InputError
+from defdom.errors import InputError, record
 from defdom.graphs import (Graph, VertexMultiset, VertexSet, delete_vertices,
                            has_clique)
 
 ELL_MODES = ("proof-consistent", "literal")
 
 
-@dataclass(frozen=True)
+@record
 class CndInstance:
     """Delete at most s vertices so that no K_t remains."""
 
@@ -40,7 +39,7 @@ class CndInstance:
             raise InputError("deletion budget s exceeds the vertex count")
 
 
-@dataclass(frozen=True)
+@record
 class DdsLayout:
     """Vertex ids of every group in the constructed graph."""
 
@@ -110,7 +109,7 @@ def _expected_edges(lay: DdsLayout) -> set[tuple[int, int]]:
     return edges
 
 
-@dataclass(frozen=True)
+@record
 class DdsInstance:
     graph: Graph
     k: int

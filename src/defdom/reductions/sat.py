@@ -13,16 +13,15 @@ vertex-deleted) labeled graph without the formula at hand.
 """
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
-from defdom.errors import InputError
+from defdom.errors import InputError, record
 from defdom.formulas import Assignment, E2Formula
 from defdom.graphs import Graph, VertexSet, find_clique
 from defdom.reductions.dds import _INDEX, CndInstance, _require_construction
 
 
-@dataclass(frozen=True)
+@record
 class SatLayout:
     """Vertex ids of every gadget part, keyed by source indices."""
 
@@ -111,7 +110,7 @@ def _sat_expected_edges(f: E2Formula, lay: SatLayout) -> set[tuple[int, int]]:
     return edges
 
 
-@dataclass(frozen=True)
+@record
 class SatCnd:
     """A clique-node-deletion instance constructed from a formula."""
 

@@ -22,10 +22,9 @@ same witness that plain enumeration of every candidate returns."""
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
-from defdom.errors import InputError
+from defdom.errors import InputError, record
 from defdom.graphs import (Graph, VertexMultiset, VertexSet, check_multiset,
                            closed_neighborhood, count_in, multiset_size,
                            require_vertices)
@@ -41,7 +40,7 @@ Cut = tuple[Iterable[int], int]
 SEEDED_ATTACK_SIZE = 12
 
 
-@dataclass(frozen=True)
+@record
 class SolveResult:
     """Optimum size, one optimal witness, and the candidates handed to the
     verifier (those that met every Hall cut in the pool)."""

@@ -166,6 +166,14 @@ def test_reduce_and_audit_chain(tmp_path, capsys, monkeypatch):
                 capsys, "audit", audit, reduced, "--deletion", deletion, flag, 10 ** 12)
             assert code == 2 and verdict == "error", (audit, flag)
 
+    # a second value for a parameter the audit reads is refused
+    with reduced.open("a") as f:
+        f.write("c params k 4\n")
+    code, (verdict, _, _), err = run(
+        capsys, "audit", "dds-forward", reduced, "--deletion", deletion)
+    assert code == 2 and verdict == "error"
+    assert "parameter k given twice" in err and "Traceback" not in err
+
 
 def test_sat_reduction_chain(tmp_path, capsys):
     from defdom.formulas import E2Formula
@@ -450,13 +458,14 @@ def test_cli_import_leaves_numpy_out(tmp_path):
     out = tmp_path / "d.ms"
     code = ("import sys, defdom.cli; "
             f"defdom.cli.main(['greedy', {str(intervals)!r}, '2', '--emit-defense', {str(out)!r}]); "
-            "print('dataclasses' in sys.modules, 'numpy' in sys.modules); " + LOADED)
+            "print('dataclasses' in sys.modules, 'numpy' in sys.modules, "
+            "'fractions' in sys.modules); " + LOADED)
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=source_env())
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.strip().splitlines()
     assert lines[0].startswith("verdict=ok value=3")
-    assert lines[1] == "False False"
+    assert lines[1] == "False False False"
     assert lines[2] == "defdom defdom.cli defdom.errors defdom.graphs defdom.intervals defdom.io"
 
     # a graph job loads neither the interval module nor fractions
@@ -473,6 +482,30 @@ def test_cli_import_leaves_numpy_out(tmp_path):
     assert proc.stdout.strip().splitlines() == [
         "verdict=good value=0 certificate=-", "False",
         "defdom defdom.cli defdom.defense defdom.errors defdom.graphs defdom.io"]
+
+    # exact and certify jobs build their records without dataclasses or inspect
+    from defdom.formulas import E2Formula
+    formula = tmp_path / "f.cnf"
+    write_formula(formula, E2Formula(
+        1, 2, ((-1, 2, 3), (-1, 2, -3), (-1, -2, 3), (-1, -2, -3))))
+    reduced = tmp_path / "cnd.dds"
+    valuation = tmp_path / "nu.val"
+    write_valuation(valuation, [True])
+    for argv, expected in (
+            (["solve-exact", graph, "1", "--multiset"], "verdict=optimal value=1"),
+            (["reduce", "e2sat-to-cnd", formula, "-o", reduced, "--allow-small"],
+             "verdict=ok value=16"),
+            (["audit", "cnd-certificate", reduced, "--valuation", valuation],
+             "verdict=pass")):
+        code = ("import sys, defdom.cli; "
+                f"defdom.cli.main({[str(a) for a in argv]!r}); "
+                "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=source_env())
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.strip().splitlines()
+        assert lines[0].startswith(expected), argv
+        assert lines[1] == "False False", argv
 
 
 def test_lazy_namespace_resolves_every_public_name():

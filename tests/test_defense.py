@@ -146,3 +146,45 @@ def test_strategy_names_and_validation():
     with pytest.raises(InputError):
         find_violator(g, {5: 1}, 1)
 
+
+def test_records_keep_frozen_dataclass_semantics():
+    from defdom.defense import Violator
+    from defdom.formulas import E2Formula
+    from defdom.solvers import SolveResult
+
+    v = Violator(frozenset({1}), 1)
+    w = Violator(deficiency=1, attack=frozenset({1}))
+    assert v == w and hash(v) == hash(w)
+    assert v != Violator(frozenset({1}), 2)
+    assert v != (frozenset({1}), 1) and v.__eq__((frozenset({1}), 1)) is NotImplemented
+    assert repr(v) == "Violator(attack=frozenset({1}), deficiency=1)"
+
+    r = SolveResult(3, {1: 2}, 5)
+    assert r == SolveResult(optimum=3, witness={1: 2}, explored=5)
+    assert r != (3, {1: 2}, 5) and r != v
+    assert repr(r) == "SolveResult(optimum=3, witness={1: 2}, explored=5)"
+    s = SolveResult(3, frozenset({1}), 5)
+    assert hash(s) == hash(SolveResult(3, frozenset({1}), 5))
+
+    k4_pendant = Graph(5, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5)])
+    layout = cnd_to_dds(CndInstance(k4_pendant, 1, 4)).layout
+    assert layout == type(layout)(**{name: getattr(layout, name)
+                                     for name in type(layout).__match_args__})
+    with pytest.raises(TypeError):
+        hash(layout)               # its fields hold dicts
+
+    for record, field in ((v, "deficiency"), (r, "optimum"), (layout, "i1")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    with pytest.raises(TypeError, match="missing 1 required positional argument: 'deficiency'"):
+        Violator(frozenset({1}))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'size'"):
+        SolveResult(3, {1: 2}, 5, size=3)
+    with pytest.raises(TypeError, match="multiple values for argument 'optimum'"):
+        SolveResult(3, {1: 2}, 5, optimum=3)
+    with pytest.raises(InputError, match="positive deficiency"):
+        Violator(frozenset({1}), 0)
+    with pytest.raises(InputError, match="exactly 3 literals"):
+        E2Formula(1, 2, ((1, 2),))

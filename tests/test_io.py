@@ -49,6 +49,10 @@ def test_graph_parse_errors(tmp_path):
         ("p dds 3 1\ne 1 9\n", "1 <= u < v <= 3"),
         ("p dds 2 0\nc role 7 far\n", "out-of-range vertex 7"),
         ("p dds 2 0\nc params k\n", "name/value pairs"),
+        # a repeated role or parameter is refused, not silently overwritten
+        ("p dds 2 0\nc role 1 a\nc role 1 b\n", r"bad\.dds:3: second role line for vertex 1"),
+        ("p dds 2 0\nc params k 3 k 4\n", r"bad\.dds:2: parameter k given twice"),
+        ("p dds 2 0\nc params k 3\n\nc params ell 2 k 4\n", r"bad\.dds:4: parameter k given twice"),
         ("p dds 2 0\nwat\n", "unrecognized line"),
         ("p wrong 2 0\n", "header must be"),
         ("", "missing 'p dds' header"),
