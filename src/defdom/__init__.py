@@ -34,7 +34,6 @@ _EXPORTS = {
     "min_constrained_multiset": "solvers",
     "min_multiset_defense": "solvers",
     "min_set_defense": "solvers",
-    "normalize": "intervals",
     "properize": "intervals",
     "uncountered": "matching",
 }

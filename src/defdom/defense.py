@@ -52,16 +52,11 @@ def _copy_masks(g: Graph, defense: VertexMultiset) -> list[int]:
     Each defender copy gets its own bit, so popcounts of mask unions count
     copies with multiplicity.  This is the workhorse for both strategies.
     """
-    bit = 0
-    station: dict[int, int] = {}
-    for v in sorted(defense):
-        mask = 0
-        for _ in range(defense[v]):
-            mask |= 1 << bit
-            bit += 1
-        station[v] = mask
     dmask = [0] * (g.n + 1)
-    for v, mask in station.items():
+    bit = 0
+    for v in sorted(defense):
+        mask = ((1 << defense[v]) - 1) << bit
+        bit += defense[v]
         dmask[v] |= mask
         for u in g.adj[v]:
             dmask[u] |= mask
@@ -164,7 +159,10 @@ def find_violator(g: Graph, defense: VertexMultiset, k: int,
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     check_multiset(g, defense)
-    dmask = _copy_masks(g, defense)
+    # A station serves at most |A| <= min(k, n) attackers, so copies past that
+    # change no count compared with an attack size, and get no bit.
+    cap = min(k, g.n)
+    dmask = _copy_masks(g, {v: min(c, cap) for v, c in defense.items()})
     if strategy == "exhaustive":
         return _violator_exhaustive(g, dmask, k)
     return _violator_pruned(g, dmask, k)

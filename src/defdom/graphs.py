@@ -27,7 +27,7 @@ class Graph:
     Equality compares vertex count, edge set and labels.
     """
 
-    __slots__ = ("n", "adj", "labels", "_masks")
+    __slots__ = ("n", "adj", "labels")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  labels: Optional[Mapping[int, str]] = None):
@@ -48,7 +48,6 @@ class Graph:
                 raise InputError("labels must cover vertices 1..n exactly")
             labels = {v: str(labels[v]) for v in range(1, n + 1)}
         self.labels = labels
-        self._masks: Optional[list[int]] = None
 
     @property
     def vertices(self) -> range:
@@ -70,16 +69,14 @@ class Graph:
         return len(self.adj[v])
 
     def neighborhood_masks(self) -> list[int]:
-        """Closed-neighborhood bitmasks (bit v-1 stands for vertex v), cached."""
-        if self._masks is None:
-            masks = [0] * (self.n + 1)
-            for v in self.vertices:
-                m = 1 << (v - 1)
-                for u in self.adj[v]:
-                    m |= 1 << (u - 1)
-                masks[v] = m
-            self._masks = masks
-        return self._masks
+        """Closed-neighborhood bitmasks (bit v-1 stands for vertex v)."""
+        masks = [0] * (self.n + 1)
+        for v in self.vertices:
+            m = 1 << (v - 1)
+            for u in self.adj[v]:
+                m |= 1 << (u - 1)
+            masks[v] = m
+        return masks
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

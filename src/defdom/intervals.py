@@ -5,9 +5,9 @@ endpoints; the intersection graph connects vertices whose intervals meet.
 An endpoint is stored as a plain `int` when it is a whole number and as an
 exact `Fraction` otherwise, with no common denominator: integer instances
 never touch Fraction arithmetic, and coprime denominators cannot blow up.
-All block and greedy machinery assumes no two distinct intervals share an
-endpoint value (point intervals are fine), which `validate` enforces and
-`normalize` can repair when a graph-preserving strictification exists.
+No two distinct intervals share an endpoint value (point intervals are
+fine): the constructor rejects a tie, and all block and greedy machinery
+rests on that.
 
 The greedy sweeps right endpoints in ascending order and, for every prefix
 block (the m members of the processed prefix with the largest left
@@ -40,7 +40,7 @@ import operator
 from array import array
 from bisect import bisect_left
 from heapq import heappush, heappushpop
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Mapping, Union
 
 from defdom.errors import InputError
@@ -62,7 +62,8 @@ class IntervalInstance:
 
     Endpoints are exact rationals, stored as `int` when the denominator is 1
     and as `Fraction` otherwise (the two compare and hash alike); floats are
-    rejected to keep every comparison exact.
+    rejected to keep every comparison exact, and so is an endpoint value
+    shared by two intervals.
     """
 
     __slots__ = ("n", "lo", "hi")
@@ -87,6 +88,7 @@ class IntervalInstance:
                 raise InputError(f"interval {v} has lo > hi")
             self.lo[v] = lo
             self.hi[v] = hi
+        validate(self)
 
     @property
     def vertices(self) -> range:
@@ -108,20 +110,17 @@ class IntervalInstance:
         return f"IntervalInstance(n={self.n})"
 
 
-def _distinct(values: list[Endpoint], n: int) -> bool:
-    """No value shared across intervals, given n lo's followed by n hi's."""
-    points = sum(map(operator.eq, islice(values, n), islice(values, n, None)))
-    return len(set(values)) == 2 * n - points
-
-
 def validate(inst: IntervalInstance) -> None:
     """Require that no two distinct intervals share an endpoint value.
 
     A point interval may coincide with itself (lo == hi); any value reuse
     across different vertices is rejected.  The check counts distinct
     values; only a failing instance is scanned again to name a culprit pair.
+    Every `IntervalInstance` runs it when built.
     """
-    if _distinct([*inst.lo.values(), *inst.hi.values()], inst.n):
+    values = [*inst.lo.values(), *inst.hi.values()]
+    points = sum(map(operator.eq, inst.lo.values(), inst.hi.values()))
+    if len(set(values)) == len(values) - points:
         return
     seen: dict[Endpoint, tuple[int, str]] = {}
     for v in inst.vertices:
@@ -135,8 +134,7 @@ def validate(inst: IntervalInstance) -> None:
 
 
 def intersection_graph(inst: IntervalInstance) -> Graph:
-    """Intersection graph via an endpoint sweep.  Requires validated input."""
-    validate(inst)
+    """Intersection graph via an endpoint sweep."""
     events = []
     for v in inst.vertices:
         # value ties only happen within one point interval; open sorts first
@@ -152,57 +150,6 @@ def intersection_graph(inst: IntervalInstance) -> Graph:
         else:
             active.discard(v)
     return Graph(inst.n, edges)
-
-
-def normalize(inst: IntervalInstance) -> IntervalInstance:
-    """Strictify tied endpoints, keeping the intersection graph intact.
-
-    One canonical proposal is tried: sort all endpoints, breaking value ties
-    toward separation (closing endpoints before opening ones, then vertex
-    id; a point interval keeps its own pair ordered), and replace each
-    endpoint by its position.  The proposal is accepted only if it keeps
-    the intersection graph; otherwise the least adjacency-changing pair is
-    reported.  In particular, intervals that merely touch are rejected
-    rather than silently glued together.
-    """
-    def key(entry):
-        value, v, kind = entry
-        if inst.lo[v] == inst.hi[v]:
-            rank = 0 if kind == "lo" else 1
-        else:
-            rank = 0 if kind == "hi" else 1
-        return (value, rank, v)
-
-    entries = []
-    for v in inst.vertices:
-        entries.append((inst.lo[v], v, "lo"))
-        entries.append((inst.hi[v], v, "hi"))
-    entries.sort(key=key)
-    new: dict[int, dict[str, int]] = {v: {} for v in inst.vertices}
-    for position, (_, v, kind) in enumerate(entries):
-        new[v][kind] = position
-    # Distinct values keep their order, so only a tie between one interval's
-    # lo and another's hi can change adjacency: the pair meets at that value,
-    # and stops meeting when the proposal puts the hi first.  Among all such
-    # pairs report the least (u, v), as a check of every pair would.
-    culprit = None
-    value = closed = None
-    for entry_value, v, kind in entries:
-        if entry_value != value:
-            value, closed = entry_value, []   # least two ids whose hi sits here
-        if kind == "hi":
-            closed = sorted(closed + [v])[:2]
-            continue
-        w = next((w for w in closed if w != v), None)
-        if w is not None:
-            pair = (min(v, w), max(v, w))
-            culprit = pair if culprit is None else min(culprit, pair)
-    if culprit is not None:
-        u, v = culprit
-        raise InputError(
-            f"strictification would change adjacency between intervals "
-            f"{u} and {v}; separate their endpoints explicitly")
-    return IntervalInstance({v: (new[v]["lo"], new[v]["hi"]) for v in inst.vertices})
 
 
 def properize(inst: IntervalInstance, defense: VertexMultiset) -> VertexMultiset:
@@ -261,7 +208,6 @@ def greedy_defense_reference(inst: IntervalInstance, k: int) -> VertexMultiset:
     """
     if k < 1:
         raise InputError("attack budget k must be at least 1")
-    validate(inst)
     lr, rr = _endpoint_ranks(inst)
     defense: VertexMultiset = {}
     by_right = sorted(inst.vertices, key=lambda v: rr[v])
@@ -289,8 +235,7 @@ def greedy_defense_reference(inst: IntervalInstance, k: int) -> VertexMultiset:
 def greedy_defense(inst: IntervalInstance, k: int) -> VertexMultiset:
     """Fast sweep producing the same multiset as the reference.
 
-    Works in endpoint-rank space.  After the distinct-value check of
-    `validate`, one stable sort orders the 2n endpoints.  `mate[x]`
+    Works in endpoint-rank space: one stable sort orders the 2n endpoints.  `mate[x]`
     is the rank of the other endpoint of the interval with an endpoint at
     rank x, so mate[x] > x marks a left end and mate[x] < x a right end.
     The sweep walks the ranks.  At a left end, `best_right` keeps the
@@ -336,12 +281,10 @@ def greedy_defense(inst: IntervalInstance, k: int) -> VertexMultiset:
     if k < 1:
         raise InputError("attack budget k must be at least 1")
     n = inst.n
-    # Fresh copies, laid out in slot order, keep the distinctness check and
-    # the sort on compact memory wherever the caller's values live.
+    # Fresh copies, laid out in slot order, keep the sort on compact memory
+    # wherever the caller's values live.
     values = list(map(operator.add, chain(inst.lo.values(), inst.hi.values()),
                       repeat(0)))                 # lo of v at v-1, hi at n+v-1
-    if not _distinct(values, n):
-        validate(inst)                      # raises, naming a shared value
     # stable, so a point's lo ranks just before its hi; an array, so the
     # passes below read machine ints rather than scattered int objects
     order = array("l", sorted(range(2 * n), key=values.__getitem__))

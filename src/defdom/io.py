@@ -187,8 +187,8 @@ def _endpoint(token: str) -> "Endpoint":
 
 
 def read_intervals(path: PathLike) -> "IntervalInstance":
-    """Parse and validate an interval file ("p intervals <n>" header)."""
-    from defdom.intervals import IntervalInstance, validate
+    """Parse an interval file ("p intervals <n>" header)."""
+    from defdom.intervals import IntervalInstance
     header: Optional[int] = None
     rows: dict[int, tuple[Endpoint, Endpoint]] = {}
     for num, line in _lines(path):
@@ -218,9 +218,7 @@ def read_intervals(path: PathLike) -> "IntervalInstance":
         raise InputError(f"{path}: missing 'p intervals' header")
     if len(rows) != header:
         raise InputError(f"{path}: header promises {header} intervals, found {len(rows)}")
-    inst = IntervalInstance(rows)
-    validate(inst)
-    return inst
+    return IntervalInstance(rows)
 
 
 def write_intervals(path: PathLike, inst: "IntervalInstance") -> None:

@@ -78,14 +78,16 @@ def uncountered(g: Graph, defense: VertexMultiset,
                 attacks: Iterable[Iterable[int]]) -> Optional[VertexSet]:
     """The first listed attack the defense does not counter, or None.
 
-    The defense is checked and expanded into copies once, and each vertex
-    gets the ascending list of copies stationed in its closed neighborhood
-    once; every attack then runs Hopcroft-Karp on those shared lists.  Each
+    The defense is checked and expanded into copies once (at most n per
+    vertex), and each vertex gets the ascending list of copies stationed in
+    its closed neighborhood once; every attack then runs Hopcroft-Karp on
+    those shared lists.  Each
     attack is validated when its turn comes, so a bad vertex after the
     first uncountered attack goes unnoticed.
     """
     check_multiset(g, defense)
-    copies = defender_copies(defense)
+    # an attack has at most n members, so a station's copies past n go unused
+    copies = defender_copies({v: min(c, g.n) for v, c in defense.items()})
     reach: list[list[int]] = [[] for _ in range(g.n + 1)]
     for ri, d in enumerate(copies):
         reach[d].append(ri)

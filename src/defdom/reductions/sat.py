@@ -18,7 +18,8 @@ from typing import Optional
 from defdom.errors import InputError, record
 from defdom.formulas import Assignment, E2Formula
 from defdom.graphs import Graph, VertexSet, find_clique
-from defdom.reductions.dds import _INDEX, CndInstance, _require_construction
+from defdom.reductions.dds import (_INDEX, CndInstance, _bipartite_edges, _clique_edges,
+                                   _require_construction)
 
 
 @record
@@ -48,53 +49,33 @@ def _occurrence(f: E2Formula, k: int, o: int) -> tuple[str, int, bool]:
 
 def _sat_expected_edges(f: E2Formula, lay: SatLayout) -> set[tuple[int, int]]:
     edges: set[tuple[int, int]] = set()
-
-    def add(u: int, v: int) -> None:
-        edges.add((u, v) if u < v else (v, u))
-
-    def add_clique(members) -> None:
-        members = sorted(members)
-        for idx, u in enumerate(members):
-            for v in members[idx + 1:]:
-                add(u, v)
-
     c = f.c
     all_y = [lay.y_pos[j] for j in sorted(lay.y_pos)] + \
             [lay.y_neg[j] for j in sorted(lay.y_neg)]
     for i in range(1, f.a + 1):
-        for p in range(c):
-            for q in range(c):
-                add(lay.x_pos[i][p], lay.x_neg[i][q])
+        edges.update(_bipartite_edges(lay.x_pos[i], lay.x_neg[i]))
     for k in range(1, c + 1):
-        for good in lay.goods[k]:
-            for bad in lay.bads[k]:
-                add(good, bad)
+        edges.update(_bipartite_edges(lay.goods[k], lay.bads[k]))
     for (i, p, q), pads in lay.x_pads.items():
-        add_clique((lay.x_pos[i][p - 1], lay.x_neg[i][q - 1]) + pads)
+        edges.update(_clique_edges((lay.x_pos[i][p - 1], lay.x_neg[i][q - 1]) + pads))
     for (k, o, op), pads in lay.c_pads.items():
-        add_clique((lay.goods[k][o - 1], lay.bads[k][op - 1]) + pads)
+        edges.update(_clique_edges((lay.goods[k][o - 1], lay.bads[k][op - 1]) + pads))
     for k in range(1, c + 1):
-        add_clique(lay.q_members[k])
+        edges.update(_clique_edges(lay.q_members[k]))
     for k in range(1, c + 1):
         for o in (1, 2, 3):
             family, j, positive = _occurrence(f, k, o)
             if family != "y":
                 continue
-            u = lay.goods[k][o - 1]
-            add(u, lay.y_pos[j] if positive else lay.y_neg[j])
-            for jp in lay.y_pos:
-                if jp != j:
-                    add(u, lay.y_pos[jp])
-                    add(u, lay.y_neg[jp])
-        ugly = lay.bads[k][0]
-        for w in all_y:
-            add(ugly, w)
+            own = lay.y_pos[j] if positive else lay.y_neg[j]
+            others = [w for jp in lay.y_pos if jp != j for w in (lay.y_pos[jp], lay.y_neg[jp])]
+            edges.update(_bipartite_edges([lay.goods[k][o - 1]], [own, *others]))
+        edges.update(_bipartite_edges([lay.bads[k][0]], all_y))   # the ugly vertex
     for j in sorted(lay.y_pos):
         for jp in sorted(lay.y_pos):
             if j < jp:
-                for u in (lay.y_pos[j], lay.y_neg[j]):
-                    for w in (lay.y_pos[jp], lay.y_neg[jp]):
-                        add(u, w)
+                edges.update(_bipartite_edges((lay.y_pos[j], lay.y_neg[j]),
+                                              (lay.y_pos[jp], lay.y_neg[jp])))
     cross: dict[int, list[int]] = {}
     for k in range(1, c + 1):
         members = list(lay.bads[k])
@@ -104,9 +85,7 @@ def _sat_expected_edges(f: E2Formula, lay: SatLayout) -> set[tuple[int, int]]:
         cross[k] = members
     for k in range(1, c + 1):
         for kp in range(k + 1, c + 1):
-            for u in cross[k]:
-                for w in cross[kp]:
-                    add(u, w)
+            edges.update(_bipartite_edges(cross[k], cross[kp]))
     return edges
 
 

@@ -5,6 +5,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,33 @@ def test_greedy_with_check(tmp_path, capsys):
     assert code == 0 and verdict == "good" and cert == str(out)
     assert "GOOD: pruned violator search confirms the defense" in err
     assert sum(read_multiset(out).values()) == int(value)
+
+
+def test_greedy_rejects_a_tied_file(tmp_path, capsys):
+    intervals = tmp_path / "tied.ivl"
+    intervals.write_text("p intervals 2\n1 0 2\n2 2 4\n")
+    code, (verdict, _, _), err = run(capsys, "greedy", intervals, 1)
+    assert code == 2 and verdict == "error"
+    assert "duplicate endpoint value 2" in err and "Traceback" not in err
+
+
+def test_huge_copy_counts_end_at_once(tmp_path, capsys):
+    # 10**12 copies on one vertex: expanding every copy died with a
+    # MemoryError in solve-exact and looped until the time limit in verify
+    graph = tmp_path / "p3.dds"
+    write_graph(graph, path_graph(3))
+    attacks = tmp_path / "a.atk"
+    write_attacks(attacks, [[1, 2]])
+    upper = tmp_path / "up.ms"
+    write_multiset(upper, {1: 10**12, 2: 1})
+    for argv, expected in ((["solve-exact", graph, "--attacks", attacks, "--upper", upper],
+                            "optimal"),
+                           (["verify", graph, upper, 2, "--multiset"], "good")):
+        start = time.perf_counter()
+        code, (verdict, _, _), err = run(capsys, "--time-limit", 10, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 0 and verdict == expected, argv
+        assert "Traceback" not in err
 
 
 def test_reduce_and_audit_chain(tmp_path, capsys, monkeypatch):

@@ -20,6 +20,25 @@ def test_hall_deficiency_examples():
     assert hall_deficiency(g, {}, [2]) == 1
 
 
+def test_copy_counts_past_k_change_no_verdict():
+    # a station serves at most k attackers, so k copies there and 10**12
+    # give the same witness and deficiency, under both strategies
+    rng = random.Random(14)
+    violators = 0
+    for _ in range(150):
+        g = random_split_graph(rng)
+        k = rng.randint(1, 4)
+        defense = random_defense(rng, g, max_copies=2, density=0.4)
+        heavy = rng.sample(sorted(defense), min(len(defense), 2))
+        at_k = {**defense, **{v: k for v in heavy}}
+        huge = {**defense, **{v: 10**12 for v in heavy}}
+        for strategy in STRATEGIES:
+            found = find_violator(g, at_k, k, strategy)
+            assert find_violator(g, huge, k, strategy) == found
+            violators += found is not None
+    assert violators > 50
+
+
 def test_p3_violator():
     g = path_graph(3)
     violator = find_violator(g, {2: 1}, 2)

@@ -12,7 +12,7 @@ from defdom.errors import InputError
 from defdom.graphs import closed_neighborhood, multiset_size
 from defdom.intervals import (IntervalInstance, _endpoint_ranks, greedy_defense,
                               greedy_defense_reference, intersection_graph,
-                              normalize, properize, validate)
+                              properize, validate)
 from defdom.io import read_intervals, write_intervals
 from defdom.solvers import min_multiset_defense
 from helpers import (attacks_up_to, clustered_intervals, dense_intervals,
@@ -39,6 +39,18 @@ def test_endpoint_distinctness():
         validate(IntervalInstance({1: (1, 1), 2: (1, 4)}))
 
 
+def test_tied_instance_cannot_be_built():
+    # the constructor is the one endpoint check, so no function that takes an
+    # instance, the greedy included, ever sees a tie
+    for rows, shown in [({1: (0, 2), 2: (2, 3)}, "2: hi of interval 1 and lo of interval 2"),
+                        ({1: (3, 9), 2: (1, 9)}, "9: hi of interval 1 and hi of interval 2"),
+                        ({1: (4, 4), 2: (4, 6)}, "4: hi of interval 1 and lo of interval 2"),
+                        ({1: (0, 1), 2: (Fraction(1, 2), Fraction(3, 2)), 3: (Fraction(6, 4), 5)},
+                         "3/2: hi of interval 2 and lo of interval 3")]:
+        with pytest.raises(InputError, match=f"^duplicate endpoint value {shown}$"):
+            IntervalInstance(rows)
+
+
 def test_intersection_graph_matches_pairwise_checks():
     rng = random.Random(21)
     for _ in range(60):
@@ -47,105 +59,6 @@ def test_intersection_graph_matches_pairwise_checks():
         for u, v in itertools.combinations(inst.vertices, 2):
             expected = (inst.lo[u] <= inst.hi[v] and inst.lo[v] <= inst.hi[u])
             assert g.has_edge(u, v) == expected
-
-
-def test_normalize_rejects_pure_touch():
-    # intervals meeting only at a shared endpoint get separated, and since
-    # that would drop their edge the repair is refused
-    with pytest.raises(InputError):
-        normalize(IntervalInstance({1: (0, 2), 2: (2, 3)}))
-    with pytest.raises(InputError):
-        normalize(IntervalInstance({1: (0, 4), 2: (4, 9), 3: (2, 6)}))
-
-
-def test_normalize_fixes_shared_endpoints_under_overlap():
-    # duplicates survive separation because every overlap has positive width
-    inst = IntervalInstance({1: (0, 5), 2: (0, 3), 3: (1, 5)})
-    fixed = normalize(inst)
-    validate(fixed)
-    assert intersection_graph(fixed) == intersection_graph_unchecked(inst)
-
-
-def intersection_graph_unchecked(inst):
-    from defdom.graphs import Graph
-    edges = [(u, v) for u, v in itertools.combinations(inst.vertices, 2)
-             if inst.lo[u] <= inst.hi[v] and inst.lo[v] <= inst.hi[u]]
-    return Graph(inst.n, edges)
-
-
-def test_normalize_keeps_valid_instances_equivalent():
-    rng = random.Random(22)
-    for _ in range(40):
-        inst = random_intervals(rng)
-        fixed = normalize(inst)
-        validate(fixed)
-        assert intersection_graph(fixed) == intersection_graph(inst)
-        assert normalize(fixed) == fixed   # idempotent once separated
-
-
-def normalize_all_pairs(inst):
-    """The tie-breaking proposal of `normalize`, checked pair by pair."""
-    def key(entry):
-        value, v, kind = entry
-        if inst.lo[v] == inst.hi[v]:
-            rank = 0 if kind == "lo" else 1
-        else:
-            rank = 0 if kind == "hi" else 1
-        return (value, rank, v)
-
-    entries = sorted([(inst.lo[v], v, "lo") for v in inst.vertices]
-                     + [(inst.hi[v], v, "hi") for v in inst.vertices], key=key)
-    new = {v: {} for v in inst.vertices}
-    for position, (_, v, kind) in enumerate(entries):
-        new[v][kind] = position
-    proposal = IntervalInstance({v: (new[v]["lo"], new[v]["hi"]) for v in inst.vertices})
-    before = intersection_graph_unchecked(inst)
-    after = intersection_graph_unchecked(proposal)
-    for u, v in itertools.combinations(inst.vertices, 2):
-        if before.has_edge(u, v) != after.has_edge(u, v):
-            raise InputError(
-                f"strictification would change adjacency between intervals "
-                f"{u} and {v}; separate their endpoints explicitly")
-    return proposal
-
-
-def test_normalize_matches_all_pairs_check_under_ties():
-    rng = random.Random(27)
-    rejected = 0
-    for _ in range(300):
-        n = rng.randint(1, 8)
-        rows = {}
-        for v in range(1, n + 1):   # few values, so ties of every kind occur
-            a, b = rng.randint(0, n), rng.randint(0, n)
-            rows[v] = (min(a, b), max(a, b))
-        inst = IntervalInstance(rows)
-        try:
-            expected = normalize_all_pairs(inst)
-        except InputError as exc:
-            rejected += 1
-            with pytest.raises(InputError) as got:
-                normalize(inst)
-            assert str(got.value) == str(exc)
-        else:
-            assert normalize(inst) == expected
-    assert 50 < rejected < 250
-
-
-def test_normalize_is_fast_on_large_tied_instances():
-    # lefts on even values, rights on odd ones: ties abound, yet no lo meets
-    # a hi, so the repair succeeds
-    rng = random.Random(28)
-    n = 20_000
-    rows = {}
-    for v in range(1, n + 1):
-        lo = 2 * rng.randrange(n // 4)
-        rows[v] = (lo, lo + 2 * rng.randrange(1, 20) + 1)
-    inst = IntervalInstance(rows)
-    start = time.perf_counter()
-    fixed = normalize(inst)
-    assert time.perf_counter() - start < 5.0
-    validate(fixed)
-    assert sorted([*fixed.lo.values(), *fixed.hi.values()]) == list(range(2 * n))
 
 
 def test_properize_moves_contained_defenders():
@@ -274,7 +187,9 @@ def test_prime_denominators_stay_fast(tmp_path):
     defense = greedy_defense(back, 3)
     assert time.perf_counter() - start < 3.0
     assert back == inst
-    assert defense == greedy_defense(normalize(inst), 3)
+    lo_rank, hi_rank = _endpoint_ranks(inst)
+    ranked = IntervalInstance({v: (lo_rank[v], hi_rank[v]) for v in inst.vertices})
+    assert defense == greedy_defense(ranked, 3)
 
 
 def test_greedy_star_and_disjoint_examples():
@@ -402,9 +317,8 @@ def test_greedy_output_is_good_and_proper():
 
 
 def test_greedy_rejects_duplicate_endpoints_and_bad_k():
-    inst = IntervalInstance({1: (0, 2), 2: (2, 4)})
     with pytest.raises(InputError):
-        greedy_defense(inst, 1)
+        greedy_defense(IntervalInstance({1: (0, 2), 2: (2, 4)}), 1)
     with pytest.raises(InputError):
         greedy_defense(IntervalInstance({1: (0, 1)}), 0)
 

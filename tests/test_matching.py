@@ -137,6 +137,20 @@ def test_uncountered_matches_per_attack_checks():
     assert 50 < failing < 250
 
 
+def test_uncountered_ignores_copies_past_n():
+    # an attack has at most n members, so n copies on a station and 10**12
+    # counter the same attacks
+    rng = random.Random(13)
+    for _ in range(100):
+        g = random_split_graph(rng)
+        defense = random_defense(rng, g, max_copies=2, density=0.3)
+        heavy = rng.sample(sorted(defense), min(len(defense), 2))
+        attacks = [rng.sample(g.vertices, rng.randint(1, g.n)) for _ in range(4)]
+        at_n = {**defense, **{v: g.n for v in heavy}}
+        huge = {**defense, **{v: 10**12 for v in heavy}}
+        assert uncountered(g, huge, attacks) == uncountered(g, at_n, attacks)
+
+
 def test_uncountered_edge_cases():
     g = star_graph(3)
     assert uncountered(g, {1: 1}, []) is None
