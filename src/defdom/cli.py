@@ -214,10 +214,11 @@ def cmd_audit_dds_forward(args) -> tuple:
     from defdom.matching import uncountered
     from defdom.reductions.dds import enumerate_serious_attacks
     dds, _, defense = _load_dds(args)
-    attack = uncountered(dds.graph, defense, enumerate_serious_attacks(dds))
-    if attack is not None:
-        _log(f"FAIL: serious attack {_listing(attack)} is not countered")
-        return "fail", len(attack)
+    stranded = uncountered(dds.graph, defense, enumerate_serious_attacks(dds))
+    if stranded is not None:
+        _log(f"FAIL: attackers {_listing(stranded)} of a serious attack see "
+             "fewer defenders than their number")
+        return "fail", len(stranded)
     violator = find_violator(dds.graph, defense, dds.k, strategy="pruned")
     if violator is not None:
         _log(f"FAIL: attack {_listing(violator.attack)} exceeds nearby defenders "

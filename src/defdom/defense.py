@@ -128,6 +128,10 @@ def _violator_pruned(g: Graph, dmask: list[int], k: int) -> Optional[Violator]:
     # pairwise farther than two apart, and the shortfall adds up across the
     # split, so some minimum violator is connected at distance <= 2.  Search
     # only those, per size m, over vertices with fewer than m nearby copies.
+    # Size 1 needs no distance-2 masks: the first vertex with no copy nearby.
+    for v in g.vertices:
+        if not dmask[v]:
+            return Violator(frozenset({v}), 1)
     masks = g.neighborhood_masks()
     square = [0] * (g.n + 1)
     for v in g.vertices:
@@ -135,7 +139,7 @@ def _violator_pruned(g: Graph, dmask: list[int], k: int) -> Optional[Violator]:
         for u in g.adj[v]:
             m |= masks[u]
         square[v] = m & ~(1 << (v - 1))
-    for m in range(1, min(k, g.n) + 1):
+    for m in range(2, min(k, g.n) + 1):
         cand = [v for v in g.vertices if dmask[v].bit_count() < m]
         if len(cand) < m:
             continue

@@ -155,31 +155,23 @@ def intersection_graph(inst: IntervalInstance) -> Graph:
 def properize(inst: IntervalInstance, defense: VertexMultiset) -> VertexMultiset:
     """Move defenders off properly contained intervals.
 
-    While some defender's interval is a proper subset of any vertex interval,
-    its copies move onto a containing interval reaching furthest right
-    (which is itself inclusion maximal), so the result has the same total
+    The copies on a defender's interval that another interval contains move
+    onto the containing interval reaching furthest right.  That interval is
+    itself inclusion maximal (one containing it would contain the defender
+    and reach further), so one pass suffices; the result has the same total
     size and each move can only widen the defenders' reach.
     """
-    out = dict(defense)
-    for v in out:
-        if v not in inst.lo:
-            raise InputError(f"defense mentions unknown interval {v}")
-        if out[v] <= 0:
-            raise InputError(f"defense count for interval {v} must be positive")
-    changed = True
-    while changed:
-        changed = False
-        for u in sorted(out):
-            containers = [w for w in inst.vertices
-                          if w != u
-                          and inst.lo[w] <= inst.lo[u] and inst.hi[u] <= inst.hi[w]
-                          and (inst.lo[w], inst.hi[w]) != (inst.lo[u], inst.hi[u])]
-            if not containers:
-                continue
-            target = max(containers, key=lambda w: (inst.hi[w], -w))
-            out[target] = out.get(target, 0) + out.pop(u)
-            changed = True
-            break
+    out: VertexMultiset = {}
+    for u, c in defense.items():
+        if u not in inst.lo:
+            raise InputError(f"defense mentions unknown interval {u}")
+        if c <= 0:
+            raise InputError(f"defense count for interval {u} must be positive")
+        # endpoints are distinct, so containment is strict on both sides
+        containers = [w for w in inst.vertices
+                      if inst.lo[w] < inst.lo[u] and inst.hi[u] < inst.hi[w]]
+        target = max(containers, key=inst.hi.__getitem__, default=u)
+        out[target] = out.get(target, 0) + c
     return out
 
 

@@ -5,7 +5,10 @@ copy stationed in the attacker's closed neighborhood, no copy reused.  That
 is exactly a perfect matching of the attackers into defender copies, so the
 coverage check reduces to Hopcroft-Karp.  `uncountered` checks a whole list
 of attacks against one defense and shares the per-vertex copy lists across
-them; `counters` is its one-attack case.
+them; `counters` is its one-attack case.  A failed maximum matching names
+a Hall violator: each copy seen by the attackers that alternating paths
+reach from an unmatched one (Hopcroft and Karp, SIAM J. Comput. 2, 1973) is
+matched to another of them, so they see one copy fewer than their number.
 """
 
 from collections import deque
@@ -74,16 +77,32 @@ def defender_copies(defense: VertexMultiset) -> list[int]:
     return out
 
 
+def _stranded(adj: Sequence[Sequence[int]], pairing: dict[int, int]) -> set[int]:
+    """Left tokens that alternating paths reach from the first one the
+    maximum matching `pairing` leaves unmatched."""
+    # every right token reached is matched, or the matching would grow
+    owner = {r: u for u, r in pairing.items()}
+    seen = {next(u for u in range(len(adj)) if u not in pairing)}
+    stack = list(seen)
+    while stack:
+        for r in adj[stack.pop()]:
+            if owner[r] not in seen:
+                seen.add(owner[r])
+                stack.append(owner[r])
+    return seen
+
+
 def uncountered(g: Graph, defense: VertexMultiset,
                 attacks: Iterable[Iterable[int]]) -> Optional[VertexSet]:
-    """The first listed attack the defense does not counter, or None.
+    """A Hall violator inside the first listed attack the defense does not
+    counter, or None: the whole attack when it outnumbers the copies, else
+    the attackers that a maximum matching strands.
 
     The defense is checked and expanded into copies once (at most n per
     vertex), and each vertex gets the ascending list of copies stationed in
     its closed neighborhood once; every attack then runs Hopcroft-Karp on
-    those shared lists.  Each
-    attack is validated when its turn comes, so a bad vertex after the
-    first uncountered attack goes unnoticed.
+    those shared lists.  Each attack is validated when its turn comes, so a
+    bad vertex after the first uncountered attack goes unnoticed.
     """
     check_multiset(g, defense)
     # an attack has at most n members, so a station's copies past n go unused
@@ -94,13 +113,14 @@ def uncountered(g: Graph, defense: VertexMultiset,
         for u in g.adj[d]:
             reach[u].append(ri)
     for attack in attacks:
-        attackers = frozenset(attack)
+        attackers = sorted(frozenset(attack))
         require_vertices(g, attackers, "attack")
         if len(attackers) > len(copies):
-            return attackers
-        size, _ = max_matching([reach[a] for a in sorted(attackers)], len(copies))
+            return frozenset(attackers)
+        adj = [reach[a] for a in attackers]
+        size, pairing = max_matching(adj, len(copies))
         if size < len(attackers):
-            return attackers
+            return frozenset(attackers[u] for u in _stranded(adj, pairing))
     return None
 
 

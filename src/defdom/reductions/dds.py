@@ -187,6 +187,35 @@ def _build_dds(inst: CndInstance, ell: int) -> DdsInstance:
     return DdsInstance(graph, n + s, ell, s, t, layout)
 
 
+def _dds_edge_count(inst: CndInstance, ell: int) -> int:
+    """The edge count of `_expected_edges` for the construction, in closed
+    form: its groups are disjoint, so no edge is counted twice."""
+    n, t, pairs = inst.graph.n, inst.t, comb(inst.t, 2)
+    m = inst.graph.edge_count()
+    size = dict(_group_sizes(n, inst.s, t, ell))
+    return (4 * m   # e' to v' and v'' of both ends
+            # not comb: a size is negative for parameters the builder rejects
+            + sum(size[q] * (size[q] - 1) // 2 for q in ("Q1", "Q2", "Q4"))
+            + size["I1"] * size["Q1"]
+            + size["Q2"] * (size["Q1"] + size["I2"] + m + n * pairs)
+            + 2 * n * (size["Q4"] + size["I3"])
+            + size["Q4"] * size["I4"]
+            + n * pairs * (2 + t))   # Iv(v) to v', v'' and to I'v(v)
+
+
+def _require_edge_count(g: Graph, want: int) -> None:
+    """Reject a graph with less than half of the construction's `want` edges
+    before the construction is built, at a cost that grows with `want`.
+
+    With at least half of them, building costs at most about twice what
+    reading the graph did, and `_require_construction` then names the first
+    vertex that differs.
+    """
+    have = g.edge_count()
+    if 2 * have < want:
+        raise InputError(f"the construction has {want} edges, the graph {have}")
+
+
 def _require_construction(g: Graph, built: Graph) -> None:
     """Accept g only if it is the construction `built`, vertex ids included.
 
@@ -235,6 +264,7 @@ def dds_from_graph(g: Graph, k: int, ell: int) -> DdsInstance:
         raise InputError(
             f"labels and parameters (n={n}, s={s}, t={t}, ell={ell}) give a "
             f"construction of {want} vertices, the graph has {g.n}")
+    _require_edge_count(g, _dds_edge_count(inst, ell))
     built = _build_dds(inst, ell)
     _require_construction(g, built.graph)
     return built

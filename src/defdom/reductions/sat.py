@@ -13,13 +13,14 @@ vertex-deleted) labeled graph without the formula at hand.
 """
 
 import re
+from math import comb
 from typing import Optional
 
 from defdom.errors import InputError, record
 from defdom.formulas import Assignment, E2Formula
 from defdom.graphs import Graph, VertexSet, find_clique
 from defdom.reductions.dds import (_INDEX, CndInstance, _bipartite_edges, _clique_edges,
-                                   _require_construction)
+                                   _require_construction, _require_edge_count)
 
 
 @record
@@ -87,6 +88,22 @@ def _sat_expected_edges(f: E2Formula, lay: SatLayout) -> set[tuple[int, int]]:
         for kp in range(k + 1, c + 1):
             edges.update(_bipartite_edges(cross[k], cross[kp]))
     return edges
+
+
+def _sat_edge_count(f: E2Formula) -> int:
+    """The edge count of `_sat_expected_edges` for a formula, in closed form."""
+    b, c = f.b, f.c
+    t = b + c
+    # each K_{c,c} and K_{3,3} edge lies in exactly one pad clique of size t
+    total = (f.a * c * c + 9 * c) * comb(t, 2)
+    cross = []   # per clause: its bads and universal goods
+    for clause in f.clauses:
+        y = sum(1 for lit in clause if abs(lit) > f.a)
+        # the clause clique of t + 2 - y members; universal goods to y gadgets
+        total += comb(t + 2 - y, 2) + y * (2 * b - 1)
+        cross.append(3 + y)
+    total += 2 * b * c + 4 * comb(b, 2)   # ugly vertices; universal gadgets pairwise
+    return total + (sum(cross) ** 2 - sum(x * x for x in cross)) // 2
 
 
 @record
@@ -248,6 +265,7 @@ def sat_cnd_from_graph(g: Graph, s: int, t: int) -> SatCnd:
         raise InputError(
             f"labels (a={a}, b={b}, c={c}) give a construction of {want} "
             f"vertices, the graph has {g.n}")
+    _require_edge_count(g, _sat_edge_count(formula))
     built = e2sat_to_cnd(formula, allow_small=True)
     _require_construction(g, built.graph)
     return built

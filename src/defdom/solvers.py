@@ -7,9 +7,9 @@ the expanded sorted tuple of copies, so the first candidate the verifier
 accepts is the optimum and its witness is canonical.
 
 By the counting criterion, a defense counters every attack of size <= k
-exactly when D(N[A]) >= |A| for each such attack A.  So every uncountered
-attack the verifier finds is a Hall cut that all defenses satisfy.  The
-search keeps a pool of these cuts, carried over from one size to the next,
+exactly when D(N[A]) >= |A| for each such attack A.  So every Hall violator
+the verifier returns is a Hall cut that all defenses satisfy.  The search
+learns one such cut per rejected candidate, keeps it across sizes,
 and skips a subtree as soon as the cuts can no longer all be met: the copies
 already placed in some N[A] plus the most that the remaining budget and
 caps can still put there fall short of |A|, or cuts with pairwise disjoint
@@ -21,7 +21,6 @@ defense.  The first verified candidate is therefore the same optimum and the
 same witness that plain enumeration of every candidate returns."""
 
 import bisect
-import itertools
 from typing import Callable, Iterable, Optional, Union
 
 from defdom.errors import InputError, record
@@ -33,11 +32,6 @@ from defdom.matching import uncountered
 
 # A Hall cut: at least `need` copies among the vertices of `hood`.
 Cut = tuple[Iterable[int], int]
-
-# Listed attacks up to this size seed the cut of every nonempty subset;
-# larger ones seed their singletons and themselves, and rely on the final
-# matching check.
-SEEDED_ATTACK_SIZE = 12
 
 
 @record
@@ -51,12 +45,11 @@ class SolveResult:
 
 
 def _least_defense(vertices: list[int], caps: list[int], budget: int,
-                   cuts: Iterable[Cut],
-                   separate: Callable[[VertexMultiset], Optional[list[Cut]]]):
+                   separate: Callable[[VertexMultiset], Optional[Cut]]):
     """First candidate in (size, lexicographic) order that `separate` accepts.
 
-    `separate(counts)` returns None to accept, or the cuts to add (possibly
-    none) to reject.  Returns (size, counts, candidates verified), or None
+    `separate(counts)` returns None to accept, or a cut the candidate breaks
+    to reject it.  Returns (size, counts, candidates verified), or None
     when no candidate of size <= budget is accepted.
 
     Positions are decided in order, each taking counts from the most it can
@@ -102,8 +95,6 @@ def _least_defense(vertices: list[int], caps: list[int], budget: int,
         hmask.append(bits)
         bisect.insort(order, j, key=lambda j: (hmask[j].bit_length(), hmask[j].bit_count()))
 
-    for hood, need in cuts:
-        add_cut(hood, need, 0)
     explored = 0
     for size in range(min(budget, suffix[0]) + 1):
         if deficit and max(deficit) > size:
@@ -117,11 +108,10 @@ def _least_defense(vertices: list[int], caps: list[int], budget: int,
                 if r == 0:             # a candidate: later positions stay 0
                     explored += 1
                     counts = {vertices[p]: x[p] for p in range(i) if x[p]}
-                    new_cuts = separate(counts)
-                    if new_cuts is None:
+                    cut = separate(counts)
+                    if cut is None:
                         return size, counts, explored
-                    for hood, need in new_cuts:
-                        add_cut(hood, need, i)
+                    add_cut(*cut, i)
                     i, fresh = i - 1, False
                     continue
                 cap = caps[i]
@@ -179,14 +169,14 @@ def _min_defense(g: Graph, k: int, cap: int):
     if k < 1:
         raise InputError("attack budget k must be at least 1")
 
-    def separate(counts: VertexMultiset) -> Optional[list[Cut]]:
+    def separate(counts: VertexMultiset) -> Optional[Cut]:
         violator = find_violator(g, counts, k, "exhaustive")
         if violator is None:
             return None
         attack = violator.attack
-        return [(closed_neighborhood(g, attack), len(attack))]
+        return closed_neighborhood(g, attack), len(attack)
 
-    found = _least_defense(list(g.vertices), [cap] * g.n, g.n, (), separate)
+    found = _least_defense(list(g.vertices), [cap] * g.n, g.n, separate)
     if found is None:
         raise AssertionError("unreachable: one defender per vertex is always enough")
     return found
@@ -222,9 +212,9 @@ def min_constrained_multiset(g: Graph, attacks: Iterable[Iterable[int]],
     """Smallest multiset D with lower <= D <= upper countering each listed
     attack (only those).  Returns None when even `upper` fails.
 
-    The cut pool starts with the Hall cut of every nonempty subset of every
-    listed attack, net of the copies `lower` already puts there; the
-    matching check on each listed attack stays the verifier.
+    The matching check on the listed attacks verifies; the attackers S it
+    strands become the cut D(N[S]) >= |S|, net of the copies `lower`
+    already puts in N[S].
     """
     check_multiset(g, lower)
     check_multiset(g, upper)
@@ -237,31 +227,19 @@ def min_constrained_multiset(g: Graph, attacks: Iterable[Iterable[int]],
         require_vertices(g, a, "attack")
         attack_list.append(a)
 
-    def ok(defense: VertexMultiset) -> bool:
-        return uncountered(g, defense, attack_list) is None
-
-    if not ok(upper):
+    if uncountered(g, upper, attack_list) is not None:
         return None
-    cuts: dict[VertexSet, int] = {}
-    for attack in attack_list:
-        members = sorted(attack)
-        if len(members) <= SEEDED_ATTACK_SIZE:
-            sizes = range(1, len(members) + 1)
-        else:
-            sizes = (1, len(members))
-        for size in sizes:
-            for subset in itertools.combinations(members, size):
-                hood = closed_neighborhood(g, subset)
-                need = size - count_in(lower, hood)
-                if need > cuts.get(hood, 0):
-                    cuts[hood] = need
     slack_vertices = [v for v in sorted(upper) if upper[v] > lower.get(v, 0)]
     caps = [upper[v] - lower.get(v, 0) for v in slack_vertices]
 
-    def separate(add: VertexMultiset) -> Optional[list[Cut]]:
-        return None if ok(_plus(lower, add)) else []
+    def separate(add: VertexMultiset) -> Optional[Cut]:
+        stranded = uncountered(g, _plus(lower, add), attack_list)
+        if stranded is None:
+            return None
+        hood = closed_neighborhood(g, stranded)
+        return hood, len(stranded) - count_in(lower, hood)
 
-    found = _least_defense(slack_vertices, caps, sum(caps), cuts.items(), separate)
+    found = _least_defense(slack_vertices, caps, sum(caps), separate)
     if found is None:
         return None
     extra, add, explored = found

@@ -230,6 +230,38 @@ def test_sat_reduction_chain(tmp_path, capsys):
     assert code == 0 and verdict == "pass"
 
 
+@pytest.mark.parametrize("reduce, audit, builder", [
+    (["cnd-to-dds", "cnd.dds"], ["dds-forward", "--deletion", "x.set"],
+     "defdom.reductions.dds._build_dds"),
+    (["e2sat-to-cnd", "f.cnf", "--allow-small"], ["cnd-certificate", "--valuation", "nu.val"],
+     "defdom.reductions.sat.e2sat_to_cnd"),
+], ids=["dds", "sat"])
+def test_edgeless_reduction_files_end_before_the_builder(
+        tmp_path, capsys, monkeypatch, reduce, audit, builder):
+    # an edgeless copy of a construction, labels and parameters intact, once
+    # made the audit build the whole construction before comparing
+    from defdom.formulas import E2Formula
+    from defdom.io import read_graph
+    monkeypatch.chdir(tmp_path)
+    k4_pendant_file(tmp_path, {"s": 1, "t": 4})
+    write_formula("f.cnf", E2Formula(
+        1, 2, ((-1, 2, 3), (-1, 2, -3), (-1, -2, 3), (-1, -2, -3))))
+    write_vertex_set("x.set", [1])
+    write_valuation("nu.val", [True])
+    code, _, _ = run(capsys, "reduce", *reduce, "-o", "r.dds")
+    assert code == 0
+    g, params = read_graph("r.dds")
+    write_graph("r.dds", Graph(g.n, [], g.labels), params)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built the construction for an edgeless file")
+
+    monkeypatch.setattr(builder, no_build)
+    code, (verdict, _, _), err = run(capsys, "audit", audit[0], "r.dds", *audit[1:])
+    assert code == 2 and verdict == "error"
+    assert "edges" in err and "Traceback" not in err
+
+
 def test_e2sat_verdicts(tmp_path, capsys):
     from defdom.formulas import E2Formula
     formula = tmp_path / "f.cnf"
@@ -398,6 +430,33 @@ def source_env():
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+# Runs `main` on the arguments, then prints the peak RSS of this process in
+# KiB on the line after the record.  It reads VmHWM, the high-water mark of
+# the process's own memory map: Linux carries ru_maxrss across fork and exec,
+# so getrusage would report the test runner's size.
+CHILD = ("import sys\n"
+         "from defdom.cli import main\n"
+         "code = main(sys.argv[1:])\n"
+         "with open('/proc/self/status') as status:\n"
+         "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+         "sys.exit(code)\n")
+
+
+def run_child(*argv, timeout=60):
+    """Run one defdom command in a fresh interpreter.
+
+    Returns the exit code, the record line, stderr and the child's own peak
+    RSS in MB (None when the child died before reporting it).
+    """
+    proc = subprocess.run([sys.executable, "-c", CHILD, *map(str, argv)],
+                          capture_output=True, text=True, env=source_env(),
+                          timeout=timeout)
+    lines = proc.stdout.splitlines()
+    record = lines[0] if lines else ""
+    rss_mb = int(lines[1]) / 1024 if len(lines) == 2 else None
+    return proc.returncode, record, proc.stderr, rss_mb
+
+
 def test_python_dash_m(tmp_path):
     graph = tmp_path / "star.dds"
     write_graph(graph, star_graph(4))
@@ -420,6 +479,35 @@ def test_solve_exact_on_long_path_ends_with_a_record(tmp_path):
     assert proc.returncode in (0, 3), proc.stderr
     assert "Traceback" not in proc.stderr
     assert RECORD.match(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("graph, k", [(Graph(50_000, []), 1), (path_graph(40_000), 2)],
+                         ids=["edgeless-50000", "path-40000"])
+def test_verify_finds_a_lone_vertex_in_bounded_memory(tmp_path, graph, k):
+    # a vertex with no copy nearby is a size-1 violator; the search once
+    # built quadratic distance-2 masks first (about 200 MB here)
+    graph_file = tmp_path / "g.dds"
+    write_graph(graph_file, graph)
+    defense = tmp_path / "d.ms"
+    write_multiset(defense, {1: 1})
+    code, record, err, rss_mb = run_child("verify", graph_file, defense, k, "--multiset")
+    assert "Traceback" not in err
+    assert code == 1 and RECORD.match(record).group(1) == "bad"
+    assert rss_mb < 100, rss_mb
+
+
+@pytest.mark.parametrize("n, size", [(30, 13), (40, 20)])
+def test_solve_exact_learns_cuts_for_a_large_attack(tmp_path, n, size):
+    # seeding the cut of every subset of the attack took 10 s at (30, 13)
+    # and ran past 30 s at (40, 20)
+    graph = tmp_path / "p.dds"
+    write_graph(graph, path_graph(n))
+    attacks = tmp_path / "a.atk"
+    write_attacks(attacks, [range(1, size + 1)])
+    code, record, err, _ = run_child("--time-limit", 5, "solve-exact", graph,
+                                     "--attacks", attacks)
+    assert code == 0, err
+    assert RECORD.match(record).groups()[:2] == ("optimal", str(size))
 
 
 def test_hostile_sat_labels_exit_2_in_bounded_memory(tmp_path):

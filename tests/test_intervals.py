@@ -88,6 +88,7 @@ def test_properize_preserves_size_and_counterings():
         moved = properize(inst, defense)
         assert multiset_size(moved) == multiset_size(defense)
         assert is_proper(inst, moved)
+        assert properize(inst, moved) == moved
         for attack in attacks_up_to(g, 2):
             if hall_deficiency(g, defense, attack) <= 0:
                 assert hall_deficiency(g, moved, attack) <= 0

@@ -132,7 +132,13 @@ def test_uncountered_matches_per_attack_checks():
             assert counters(g, defense, a) == all(hall_deficiency(g, defense, s) <= 0
                                                   for s in subsets)
         first = next((frozenset(a) for a in attacks if not counters(g, defense, a)), None)
-        assert uncountered(g, defense, attacks) == first
+        stranded = uncountered(g, defense, attacks)
+        assert (stranded is None) == (first is None)
+        if first is not None:
+            # a Hall violator inside the first uncountered attack, re-checked
+            # by counting
+            assert stranded <= first
+            assert hall_deficiency(g, defense, stranded) >= 1
         failing += first is not None
     assert 50 < failing < 250
 
@@ -158,6 +164,9 @@ def test_uncountered_edge_cases():
     assert uncountered(g, {1: 2}, [[1, 2], [2, 3, 4]]) == {2, 3, 4}
     # a repeated attack is checked again, and the first failure wins
     assert uncountered(g, {2: 1}, [[2], [2], [3], [4]]) == {3}
+    # only the attackers the failed matching strands: 5 sees no copy, while
+    # 1 and 2 are matched to copies on 1 and 3
+    assert uncountered(path_graph(5), {1: 1, 3: 2}, [[1, 2, 5]]) == {5}
     with pytest.raises(InputError):
         uncountered(g, {1: 1}, [[1], [5]])
     with pytest.raises(InputError):

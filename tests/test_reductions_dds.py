@@ -6,11 +6,12 @@ import pytest
 from defdom.defense import find_violator
 from defdom.errors import InputError
 from defdom.graphs import (Graph, complete_graph, cycle_graph, delete_vertices,
-                           has_clique, multiset_size, path_graph)
+                           has_clique, multiset_size, path_graph, random_graph)
 from defdom.matching import counters
 from defdom.reductions import (CndInstance, cnd_to_dds, dds_from_graph,
                                enumerate_serious_attacks, extract_deletion_set,
                                proof_defense, solve_cnd_bruteforce)
+from defdom.reductions.dds import _dds_edge_count
 
 
 def k4_pendant():
@@ -180,6 +181,17 @@ def test_file_reconstruction_equals_original():
     cut, _ = delete_vertices(small.graph, small.layout.i3 + (small.graph.n,))
     with pytest.raises(InputError, match="ell must be nonnegative"):
         dds_from_graph(cut, small.k, -(small.k + 1))
+
+
+def test_edge_count_closed_form_matches_the_builder():
+    rng = random.Random(33)
+    for _ in range(40):
+        n = rng.randint(5, 10)
+        inst = CndInstance(random_graph(n, rng.random(), rng.randrange(1000)),
+                           rng.randint(1, n), 4)
+        for mode in ("proof-consistent", "literal"):
+            dds = cnd_to_dds(inst, ell_mode=mode)
+            assert _dds_edge_count(inst, dds.ell) == dds.graph.edge_count()
 
 
 def test_solve_cnd_bruteforce_examples():

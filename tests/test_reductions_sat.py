@@ -9,6 +9,7 @@ from defdom.graphs import Graph, delete_vertices, has_clique
 from defdom.reductions import (e2sat_to_cnd, deletion_to_valuation,
                                kt_witness_from_y, sat_cnd_from_graph,
                                typed_clique_audit, valuation_to_deletion)
+from defdom.reductions.sat import _sat_edge_count
 
 # Four clauses that pin x1=True to a contradiction over every (y1, y2) sign
 # pattern: yes-instance with winning assignment (True,).
@@ -174,6 +175,19 @@ def test_typed_audit_agrees_with_generic_search():
             remnant, _ = delete_vertices(sc.graph, cut)
             typed = typed_clique_audit(remnant, t)
             assert (typed is not None) == has_clique(remnant, t)
+
+
+def test_edge_count_closed_form_matches_the_builder():
+    rng = random.Random(34)
+    for _ in range(60):
+        a, b = rng.randint(0, 3), rng.randint(0, 3)
+        b = max(b, 3 - a)
+        clauses = []
+        for _ in range(rng.randint(max(1, 4 - b), 4)):
+            variables = rng.sample(range(1, a + b + 1), 3)
+            clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
+        f = E2Formula(a, b, tuple(clauses))
+        assert _sat_edge_count(f) == e2sat_to_cnd(f, allow_small=True).graph.edge_count()
 
 
 def test_label_file_roundtrip():

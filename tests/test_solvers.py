@@ -8,9 +8,8 @@ from defdom.errors import InputError
 from defdom.graphs import (complete_graph, cycle_graph, multiset_size,
                            path_graph, star_graph)
 from defdom.matching import counters
-from defdom.solvers import (SEEDED_ATTACK_SIZE, domination_number,
-                            min_constrained_multiset, min_multiset_defense,
-                            min_set_defense)
+from defdom.solvers import (domination_number, min_constrained_multiset,
+                            min_multiset_defense, min_set_defense)
 from helpers import (brute_dominating_number, random_simple_graph,
                      reference_min_constrained_multiset,
                      reference_min_multiset_defense, reference_min_set_defense)
@@ -150,13 +149,13 @@ def test_solvers_equal_enumeration_reference():
 
 
 def test_constrained_solver_with_large_listed_attacks():
-    # an attack above SEEDED_ATTACK_SIZE seeds only some of its Hall cuts, so
-    # candidates meeting them can still fail the matching check, which decides
+    # the search starts with no cuts, so the matching check rejects some
+    # candidates and each rejection teaches the cut of its stranded attackers
     rng = random.Random(14)
     rejected = 0
     for _ in range(20):
         g = random_simple_graph(rng, n_min=14, n_max=14)
-        attack = rng.sample(range(1, 15), SEEDED_ATTACK_SIZE + 1)
+        attack = rng.sample(range(1, 15), 13)
         lower = {v: 1 for v in rng.sample(range(1, 15), 6)}
         upper = {v: 1 for v in g.vertices}
         upper.update((v, 2) for v in rng.sample(range(1, 15), 3))
@@ -168,3 +167,14 @@ def test_constrained_solver_with_large_listed_attacks():
         assert (result.optimum, result.witness) == expected
         rejected += result.explored > 1
     assert rejected
+
+
+@pytest.mark.parametrize("n, size", [(30, 13), (40, 20)])
+def test_constrained_solver_learns_large_attacks_quickly(n, size):
+    # every cut comes from a failed matching, so an attack this large needs
+    # no enumeration of its subsets
+    g = path_graph(n)
+    attack = range(1, size + 1)
+    result = min_constrained_multiset(g, [attack], {}, {v: size for v in g.vertices})
+    assert result.optimum == size
+    assert counters(g, result.witness, attack)
