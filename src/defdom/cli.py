@@ -14,11 +14,10 @@ fail, no), 2 = usage or input error (error), 3 = time limit exceeded
 (timeout).
 
 Each command imports the modules it runs when it runs, so a job loads only
-its own code.
+its own code, and `main` builds the argument parser of that command alone.
 """
 
 import argparse
-import signal
 import sys
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Optional
@@ -48,6 +47,7 @@ def _alarm(seconds: Optional[int]):
         return
     if not 1 <= seconds <= MAX_TIME_LIMIT:
         raise InputError(f"--time-limit must lie in 1..{MAX_TIME_LIMIT} seconds")
+    import signal   # about 1 ms of start-up, so only a job with a limit pays it
 
     def handler(signum, frame):
         raise _Timeout()
@@ -155,13 +155,12 @@ def cmd_solve_exact(args) -> tuple:
 
 
 def cmd_greedy(args) -> tuple:
-    from defdom.graphs import multiset_size
     from defdom.intervals import greedy_defense
     from defdom.io import read_intervals, write_multiset
     inst = read_intervals(args.intervals)
     k = _require_k(args.k)
     defense = greedy_defense(inst, k)
-    size = multiset_size(defense)
+    size = sum(defense.values())
     _log(f"greedy defense of size {size}: {_format_multiset(defense)}")
     cert = _emit(args.emit_defense, write_multiset, defense)
     if not args.check:
@@ -393,16 +392,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="defdom",
-        description="defensive graph domination: verification, exact and "
-                    "greedy solvers, hardness reductions, audits")
-    parser.add_argument("--time-limit", type=int, metavar="SECONDS",
-                        help="abort with exit code 3 after this many seconds")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="check a defense against all attacks up to size k")
+def _verify_args(p) -> None:
     p.add_argument("graph")
     p.add_argument("defense")
     p.add_argument("k", type=int, nargs="?")
@@ -412,7 +402,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="violator search: pruned or exhaustive (default: %(default)s)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("solve-exact", help="smallest defense by exact, cut-pruned search")
+
+def _solve_exact_args(p) -> None:
     p.add_argument("graph")
     p.add_argument("k", type=int, nargs="?")
     p.add_argument("--multiset", action="store_true",
@@ -424,7 +415,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-defense", metavar="FILE")
     p.set_defaults(func=cmd_solve_exact)
 
-    p = sub.add_parser("greedy", help="greedy multiset defense for an interval instance")
+
+def _greedy_args(p) -> None:
     p.add_argument("intervals")
     p.add_argument("k", type=int, nargs="?")
     p.add_argument("--emit-defense", metavar="FILE")
@@ -432,7 +424,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="re-verify the output with the pruned violator search")
     p.set_defaults(func=cmd_greedy)
 
-    p = sub.add_parser("reduce", help="build a hardness-reduction instance")
+
+def _reduce_args(p) -> None:
     psub = p.add_subparsers(dest="kind", required=True)
     q = psub.add_parser("cnd-to-dds",
                         help="clique node deletion -> defensive domination")
@@ -452,7 +445,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="waive the clause-count requirement (audit use)")
     q.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("audit", help="run an invariant suite entry on an instance")
+
+def _audit_args(p) -> None:
     psub = p.add_subparsers(dest="kind", required=True)
     for kind, func, outcome in (("dds-forward", cmd_audit_dds_forward, "full verification"),
                                 ("dds-roundtrip", cmd_audit_dds_roundtrip,
@@ -476,25 +470,29 @@ def _parser() -> argparse.ArgumentParser:
     q.add_argument("--t", type=int)
     q.set_defaults(func=cmd_audit_clique_typed)
 
-    p = sub.add_parser("e2sat", help="solve a two-level formula by brute force")
+
+def _e2sat_args(p) -> None:
     p.add_argument("formula")
     p.add_argument("--emit-valuation", metavar="FILE")
     p.set_defaults(func=cmd_e2sat)
 
-    p = sub.add_parser("solve-cnd", help="clique node deletion by brute force")
+
+def _solve_cnd_args(p) -> None:
     p.add_argument("graph")
     p.add_argument("--s", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--emit-deletion", metavar="FILE")
     p.set_defaults(func=cmd_solve_cnd)
 
-    p = sub.add_parser("clique", help="find one clique of a given size")
+
+def _clique_args(p) -> None:
     p.add_argument("graph")
     p.add_argument("t", type=int)
     p.add_argument("--emit-witness", metavar="FILE")
     p.set_defaults(func=cmd_clique)
 
-    p = sub.add_parser("gen", help="deterministic instance generators")
+
+def _gen_args(p) -> None:
     psub = p.add_subparsers(dest="kind", required=True)
     for kind, flags in (
             ("interval", ("n",)), ("random", ("n", "p")), ("star", ("leaves",)),
@@ -510,12 +508,51 @@ def _parser() -> argparse.ArgumentParser:
         q.add_argument("-o", "--output", required=True)
         q.set_defaults(func=cmd_gen)
 
+
+# command -> (its help line, the function that adds its arguments)
+_COMMANDS = {
+    "verify": ("check a defense against all attacks up to size k", _verify_args),
+    "solve-exact": ("smallest defense by exact, cut-pruned search", _solve_exact_args),
+    "greedy": ("greedy multiset defense for an interval instance", _greedy_args),
+    "reduce": ("build a hardness-reduction instance", _reduce_args),
+    "audit": ("run an invariant suite entry on an instance", _audit_args),
+    "e2sat": ("solve a two-level formula by brute force", _e2sat_args),
+    "solve-cnd": ("clique node deletion by brute force", _solve_cnd_args),
+    "clique": ("find one clique of a given size", _clique_args),
+    "gen": ("deterministic instance generators", _gen_args),
+}
+
+
+def _invoked(argv: list[str]) -> Optional[str]:
+    """The command `argv` runs when it comes first; None otherwise (help, an
+    option or an unknown command), since then the parser needs every
+    command, to list them or name the choices."""
+    return argv[0] if argv and argv[0] in _COMMANDS else None
+
+
+def _parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The command line; with a `command`, only that command's subparser is
+    built, which is most of the set-up time, and the usage line still lists
+    every command."""
+    parser = _Parser(
+        prog="defdom",
+        description="defensive graph domination: verification, exact and "
+                    "greedy solvers, hardness reductions, audits")
+    parser.add_argument("--time-limit", type=int, metavar="SECONDS",
+                        help="abort with exit code 3 after this many seconds")
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name, (text, add_arguments) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=text))
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _parser(_invoked(argv)).parse_args(argv)
         with _alarm(args.time_limit):
             record = args.func(args)
     except InputError as exc:

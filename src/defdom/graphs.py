@@ -10,11 +10,13 @@ instance has been written to disk and read back.
 
 import itertools
 import random
+from collections import defaultdict
 from typing import Iterable, Iterator, Mapping, Optional
 
 from defdom.errors import InputError
 
 VertexSet = frozenset[int]
+_NO_NEIGHBORS: VertexSet = frozenset()
 
 # A multiset of vertices is a plain dict: vertex -> positive copy count.
 VertexMultiset = dict[int, int]
@@ -33,16 +35,21 @@ class Graph:
                  labels: Optional[Mapping[int, str]] = None):
         if n < 0:
             raise InputError("vertex count must be nonnegative")
-        nbrs: list[set[int]] = [set() for _ in range(n + 1)]
+        nbrs: defaultdict[int, list[int]] = defaultdict(list)
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise InputError(f"edge ({u},{v}) outside vertex range 1..{n}")
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            nbrs[u].append(v)
+            nbrs[v].append(u)
         self.n = n
-        self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in nbrs)
+        # isolated vertices share one empty set, so an edgeless graph costs
+        # a pointer per vertex
+        adj = [_NO_NEIGHBORS] * (n + 1)
+        for v, vs in nbrs.items():
+            adj[v] = frozenset(vs)
+        self.adj: tuple[frozenset[int], ...] = tuple(adj)
         if labels is not None:
             if set(labels) != set(range(1, n + 1)):
                 raise InputError("labels must cover vertices 1..n exactly")

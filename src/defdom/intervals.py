@@ -9,6 +9,12 @@ No two distinct intervals share an endpoint value (point intervals are
 fine): the constructor rejects a tie, and all block and greedy machinery
 rests on that.
 
+The constructor sorts the 2n endpoints once and keeps the result as
+`order`: slot v-1 stands for the lo of interval v and slot n+v-1 for its
+hi, and `order` lists the slots by ascending value, a point interval's lo
+just before its hi.  The tie check, the endpoint ranks, the greedy and the
+intersection graph all read that order; none sorts endpoints again.
+
 The greedy sweeps right endpoints in ascending order and, for every prefix
 block (the m members of the processed prefix with the largest left
 endpoints), tops the nearby defender count up to m, always stationing new
@@ -40,21 +46,30 @@ import operator
 from array import array
 from bisect import bisect_left
 from heapq import heappush, heappushpop
-from itertools import chain, repeat
-from typing import TYPE_CHECKING, Mapping, Union
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 from defdom.errors import InputError
-from defdom.graphs import Graph, VertexMultiset
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
+    from defdom.graphs import Graph, VertexMultiset
+
 Endpoint = Union[int, "Fraction"]
 
 
-def _exact(x: "Fraction") -> Endpoint:
-    """x as an int when whole, else x itself."""
-    return x.numerator if x.denominator == 1 else x
+def _exact_columns(lo: Sequence, hi: Sequence) -> tuple[list[Endpoint], list[Endpoint]]:
+    """Both columns as exact rationals: `int` when whole, else `Fraction`."""
+    from fractions import Fraction
+    for v, (a, b) in enumerate(zip(lo, hi), start=1):
+        if isinstance(a, float) or isinstance(b, float):
+            raise InputError(f"interval {v} uses float endpoints; use int or Fraction")
+
+    def exact(x) -> Endpoint:
+        x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
+    return list(map(exact, lo)), list(map(exact, hi))
 
 
 class IntervalInstance:
@@ -63,32 +78,40 @@ class IntervalInstance:
     Endpoints are exact rationals, stored as `int` when the denominator is 1
     and as `Fraction` otherwise (the two compare and hash alike); floats are
     rejected to keep every comparison exact, and so is an endpoint value
-    shared by two intervals.
+    shared by two intervals.  `order` is the endpoint order, sorted once
+    when the instance is built (see `validate`).
     """
 
-    __slots__ = ("n", "lo", "hi")
+    __slots__ = ("n", "lo", "hi", "order")
 
     def __init__(self, intervals: Mapping[int, tuple[Endpoint, Endpoint]]):
         n = len(intervals)
         if set(intervals) != set(range(1, n + 1)):
             raise InputError("interval ids must be exactly 1..n")
+        rows = list(map(intervals.__getitem__, range(1, n + 1)))
+        self._build([lo for lo, _ in rows], [hi for _, hi in rows])
+
+    @classmethod
+    def from_columns(cls, lo: Sequence[Endpoint],
+                     hi: Sequence[Endpoint]) -> "IntervalInstance":
+        """The instance whose interval v is [lo[v-1], hi[v-1]], with the
+        constructor's checks but no mapping of pairs to build first; the
+        two columns have equal length."""
+        inst = cls.__new__(cls)
+        inst._build(lo, hi)
+        return inst
+
+    def _build(self, lo: Sequence[Endpoint], hi: Sequence[Endpoint]) -> None:
+        if not {int}.issuperset(map(type, chain(lo, hi))):   # else nothing to convert
+            lo, hi = _exact_columns(lo, hi)
+        n = len(lo)
+        if any(map(operator.gt, lo, hi)):
+            v = next(v for v in range(n) if lo[v] > hi[v]) + 1
+            raise InputError(f"interval {v} has lo > hi")
         self.n = n
-        self.lo: dict[int, Endpoint] = {}
-        self.hi: dict[int, Endpoint] = {}
-        fraction = None   # bound on the first non-int endpoint
-        for v in range(1, n + 1):
-            lo, hi = intervals[v]
-            if type(lo) is not int or type(hi) is not int:
-                if isinstance(lo, float) or isinstance(hi, float):
-                    raise InputError(f"interval {v} uses float endpoints; use int or Fraction")
-                if fraction is None:  # so an all-int instance never imports it
-                    from fractions import Fraction as fraction
-                lo, hi = _exact(fraction(lo)), _exact(fraction(hi))
-            if lo > hi:
-                raise InputError(f"interval {v} has lo > hi")
-            self.lo[v] = lo
-            self.hi[v] = hi
-        validate(self)
+        self.lo: dict[int, Endpoint] = dict(zip(range(1, n + 1), lo))
+        self.hi: dict[int, Endpoint] = dict(zip(range(1, n + 1), hi))
+        self.order = validate(self)
 
     @property
     def vertices(self) -> range:
@@ -110,18 +133,25 @@ class IntervalInstance:
         return f"IntervalInstance(n={self.n})"
 
 
-def validate(inst: IntervalInstance) -> None:
-    """Require that no two distinct intervals share an endpoint value.
+def validate(inst: IntervalInstance) -> "array[int]":
+    """Require that no two distinct intervals share an endpoint value, and
+    return the instance's endpoint order.
 
-    A point interval may coincide with itself (lo == hi); any value reuse
-    across different vertices is rejected.  The check counts distinct
-    values; only a failing instance is scanned again to name a culprit pair.
-    Every `IntervalInstance` runs it when built.
+    The order lists the 2n endpoint slots, slot v-1 for the lo of interval
+    v and slot n+v-1 for its hi, by ascending value, as machine ints.  One
+    stable sort builds it, so a point interval's lo comes just before its
+    hi.  A point interval may coincide with itself (lo == hi); any value
+    reuse across different vertices is rejected.  So the instance is valid
+    exactly when the order has as many equal neighbours as there are point
+    intervals; only a failing instance is scanned again to name a culprit
+    pair.  Every `IntervalInstance` runs it when built.
     """
     values = [*inst.lo.values(), *inst.hi.values()]
-    points = sum(map(operator.eq, inst.lo.values(), inst.hi.values()))
-    if len(set(values)) == len(values) - points:
-        return
+    slots = sorted(range(len(values)), key=values.__getitem__)
+    ranked = list(map(values.__getitem__, slots))
+    ties = sum(map(operator.eq, ranked, islice(ranked, 1, None)))
+    if ties == sum(map(operator.eq, inst.lo.values(), inst.hi.values())):
+        return array("l", slots)
     seen: dict[Endpoint, tuple[int, str]] = {}
     for v in inst.vertices:
         for value, kind in ((inst.lo[v], "lo"), (inst.hi[v], "hi")):
@@ -133,26 +163,23 @@ def validate(inst: IntervalInstance) -> None:
             seen[value] = (v, kind)
 
 
-def intersection_graph(inst: IntervalInstance) -> Graph:
-    """Intersection graph via an endpoint sweep."""
-    events = []
-    for v in inst.vertices:
-        # value ties only happen within one point interval; open sorts first
-        events.append((inst.lo[v], 0, v))
-        events.append((inst.hi[v], 1, v))
-    events.sort()
+def intersection_graph(inst: IntervalInstance) -> "Graph":
+    """Intersection graph via a sweep of the endpoint order."""
+    from defdom.graphs import Graph
+    n = inst.n
     active: set[int] = set()
     edges: list[tuple[int, int]] = []
-    for _, kind, v in events:
-        if kind == 0:
+    for i in inst.order:     # a point interval opens before it closes
+        if i < n:
+            v = i + 1
             edges.extend((min(u, v), max(u, v)) for u in active)
             active.add(v)
         else:
-            active.discard(v)
-    return Graph(inst.n, edges)
+            active.discard(i - n + 1)
+    return Graph(n, edges)
 
 
-def properize(inst: IntervalInstance, defense: VertexMultiset) -> VertexMultiset:
+def properize(inst: IntervalInstance, defense: "VertexMultiset") -> "VertexMultiset":
     """Move defenders off properly contained intervals.
 
     The copies on a defender's interval that another interval contains move
@@ -178,21 +205,19 @@ def properize(inst: IntervalInstance, defense: VertexMultiset) -> VertexMultiset
 def _endpoint_ranks(inst: IntervalInstance) -> tuple[list[int], list[int]]:
     """Positions of each endpoint in the sorted order of all 2n endpoints.
 
-    Exact (one sort of the stored values, then machine ints) and
-    order-isomorphic, so every cross-interval comparison is preserved; a
-    point interval comes out with lo rank < hi rank, giving it positive
-    width without changing the intersection graph.
+    Exact (read off the instance's endpoint order) and order-isomorphic, so
+    every cross-interval comparison is preserved; a point interval comes out
+    with lo rank < hi rank, giving it positive width without changing the
+    intersection graph.
     """
     n = inst.n
-    values = [*inst.lo.values(), *inst.hi.values()]   # lo of v at v-1, hi at n+v-1
     ranks = [0] * (2 * n)
-    # stable: a point interval keeps lo before hi
-    for rank, i in enumerate(sorted(range(2 * n), key=values.__getitem__)):
+    for rank, i in enumerate(inst.order):
         ranks[i] = rank
     return [0, *ranks[:n]], [0, *ranks[n:]]
 
 
-def greedy_defense_reference(inst: IntervalInstance, k: int) -> VertexMultiset:
+def greedy_defense_reference(inst: IntervalInstance, k: int) -> "VertexMultiset":
     """Literal restatement of the greedy, quadratic on purpose.
 
     Kept as the differential-testing partner for the fast sweep below; the
@@ -224,10 +249,11 @@ def greedy_defense_reference(inst: IntervalInstance, k: int) -> VertexMultiset:
     return defense
 
 
-def greedy_defense(inst: IntervalInstance, k: int) -> VertexMultiset:
+def greedy_defense(inst: IntervalInstance, k: int) -> "VertexMultiset":
     """Fast sweep producing the same multiset as the reference.
 
-    Works in endpoint-rank space: one stable sort orders the 2n endpoints.  `mate[x]`
+    Works in endpoint-rank space: the instance's `order` ranks the 2n
+    endpoints, sorted when it was built.  `mate[x]`
     is the rank of the other endpoint of the interval with an endpoint at
     rank x, so mate[x] > x marks a left end and mate[x] < x a right end.
     The sweep walks the ranks.  At a left end, `best_right` keeps the
@@ -273,14 +299,7 @@ def greedy_defense(inst: IntervalInstance, k: int) -> VertexMultiset:
     if k < 1:
         raise InputError("attack budget k must be at least 1")
     n = inst.n
-    # Fresh copies, laid out in slot order, keep the sort on compact memory
-    # wherever the caller's values live.
-    values = list(map(operator.add, chain(inst.lo.values(), inst.hi.values()),
-                      repeat(0)))                 # lo of v at v-1, hi at n+v-1
-    # stable, so a point's lo ranks just before its hi; an array, so the
-    # passes below read machine ints rather than scattered int objects
-    order = array("l", sorted(range(2 * n), key=values.__getitem__))
-    del values
+    order = inst.order
     opened = array("l", [0]) * n            # rank of each lo, by slot
     mate = array("l", [0]) * (2 * n)
     for x, i in enumerate(order):           # a lo always ranks before its hi

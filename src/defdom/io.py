@@ -12,31 +12,42 @@ are a single line of 0/1 bits.
 
 Every parse failure raises InputError with the offending line number; a
 file that cannot be read as UTF-8 text, or cannot be written, raises it too.
+The line readers below are the one definition of each format and of every
+error text.  Interval files alone also have a bulk path: a file in the
+canonical layout that `write_intervals` produces (the header, then lines
+"<id> <lo> <hi>" of integers with ids 1..n in order, single spaces and a
+final newline) is checked in one pass over the text and read column-wise,
+and any other file goes to the line reader, so every other spelling is
+accepted or refused exactly as that reader says.
 """
 
+import operator
 import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 
 from defdom.errors import InputError
-from defdom.graphs import Graph, VertexMultiset, VertexSet
 
 if TYPE_CHECKING:
     from defdom.formulas import E2Formula
+    from defdom.graphs import Graph, VertexMultiset, VertexSet
     from defdom.intervals import Endpoint, IntervalInstance
 
 PathLike = Union[str, Path]
 
 
-def _lines(path: PathLike, keep: tuple[str, ...] = ()) -> list[tuple[int, str]]:
-    """Numbered nonblank lines, stripped; "c" comment lines are dropped
-    unless their second word is in `keep`."""
+def _read(path: PathLike) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
+def _lines(text: str, keep: tuple[str, ...] = ()) -> list[tuple[int, str]]:
+    """Numbered nonblank lines, stripped; "c" comment lines are dropped
+    unless their second word is in `keep`."""
     out = []
     for num, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -57,58 +68,59 @@ def _write(path: PathLike, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _int(token: str, where: str) -> int:
+def _int(token: str, path: PathLike, num: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise InputError(f"{where}: expected an integer, got {token!r}") from None
+        raise InputError(f"{path}:{num}: expected an integer, got {token!r}") from None
 
 
-def read_graph(path: PathLike) -> tuple[Graph, dict[str, int]]:
+def read_graph(path: PathLike) -> tuple["Graph", dict[str, int]]:
     """Parse a graph file; returns the graph and any "c params" entries."""
+    from defdom.graphs import Graph
     header: Optional[tuple[int, int]] = None
     edges: list[tuple[int, int]] = []
     labels: dict[int, str] = {}
     params: dict[str, int] = {}
-    for num, line in _lines(path, keep=("role", "params")):
-        where = f"{path}:{num}"
+    for num, line in _lines(_read(path), keep=("role", "params")):
         parts = line.split()
         if parts[0] == "c":
             if parts[1] == "role":
                 if len(parts) < 4:
-                    raise InputError(f"{where}: role line needs a vertex and a label")
-                v = _int(parts[2], where)
+                    raise InputError(f"{path}:{num}: role line needs a vertex and a label")
+                v = _int(parts[2], path, num)
                 if v in labels:
-                    raise InputError(f"{where}: second role line for vertex {v}")
+                    raise InputError(f"{path}:{num}: second role line for vertex {v}")
                 labels[v] = " ".join(parts[3:])
             else:
                 pairs = parts[2:]
                 if not pairs or len(pairs) % 2:
-                    raise InputError(f"{where}: params line needs name/value pairs")
+                    raise InputError(f"{path}:{num}: params line needs name/value pairs")
                 for name, value in zip(pairs[0::2], pairs[1::2]):
                     if name in params:
-                        raise InputError(f"{where}: parameter {name} given twice")
-                    params[name] = _int(value, where)
+                        raise InputError(f"{path}:{num}: parameter {name} given twice")
+                    params[name] = _int(value, path, num)
             continue
         if parts[0] == "p":
             if header is not None:
-                raise InputError(f"{where}: duplicate header")
+                raise InputError(f"{path}:{num}: duplicate header")
             if len(parts) != 4 or parts[1] != "dds":
-                raise InputError(f"{where}: header must be 'p dds <n> <m>'")
-            header = (_int(parts[2], where), _int(parts[3], where))
+                raise InputError(f"{path}:{num}: header must be 'p dds <n> <m>'")
+            header = (_int(parts[2], path, num), _int(parts[3], path, num))
             continue
         if parts[0] == "e":
             if header is None:
-                raise InputError(f"{where}: edge before header")
+                raise InputError(f"{path}:{num}: edge before header")
             if len(parts) != 3:
-                raise InputError(f"{where}: edge line must be 'e <u> <v>'")
-            u, v = _int(parts[1], where), _int(parts[2], where)
+                raise InputError(f"{path}:{num}: edge line must be 'e <u> <v>'")
+            u, v = _int(parts[1], path, num), _int(parts[2], path, num)
             n = header[0]
             if not (1 <= u < v <= n):
-                raise InputError(f"{where}: edge ({u},{v}) must satisfy 1 <= u < v <= {n}")
+                raise InputError(f"{path}:{num}: edge ({u},{v}) must satisfy "
+                                 f"1 <= u < v <= {n}")
             edges.append((u, v))
             continue
-        raise InputError(f"{where}: unrecognized line {line!r}")
+        raise InputError(f"{path}:{num}: unrecognized line {line!r}")
     if header is None:
         raise InputError(f"{path}: missing 'p dds' header")
     n, m = header
@@ -122,7 +134,7 @@ def read_graph(path: PathLike) -> tuple[Graph, dict[str, int]]:
     return Graph(n, edges, labels or None), params
 
 
-def write_graph(path: PathLike, g: Graph, params: Optional[Mapping[str, int]] = None) -> None:
+def write_graph(path: PathLike, g: "Graph", params: Optional[Mapping[str, int]] = None) -> None:
     lines = [f"p dds {g.n} {g.edge_count()}"]
     if params:
         pairs = " ".join(f"{name} {value}" for name, value in params.items())
@@ -134,10 +146,10 @@ def write_graph(path: PathLike, g: Graph, params: Optional[Mapping[str, int]] = 
     _write(path, "\n".join(lines) + "\n")
 
 
-def read_vertex_set(path: PathLike) -> VertexSet:
+def read_vertex_set(path: PathLike) -> "VertexSet":
     out = set()
-    for num, line in _lines(path):
-        v = _int(line, f"{path}:{num}")
+    for num, line in _lines(_read(path)):
+        v = _int(line, path, num)
         if v in out:
             raise InputError(f"{path}:{num}: vertex {v} listed twice")
         out.add(v)
@@ -149,23 +161,22 @@ def write_vertex_set(path: PathLike, vertices: Iterable[int]) -> None:
     _write(path, body)
 
 
-def read_multiset(path: PathLike) -> VertexMultiset:
+def read_multiset(path: PathLike) -> "VertexMultiset":
     out: dict[int, int] = {}
-    for num, line in _lines(path):
-        where = f"{path}:{num}"
+    for num, line in _lines(_read(path)):
         parts = line.split()
         if len(parts) != 2:
-            raise InputError(f"{where}: multiset line must be '<v> <count>'")
-        v, count = _int(parts[0], where), _int(parts[1], where)
+            raise InputError(f"{path}:{num}: multiset line must be '<v> <count>'")
+        v, count = _int(parts[0], path, num), _int(parts[1], path, num)
         if v in out:
-            raise InputError(f"{where}: vertex {v} listed twice")
+            raise InputError(f"{path}:{num}: vertex {v} listed twice")
         if count < 1:
-            raise InputError(f"{where}: count must be positive")
+            raise InputError(f"{path}:{num}: count must be positive")
         out[v] = count
     return out
 
 
-def write_multiset(path: PathLike, d: VertexMultiset) -> None:
+def write_multiset(path: PathLike, d: "VertexMultiset") -> None:
     body = "".join(f"{v} {count}\n" for v, count in sorted(d.items()) if count)
     _write(path, body)
 
@@ -188,31 +199,70 @@ def _endpoint(token: str) -> "Endpoint":
 
 def read_intervals(path: PathLike) -> "IntervalInstance":
     """Parse an interval file ("p intervals <n>" header)."""
+    text = _read(path)
+    inst = _canonical_intervals(text)
+    return inst if inst is not None else _intervals_by_line(text, path)
+
+
+_HEAD = "p intervals "
+_NUMERALS = str.maketrans("", "", "0123456789-")
+
+
+def _canonical_intervals(text: str) -> Optional["IntervalInstance"]:
+    """The instance in a file of canonical layout; None for any other file.
+
+    Deleting digits and '-' from a canonical file leaves the header's words
+    and then "  \n" once per interval.  Given that, 3n + 3 tokens mean that
+    no field is empty, and int() refuses a stray '-'.  The header's count
+    is compared with the file's line count before anything of that size
+    is built.
+    """
+    if not text.startswith(_HEAD):
+        return None
+    try:
+        n = int(text[len(_HEAD):text.find("\n")])
+    except ValueError:            # not an integer, or past int()'s digit limit
+        return None
+    if text.count("\n") != n + 1 or text.translate(_NUMERALS) != f"{_HEAD}\n" + "  \n" * n:
+        return None
+    tokens = text.split()
+    if len(tokens) != 3 * n + 3:
+        return None
+    try:
+        if not all(map(operator.eq, map(int, tokens[3::3]), range(1, n + 1))):
+            return None
+        lo, hi = list(map(int, tokens[4::3])), list(map(int, tokens[5::3]))
+    except ValueError:
+        return None
+    from defdom.intervals import IntervalInstance
+    return IntervalInstance.from_columns(lo, hi)
+
+
+def _intervals_by_line(text: str, path: PathLike) -> "IntervalInstance":
     from defdom.intervals import IntervalInstance
     header: Optional[int] = None
     rows: dict[int, tuple[Endpoint, Endpoint]] = {}
-    for num, line in _lines(path):
-        where = f"{path}:{num}"
+    for num, line in _lines(text):
         parts = line.split()
         if parts[0] == "p":
             if header is not None:
-                raise InputError(f"{where}: duplicate header")
+                raise InputError(f"{path}:{num}: duplicate header")
             if len(parts) != 3 or parts[1] != "intervals":
-                raise InputError(f"{where}: header must be 'p intervals <n>'")
-            header = _int(parts[2], where)
+                raise InputError(f"{path}:{num}: header must be 'p intervals <n>'")
+            header = _int(parts[2], path, num)
             continue
         if header is None:
-            raise InputError(f"{where}: interval before header")
+            raise InputError(f"{path}:{num}: interval before header")
         if len(parts) != 3:
-            raise InputError(f"{where}: interval line must be '<id> <l> <r>'")
-        v = _int(parts[0], where)
+            raise InputError(f"{path}:{num}: interval line must be '<id> <l> <r>'")
+        v = _int(parts[0], path, num)
         try:
             lo, hi = _endpoint(parts[1]), _endpoint(parts[2])
         except (ValueError, ZeroDivisionError):
-            raise InputError(f"{where}: endpoints must be decimal rationals "
+            raise InputError(f"{path}:{num}: endpoints must be decimal rationals "
                              f"such as 3, -0.5 or 3/4") from None
         if v in rows:
-            raise InputError(f"{where}: interval id {v} listed twice")
+            raise InputError(f"{path}:{num}: interval id {v} listed twice")
         rows[v] = (lo, hi)
     if header is None:
         raise InputError(f"{path}: missing 'p intervals' header")
@@ -233,21 +283,20 @@ def read_formula(path: PathLike) -> "E2Formula":
     from defdom.formulas import E2Formula
     header: Optional[tuple[int, int, int]] = None
     clauses: list[tuple[int, int, int]] = []
-    for num, line in _lines(path):
-        where = f"{path}:{num}"
+    for num, line in _lines(_read(path)):
         parts = line.split()
         if parts[0] == "p":
             if header is not None:
-                raise InputError(f"{where}: duplicate header")
+                raise InputError(f"{path}:{num}: duplicate header")
             if len(parts) != 5 or parts[1] != "e2cnf":
-                raise InputError(f"{where}: header must be 'p e2cnf <a> <b> <c>'")
-            header = (_int(parts[2], where), _int(parts[3], where), _int(parts[4], where))
+                raise InputError(f"{path}:{num}: header must be 'p e2cnf <a> <b> <c>'")
+            header = tuple(_int(word, path, num) for word in parts[2:])
             continue
         if header is None:
-            raise InputError(f"{where}: clause before header")
-        lits = [_int(tok, where) for tok in parts]
+            raise InputError(f"{path}:{num}: clause before header")
+        lits = [_int(tok, path, num) for tok in parts]
         if len(lits) != 4 or lits[-1] != 0:
-            raise InputError(f"{where}: clause line must hold three literals and a 0")
+            raise InputError(f"{path}:{num}: clause line must hold three literals and a 0")
         clauses.append((lits[0], lits[1], lits[2]))
     if header is None:
         raise InputError(f"{path}: missing 'p e2cnf' header")
@@ -267,11 +316,10 @@ def write_formula(path: PathLike, f: "E2Formula") -> None:
 def read_attacks(path: PathLike) -> list[list[int]]:
     """One attack per line: distinct vertex ids separated by spaces."""
     out: list[list[int]] = []
-    for num, line in _lines(path):
-        where = f"{path}:{num}"
-        attack = [_int(tok, where) for tok in line.split()]
+    for num, line in _lines(_read(path)):
+        attack = [_int(tok, path, num) for tok in line.split()]
         if len(set(attack)) != len(attack):
-            raise InputError(f"{where}: attack repeats a vertex")
+            raise InputError(f"{path}:{num}: attack repeats a vertex")
         out.append(attack)
     return out
 
@@ -284,7 +332,7 @@ def write_attacks(path: PathLike, attacks: Iterable[Iterable[int]]) -> None:
 
 def read_valuation(path: PathLike, expected: Optional[int] = None) -> tuple[bool, ...]:
     """A single line of 0/1 bits, with or without spaces."""
-    lines = _lines(path)
+    lines = _lines(_read(path))
     if len(lines) != 1:
         raise InputError(f"{path}: valuation file must hold exactly one line")
     num, line = lines[0]

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import defdom
+from defdom import cli
 from defdom.cli import main
+from defdom.errors import InputError
 from defdom.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from defdom.intervals import IntervalInstance
 from defdom.io import (read_formula, read_multiset, read_valuation,
@@ -423,6 +425,51 @@ def test_usage_errors_end_in_an_error_record(capsys):
         assert err.startswith("usage: defdom") and "Traceback" not in err, argv
 
 
+COMMANDS = ("verify", "solve-exact", "greedy", "reduce", "audit", "e2sat",
+            "solve-cnd", "clique", "gen")
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["-h"])
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    assert "{" + ",".join(COMMANDS) + "}" in text
+    assert all(f"\n    {command} " in text for command in COMMANDS), text
+
+
+def test_one_command_parser_reads_as_the_full_one(capsys):
+    # a job builds only its own command's subparser; its help and the
+    # usage line of a top-level error stay those of the full parser
+    for argv in (["greedy", "-h"], ["reduce", "cnd-to-dds", "--help"],
+                 ["greedy", "i.ivl", "2", "extra"]):
+        with pytest.raises((SystemExit, InputError)) as full:
+            cli._parser().parse_args(argv)
+        expected = capsys.readouterr()
+        with pytest.raises((SystemExit, InputError)) as one:
+            cli._parser(cli._invoked(argv)).parse_args(argv)
+        assert capsys.readouterr() == expected, argv
+        assert str(one.value) == str(full.value), argv
+    assert [cli._invoked(argv) for argv in (
+        ["greedy", "f", "2"], ["-h", "greedy"], ["--help"], ["frobnicate"],
+        ["--", "greedy"], [])] == ["greedy", None, None, None, None, None]
+
+
+def test_unknown_command_names_the_choices(capsys):
+    code, (verdict, _, _), err = run(capsys, "frobnicate", "x")
+    assert code == 2 and verdict == "error"
+    assert "invalid choice: 'frobnicate'" in err
+    assert all(repr(command) in err for command in COMMANDS), err
+
+
+def test_time_limit_spellings_before_a_command(tmp_path, capsys):
+    intervals = tmp_path / "i.ivl"
+    write_intervals(intervals, IntervalInstance({1: (0, 2), 2: (1, 3), 3: (4, 5)}))
+    for limit in (["--time-limit", "5"], ["--time-limit=5"], ["--time", "5"]):
+        code, record, _ = run(capsys, *limit, "greedy", intervals, 2)
+        assert (code, record) == (0, ("ok", "3", "-")), limit
+
+
 def source_env():
     """The environment with this checkout's sources first on PYTHONPATH."""
     src = str(Path(defdom.__file__).resolve().parents[1])
@@ -481,11 +528,13 @@ def test_solve_exact_on_long_path_ends_with_a_record(tmp_path):
     assert RECORD.match(proc.stdout.strip().splitlines()[-1])
 
 
-@pytest.mark.parametrize("graph, k", [(Graph(50_000, []), 1), (path_graph(40_000), 2)],
-                         ids=["edgeless-50000", "path-40000"])
+@pytest.mark.parametrize("graph, k", [(Graph(50_000, []), 1), (path_graph(40_000), 2),
+                                      (Graph(1_000_000, []), 2)],
+                         ids=["edgeless-50000", "path-40000", "edgeless-1000000"])
 def test_verify_finds_a_lone_vertex_in_bounded_memory(tmp_path, graph, k):
     # a vertex with no copy nearby is a size-1 violator; the search once
-    # built quadratic distance-2 masks first (about 200 MB here)
+    # built quadratic distance-2 masks first (about 200 MB here), and the
+    # graph once held a set and a frozenset per vertex (475 MB at 10^6)
     graph_file = tmp_path / "g.dds"
     write_graph(graph_file, graph)
     defense = tmp_path / "d.ms"
@@ -567,8 +616,8 @@ def test_cli_import_leaves_numpy_out(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["False", "defdom defdom.cli defdom.errors"]
 
-    # a greedy job loads the interval path only: no verifier, solver,
-    # matching, formula or reduction module, and no dataclasses
+    # a greedy job loads the interval path only: no graph, verifier,
+    # solver, matching, formula or reduction module, and no dataclasses
     intervals = tmp_path / "i.ivl"
     write_intervals(intervals, IntervalInstance({1: (0, 2), 2: (1, 3), 3: (4, 5)}))
     out = tmp_path / "d.ms"
@@ -582,7 +631,7 @@ def test_cli_import_leaves_numpy_out(tmp_path):
     lines = proc.stdout.strip().splitlines()
     assert lines[0].startswith("verdict=ok value=3")
     assert lines[1] == "False False False"
-    assert lines[2] == "defdom defdom.cli defdom.errors defdom.graphs defdom.intervals defdom.io"
+    assert lines[2] == "defdom defdom.cli defdom.errors defdom.intervals defdom.io"
 
     # a graph job loads neither the interval module nor fractions
     graph = tmp_path / "star.dds"

@@ -1,8 +1,10 @@
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from defdom import io
 from defdom.cli import main
 from defdom.errors import InputError
 from defdom.formulas import E2Formula
@@ -161,6 +163,99 @@ def test_exponent_endpoints_are_rejected_quickly(tmp_path):
     with pytest.raises(InputError, match="decimal rationals"):
         read_intervals(path)
     assert time.perf_counter() - start < 1.0
+    assert main(["greedy", str(path), "1"]) == 2
+
+
+def outcome(read, *args):
+    """What a reader returns, or the text of the InputError it raises."""
+    try:
+        return read(*args)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+CANONICAL = "p intervals 4\n1 0 5\n2 2 9\n3 6 7\n4 -3 -1\n"
+SPELLINGS = [
+    CANONICAL,
+    "p intervals 0\n",
+    "c a comment\n" + CANONICAL,
+    CANONICAL.replace("\n2 ", "\n\n2 "),                  # a blank line
+    CANONICAL.replace("\n", "\r\n"),
+    CANONICAL.replace("2 2 9", "2\t2 9"),
+    CANONICAL.replace("2 2 9", "2  2 9"),
+    CANONICAL.replace(" 2 9", " +2 9"),
+    CANONICAL.replace(" 2 9", " 002 9"),
+    CANONICAL.replace(" 0 5", " -0 5"),
+    CANONICAL.replace("\n1 0", "\n-0 0"),
+    CANONICAL.replace(" 2 9", " 1_0 11"),
+    CANONICAL.replace(" 2 9", " 5-3 9"),
+    CANONICAL.replace(" 2 9", " - 9"),
+    CANONICAL.replace("\n3 ", "\n- "),
+    CANONICAL.replace(" 2 9", " 5/2 9.5"),
+    CANONICAL.replace(" 2 9", " " + "9" * 5000 + " 9"),     # past int()'s digit limit
+    CANONICAL.replace(" 2 9", " 2 9 1"),
+    CANONICAL.replace(" 2 9", " 2"),
+    CANONICAL.replace("\n2 2 9\n3 6 7", "\n3 6 7\n2 2 9"),   # shuffled ids
+    CANONICAL.replace("\n3 ", "\n2 "),                    # repeated id
+    CANONICAL.replace("\n3 ", "\n7 "),
+    CANONICAL.rstrip("\n"),                                # no final newline
+    CANONICAL.replace("intervals 4", "intervals 5"),
+    CANONICAL.replace("intervals 4", "intervals 3"),
+    CANONICAL.replace("intervals 4", "intervals 04"),
+    CANONICAL.replace("intervals 4", "intervals -4"),
+    CANONICAL.replace("intervals 4", "intervals  4"),
+    CANONICAL.replace(" 6 7", " 7 6"),                      # lo > hi
+    CANONICAL.replace(" 6 7", " 6 9"),                      # a shared endpoint
+    "p intervals 1000000000000\n1 0 1\n",
+]
+
+
+def test_bulk_and_line_readers_agree(tmp_path):
+    # the line reader defines the format: the bulk path must return what it
+    # returns, or raise its exact error, on every spelling
+    path = tmp_path / "i.ivl"
+    for text in SPELLINGS:
+        path.write_text(text)
+        expected = outcome(io._intervals_by_line, path.read_text(), path)
+        assert outcome(read_intervals, path) == expected, text
+    fast = outcome(io._canonical_intervals, CANONICAL)
+    assert isinstance(fast, IntervalInstance) and fast.interval(4) == (-3, -1)
+
+
+def test_canonical_interval_files_skip_the_line_reader(tmp_path, monkeypatch):
+    # the bulk path is the whole gain on large files; a layout check that
+    # quietly stopped matching would leave every file on the line reader
+    generated, written = tmp_path / "g.ivl", tmp_path / "w.ivl"
+    assert main(["gen", "interval", "--n", "300", "--seed", "4", "-o", str(generated)]) == 0
+    expected = read_intervals(generated)
+
+    def line_reader(text, path):
+        raise AssertionError(f"{path} went to the line reader")
+    monkeypatch.setattr(io, "_intervals_by_line", line_reader)
+    assert read_intervals(generated) == expected
+    points = IntervalInstance({1: (0, 2), 2: (-7, -5), 3: (5, 5)})
+    write_intervals(written, points)
+    assert read_intervals(written) == points
+    write_intervals(written, IntervalInstance({1: (Fraction(1, 2), 3)}))
+    with pytest.raises(AssertionError, match="line reader"):   # a ratio is not canonical
+        read_intervals(written)
+
+
+def test_huge_interval_header_ends_at_once(tmp_path):
+    # the header count is checked against the file before anything that
+    # large is built
+    path = tmp_path / "huge.ivl"
+    path.write_text("p intervals 1000000000000\n1 0 1\n")
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="header promises 1000000000000 intervals, found 1"):
+            read_intervals(path)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 1 << 20, (elapsed, peak)
     assert main(["greedy", str(path), "1"]) == 2
 
 
