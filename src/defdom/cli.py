@@ -72,8 +72,6 @@ def _record(verdict: str, value="-", certificate="-") -> None:
 def _require_k(k: Optional[int]) -> int:
     if k is None:
         raise InputError("this command needs the attack size k")
-    if k < 1:
-        raise InputError("k must be at least 1")
     return k
 
 

@@ -9,11 +9,12 @@ No two distinct intervals share an endpoint value (point intervals are
 fine): the constructor rejects a tie, and all block and greedy machinery
 rests on that.
 
-The constructor sorts the 2n endpoints once and keeps the result as
-`order`: slot v-1 stands for the lo of interval v and slot n+v-1 for its
-hi, and `order` lists the slots by ascending value, a point interval's lo
-just before its hi.  The tie check, the endpoint ranks, the greedy and the
-intersection graph all read that order; none sorts endpoints again.
+The constructor keeps the 2n endpoints in one list, `ends`: slot v-1
+holds the lo of interval v and slot n+v-1 its hi.  It sorts them once and
+keeps the result as `order`, which lists the slots by ascending value, a
+point interval's lo just before its hi.  The tie check, the endpoint
+ranks, the greedy and the intersection graph all read that order; none
+sorts endpoints again.
 
 The greedy sweeps right endpoints in ascending order and, for every prefix
 block (the m members of the processed prefix with the largest left
@@ -78,11 +79,12 @@ class IntervalInstance:
     Endpoints are exact rationals, stored as `int` when the denominator is 1
     and as `Fraction` otherwise (the two compare and hash alike); floats are
     rejected to keep every comparison exact, and so is an endpoint value
-    shared by two intervals.  `order` is the endpoint order, sorted once
-    when the instance is built (see `validate`).
+    shared by two intervals.  `ends` holds the endpoints by slot (the lo
+    of v at v-1, its hi at n+v-1) and `order` the slots in endpoint order,
+    sorted once when the instance is built (see `validate`).
     """
 
-    __slots__ = ("n", "lo", "hi", "order")
+    __slots__ = ("n", "ends", "order")
 
     def __init__(self, intervals: Mapping[int, tuple[Endpoint, Endpoint]]):
         n = len(intervals)
@@ -109,8 +111,7 @@ class IntervalInstance:
             v = next(v for v in range(n) if lo[v] > hi[v]) + 1
             raise InputError(f"interval {v} has lo > hi")
         self.n = n
-        self.lo: dict[int, Endpoint] = dict(zip(range(1, n + 1), lo))
-        self.hi: dict[int, Endpoint] = dict(zip(range(1, n + 1), hi))
+        self.ends: list[Endpoint] = [*lo, *hi]
         self.order = validate(self)
 
     @property
@@ -118,16 +119,15 @@ class IntervalInstance:
         return range(1, self.n + 1)
 
     def interval(self, v: int) -> tuple[Endpoint, Endpoint]:
-        return self.lo[v], self.hi[v]
+        return self.ends[v - 1], self.ends[self.n + v - 1]
 
     def items(self):
-        for v in self.vertices:
-            yield v, (self.lo[v], self.hi[v])
+        return zip(self.vertices, zip(self.ends[:self.n], self.ends[self.n:]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalInstance):
             return NotImplemented
-        return self.n == other.n and self.lo == other.lo and self.hi == other.hi
+        return self.ends == other.ends
 
     def __repr__(self) -> str:
         return f"IntervalInstance(n={self.n})"
@@ -146,15 +146,15 @@ def validate(inst: IntervalInstance) -> "array[int]":
     intervals; only a failing instance is scanned again to name a culprit
     pair.  Every `IntervalInstance` runs it when built.
     """
-    values = [*inst.lo.values(), *inst.hi.values()]
-    slots = sorted(range(len(values)), key=values.__getitem__)
-    ranked = list(map(values.__getitem__, slots))
+    ends = inst.ends
+    slots = sorted(range(len(ends)), key=ends.__getitem__)
+    ranked = list(map(ends.__getitem__, slots))
     ties = sum(map(operator.eq, ranked, islice(ranked, 1, None)))
-    if ties == sum(map(operator.eq, inst.lo.values(), inst.hi.values())):
+    if ties == sum(map(operator.eq, ends, islice(ends, inst.n, None))):
         return array("l", slots)
     seen: dict[Endpoint, tuple[int, str]] = {}
-    for v in inst.vertices:
-        for value, kind in ((inst.lo[v], "lo"), (inst.hi[v], "hi")):
+    for v, interval in inst.items():
+        for value, kind in zip(interval, ("lo", "hi")):
             if value in seen and seen[value][0] != v:
                 w, wk = seen[value]
                 raise InputError(
@@ -190,14 +190,14 @@ def properize(inst: IntervalInstance, defense: "VertexMultiset") -> "VertexMulti
     """
     out: VertexMultiset = {}
     for u, c in defense.items():
-        if u not in inst.lo:
+        if u not in inst.vertices:
             raise InputError(f"defense mentions unknown interval {u}")
         if c <= 0:
             raise InputError(f"defense count for interval {u} must be positive")
         # endpoints are distinct, so containment is strict on both sides
-        containers = [w for w in inst.vertices
-                      if inst.lo[w] < inst.lo[u] and inst.hi[u] < inst.hi[w]]
-        target = max(containers, key=inst.hi.__getitem__, default=u)
+        lo, hi = inst.interval(u)
+        containers = {w: b for w, (a, b) in inst.items() if a < lo and hi < b}
+        target = max(containers, key=containers.__getitem__, default=u)
         out[target] = out.get(target, 0) + c
     return out
 

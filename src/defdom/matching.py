@@ -50,21 +50,44 @@ def max_matching(adj: Sequence[Sequence[int]],
                     q.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for r in adj[u]:
-            w = match_r[r]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = r
-                match_r[r] = u
-                return True
-        dist[u] = INF
-        return False
-
+    # Each phase searches augmenting paths down the BFS layers, depth
+    # first from each free left token in turn.  The path is a stack of left
+    # tokens, and next_arc[u] is the arc u tries next: an arc that fails
+    # once cannot succeed later in the phase, so the index only moves
+    # forward, and a token with no arc left is dead for the phase.
     size = 0
     while bfs():
-        for u in range(num_left):
-            if match_l[u] == -1 and dfs(u):
-                size += 1
+        next_arc = [0] * num_left
+        for root in range(num_left):
+            if match_l[root] != -1:
+                continue
+            path = [root]
+            while path:
+                u = path[-1]
+                arcs = adj[u]
+                layer = dist[u] + 1
+                i = next_arc[u]
+                while i < len(arcs):
+                    w = match_r[arcs[i]]
+                    if w == -1 or dist[w] == layer:
+                        break
+                    i += 1
+                next_arc[u] = i
+                if i == len(arcs):
+                    dist[u] = INF
+                    path.pop()
+                    if path:
+                        next_arc[path[-1]] += 1
+                elif w != -1:
+                    path.append(w)
+                else:                      # a free right token: flip the path
+                    for v in path:
+                        r = adj[v][next_arc[v]]
+                        match_l[v] = r
+                        match_r[r] = v
+                    size += 1
+                    break
+
     pairing = {u: match_l[u] for u in range(num_left) if match_l[u] != -1}
     return size, pairing
 

@@ -87,26 +87,23 @@ def _clique_edges(members: Iterable[int]) -> Iterator[tuple[int, int]]:
             yield (u, w)
 
 
-def _expected_edges(lay: DdsLayout) -> set[tuple[int, int]]:
-    """The exact edge set the construction mandates for a layout."""
-    edges: set[tuple[int, int]] = set()
+def _expected_edges(lay: DdsLayout) -> Iterator[tuple[int, int]]:
+    """Every edge the construction mandates for a layout, each exactly once
+    (the wired groups are disjoint), as (smaller id, larger id)."""
     for (u, v), ev in lay.e_vertex.items():
         for w in (lay.v_prime[u], lay.v_second[u],
                   lay.v_prime[v], lay.v_second[v]):
-            edges.add((min(ev, w), max(ev, w)))
+            yield (min(ev, w), max(ev, w))
     for q in (lay.q1, lay.q2, lay.q4):
-        edges.update(_clique_edges(q))
-    edges.update(_bipartite_edges(lay.i1, lay.q1))
+        yield from _clique_edges(q)
+    yield from _bipartite_edges(lay.i1, lay.q1)
     hub = lay.q1 + lay.i2 + lay.e_group() + lay.i_v_all()
-    edges.update(_bipartite_edges(lay.q2, hub))
-    v_group = lay.v_group()
-    edges.update(_bipartite_edges(v_group, lay.q4 + lay.i3))
-    edges.update(_bipartite_edges(lay.q4, lay.i4))
+    yield from _bipartite_edges(lay.q2, hub)
+    yield from _bipartite_edges(lay.v_group(), lay.q4 + lay.i3)
+    yield from _bipartite_edges(lay.q4, lay.i4)
     for v in lay.v_prime:
-        pair = (lay.v_prime[v], lay.v_second[v])
-        edges.update(_bipartite_edges(pair, lay.i_v[v]))
-        edges.update(_bipartite_edges(lay.i_v[v], lay.ip_v[v]))
-    return edges
+        yield from _bipartite_edges((lay.v_prime[v], lay.v_second[v]), lay.i_v[v])
+        yield from _bipartite_edges(lay.i_v[v], lay.ip_v[v])
 
 
 @record
@@ -147,6 +144,13 @@ def cnd_to_dds(inst: CndInstance, ell_mode: str = "proof-consistent") -> DdsInst
 
 def _build_dds(inst: CndInstance, ell: int) -> DdsInstance:
     """The construction for a deletion instance and an explicit defense bound."""
+    layout, labels = _dds_layout(inst, ell)
+    graph = Graph(len(labels), _expected_edges(layout), labels)
+    return DdsInstance(graph, inst.graph.n + inst.s, ell, inst.s, inst.t, layout)
+
+
+def _dds_layout(inst: CndInstance, ell: int) -> tuple[DdsLayout, dict[int, str]]:
+    """The construction's vertex groups and the role label of each vertex id."""
     g, s, t = inst.graph, inst.s, inst.t
     n = g.n
     if t < 4:
@@ -161,13 +165,11 @@ def _build_dds(inst: CndInstance, ell: int) -> DdsInstance:
         raise InputError(f"defense bound ell must be nonnegative (got {ell})")
 
     labels: dict[int, str] = {}
-    counter = 0
 
     def fresh(label: str) -> int:
-        nonlocal counter
-        counter += 1
-        labels[counter] = label
-        return counter
+        vid = len(labels) + 1
+        labels[vid] = label
+        return vid
 
     v_prime = {v: fresh(f"v'({v})") for v in range(1, n + 1)}
     v_second = {v: fresh(f"v''({v})") for v in range(1, n + 1)}
@@ -183,54 +185,35 @@ def _build_dds(inst: CndInstance, ell: int) -> DdsInstance:
                        i1=groups["I1"], i2=groups["I2"], i3=groups["I3"],
                        i4=groups["I4"], q1=groups["Q1"], q2=groups["Q2"],
                        q4=groups["Q4"], i_v=i_v, ip_v=ip_v)
-    graph = Graph(counter, _expected_edges(layout), labels)
-    return DdsInstance(graph, n + s, ell, s, t, layout)
+    return layout, labels
 
 
-def _dds_edge_count(inst: CndInstance, ell: int) -> int:
-    """The edge count of `_expected_edges` for the construction, in closed
-    form: its groups are disjoint, so no edge is counted twice."""
-    n, t, pairs = inst.graph.n, inst.t, comb(inst.t, 2)
-    m = inst.graph.edge_count()
-    size = dict(_group_sizes(n, inst.s, t, ell))
-    return (4 * m   # e' to v' and v'' of both ends
-            # not comb: a size is negative for parameters the builder rejects
-            + sum(size[q] * (size[q] - 1) // 2 for q in ("Q1", "Q2", "Q4"))
-            + size["I1"] * size["Q1"]
-            + size["Q2"] * (size["Q1"] + size["I2"] + m + n * pairs)
-            + 2 * n * (size["Q4"] + size["I3"])
-            + size["Q4"] * size["I4"]
-            + n * pairs * (2 + t))   # Iv(v) to v', v'' and to I'v(v)
+def _require_construction(g: Graph, labels: dict[int, str],
+                          edges: Iterable[tuple[int, int]]) -> None:
+    """Accept g only if it is the construction with these labels and this
+    edge stream (each edge yielded once), vertex ids included.
 
-
-def _require_edge_count(g: Graph, want: int) -> None:
-    """Reject a graph with less than half of the construction's `want` edges
-    before the construction is built, at a cost that grows with `want`.
-
-    With at least half of them, building costs at most about twice what
-    reading the graph did, and `_require_construction` then names the first
-    vertex that differs.
-    """
-    have = g.edge_count()
-    if 2 * have < want:
-        raise InputError(f"the construction has {want} edges, the graph {have}")
-
-
-def _require_construction(g: Graph, built: Graph) -> None:
-    """Accept g only if it is the construction `built`, vertex ids included.
-
+    The labels are compared first, then each edge as it is yielded, so a
+    file that lacks one is refused at the first such edge without the rest
+    being produced; a file with extra edges is refused last, on the count.
     Callers have already matched the vertex counts.
     """
-    if g == built:
-        return
-    v = next(v for v in g.vertices
-             if g.labels[v] != built.labels[v] or g.adj[v] != built.adj[v])
-    missing = sorted(built.adj[v] - g.adj[v])[:3]
-    extra = sorted(g.adj[v] - built.adj[v])[:3]
-    raise InputError(
-        f"vertex {v} differs from the construction: label {g.labels[v]!r} "
-        f"(construction: {built.labels[v]!r}), missing neighbours {missing}, "
-        f"unexpected neighbours {extra}")
+    if g.labels != labels:
+        v = next(v for v in g.vertices if g.labels[v] != labels[v])
+        raise InputError(
+            f"vertex {v} differs from the construction: label {g.labels[v]!r} "
+            f"(construction: {labels[v]!r})")
+    adj = g.adj
+    want = 0
+    for u, v in edges:
+        if v not in adj[u]:
+            raise InputError(
+                f"vertex {u} differs from the construction: no edge to {v} "
+                f"(the file has {g.edge_count()} edges)")
+        want += 1
+    have = g.edge_count()
+    if have != want:
+        raise InputError(f"the file has {have} edges, the construction {want}")
 
 
 # A label index has at most 18 digits: no buildable instance has 10**18
@@ -245,7 +228,11 @@ def dds_from_graph(g: Graph, k: int, ell: int) -> DdsInstance:
     The labels name the source graph (n from the v'(i) vertices, its edges
     from the e'(u,v) vertices) and t (the size of the I'v(1) class), and
     s = k - n.  The graph is accepted exactly when it is the construction
-    for these parameters, vertex ids included.
+    for these parameters, vertex ids included: the vertex count is compared
+    first, then the labels, then the edges as the construction yields them,
+    stopping at the first one the graph lacks; a graph with extra edges is
+    refused with both edge counts.  The accepted graph itself becomes the
+    instance's graph.
     """
     if g.labels is None:
         raise InputError("graph carries no role labels")
@@ -264,10 +251,9 @@ def dds_from_graph(g: Graph, k: int, ell: int) -> DdsInstance:
         raise InputError(
             f"labels and parameters (n={n}, s={s}, t={t}, ell={ell}) give a "
             f"construction of {want} vertices, the graph has {g.n}")
-    _require_edge_count(g, _dds_edge_count(inst, ell))
-    built = _build_dds(inst, ell)
-    _require_construction(g, built.graph)
-    return built
+    layout, built = _dds_layout(inst, ell)
+    _require_construction(g, built, _expected_edges(layout))
+    return DdsInstance(g, k, ell, s, t, layout)
 
 
 def proof_defense(dds: DdsInstance, deletion: VertexSet) -> VertexMultiset:

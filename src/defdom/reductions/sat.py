@@ -13,14 +13,13 @@ vertex-deleted) labeled graph without the formula at hand.
 """
 
 import re
-from math import comb
-from typing import Optional
+from typing import Iterator, Optional
 
 from defdom.errors import InputError, record
 from defdom.formulas import Assignment, E2Formula
 from defdom.graphs import Graph, VertexSet, find_clique
 from defdom.reductions.dds import (_INDEX, CndInstance, _bipartite_edges, _clique_edges,
-                                   _require_construction, _require_edge_count)
+                                   _require_construction)
 
 
 @record
@@ -48,21 +47,19 @@ def _occurrence(f: E2Formula, k: int, o: int) -> tuple[str, int, bool]:
     return ("y", var - f.a, lit > 0)
 
 
-def _sat_expected_edges(f: E2Formula, lay: SatLayout) -> set[tuple[int, int]]:
-    edges: set[tuple[int, int]] = set()
+def _sat_expected_edges(f: E2Formula, lay: SatLayout) -> Iterator[tuple[int, int]]:
+    """Every edge the construction mandates for a layout, each exactly once,
+    as (smaller id, larger id).  A variable- or clause-gadget edge comes
+    with its pad clique, the only clique that holds both its ends."""
     c = f.c
     all_y = [lay.y_pos[j] for j in sorted(lay.y_pos)] + \
             [lay.y_neg[j] for j in sorted(lay.y_neg)]
-    for i in range(1, f.a + 1):
-        edges.update(_bipartite_edges(lay.x_pos[i], lay.x_neg[i]))
-    for k in range(1, c + 1):
-        edges.update(_bipartite_edges(lay.goods[k], lay.bads[k]))
     for (i, p, q), pads in lay.x_pads.items():
-        edges.update(_clique_edges((lay.x_pos[i][p - 1], lay.x_neg[i][q - 1]) + pads))
+        yield from _clique_edges((lay.x_pos[i][p - 1], lay.x_neg[i][q - 1]) + pads)
     for (k, o, op), pads in lay.c_pads.items():
-        edges.update(_clique_edges((lay.goods[k][o - 1], lay.bads[k][op - 1]) + pads))
+        yield from _clique_edges((lay.goods[k][o - 1], lay.bads[k][op - 1]) + pads)
     for k in range(1, c + 1):
-        edges.update(_clique_edges(lay.q_members[k]))
+        yield from _clique_edges(lay.q_members[k])
     for k in range(1, c + 1):
         for o in (1, 2, 3):
             family, j, positive = _occurrence(f, k, o)
@@ -70,13 +67,13 @@ def _sat_expected_edges(f: E2Formula, lay: SatLayout) -> set[tuple[int, int]]:
                 continue
             own = lay.y_pos[j] if positive else lay.y_neg[j]
             others = [w for jp in lay.y_pos if jp != j for w in (lay.y_pos[jp], lay.y_neg[jp])]
-            edges.update(_bipartite_edges([lay.goods[k][o - 1]], [own, *others]))
-        edges.update(_bipartite_edges([lay.bads[k][0]], all_y))   # the ugly vertex
+            yield from _bipartite_edges([lay.goods[k][o - 1]], [own, *others])
+        yield from _bipartite_edges([lay.bads[k][0]], all_y)   # the ugly vertex
     for j in sorted(lay.y_pos):
         for jp in sorted(lay.y_pos):
             if j < jp:
-                edges.update(_bipartite_edges((lay.y_pos[j], lay.y_neg[j]),
-                                              (lay.y_pos[jp], lay.y_neg[jp])))
+                yield from _bipartite_edges((lay.y_pos[j], lay.y_neg[j]),
+                                            (lay.y_pos[jp], lay.y_neg[jp]))
     cross: dict[int, list[int]] = {}
     for k in range(1, c + 1):
         members = list(lay.bads[k])
@@ -86,24 +83,7 @@ def _sat_expected_edges(f: E2Formula, lay: SatLayout) -> set[tuple[int, int]]:
         cross[k] = members
     for k in range(1, c + 1):
         for kp in range(k + 1, c + 1):
-            edges.update(_bipartite_edges(cross[k], cross[kp]))
-    return edges
-
-
-def _sat_edge_count(f: E2Formula) -> int:
-    """The edge count of `_sat_expected_edges` for a formula, in closed form."""
-    b, c = f.b, f.c
-    t = b + c
-    # each K_{c,c} and K_{3,3} edge lies in exactly one pad clique of size t
-    total = (f.a * c * c + 9 * c) * comb(t, 2)
-    cross = []   # per clause: its bads and universal goods
-    for clause in f.clauses:
-        y = sum(1 for lit in clause if abs(lit) > f.a)
-        # the clause clique of t + 2 - y members; universal goods to y gadgets
-        total += comb(t + 2 - y, 2) + y * (2 * b - 1)
-        cross.append(3 + y)
-    total += 2 * b * c + 4 * comb(b, 2)   # ugly vertices; universal gadgets pairwise
-    return total + (sum(cross) ** 2 - sum(x * x for x in cross)) // 2
+            yield from _bipartite_edges(cross[k], cross[kp])
 
 
 @record
@@ -126,24 +106,28 @@ def e2sat_to_cnd(f: E2Formula, allow_small: bool = False) -> SatCnd:
     waives it for downscaled audit cross-checks (the construction is still
     well formed whenever b+c >= 4).
     """
-    c = f.c
-    if c < 1:
+    if f.c < 1:
         raise InputError("construction requires at least one clause")
-    if not allow_small and c <= 6:
-        raise InputError(f"construction requires c > 6 (got c = {c})")
+    if not allow_small and f.c <= 6:
+        raise InputError(f"construction requires c > 6 (got c = {f.c})")
+    layout, labels = _sat_layout(f)
+    graph = Graph(len(labels), _sat_expected_edges(f, layout), labels)
+    return SatCnd(f, CndInstance(graph, f.a * f.c + 3 * f.c, f.b + f.c), layout)
+
+
+def _sat_layout(f: E2Formula) -> tuple[SatLayout, dict[int, str]]:
+    """The construction's gadget parts and the role label of each vertex id."""
+    c = f.c
     t = f.b + c
-    if allow_small and t < 4:
+    if t < 4:
         raise InputError(f"downscaled construction still requires b+c >= 4 (got {t})")
-    s = f.a * c + 3 * c
 
     labels: dict[int, str] = {}
-    counter = 0
 
     def fresh(label: str) -> int:
-        nonlocal counter
-        counter += 1
-        labels[counter] = label
-        return counter
+        vid = len(labels) + 1
+        labels[vid] = label
+        return vid
 
     x_pos = {i: tuple(fresh(f"x{i}:pos:{p}") for p in range(1, c + 1))
              for i in range(1, f.a + 1)}
@@ -192,8 +176,7 @@ def e2sat_to_cnd(f: E2Formula, allow_small: bool = False) -> SatCnd:
     layout = SatLayout(x_pos=x_pos, x_neg=x_neg, x_pads=x_pads,
                        y_pos=y_pos, y_neg=y_neg, goods=goods, bads=bads,
                        c_pads=c_pads, qpads=qpads, q_members=q_members)
-    graph = Graph(counter, _sat_expected_edges(f, layout), labels)
-    return SatCnd(f, CndInstance(graph, s, t), layout)
+    return layout, labels
 
 
 _SAT_PATTERNS = (
@@ -230,7 +213,9 @@ def sat_cnd_from_graph(g: Graph, s: int, t: int) -> SatCnd:
     The clauses come from the good labels, a and b from the largest
     existential and universal indices.  The graph is accepted exactly when
     it is the construction of that formula with these s and t, vertex ids
-    included.
+    included, checked as `dds_from_graph` checks: vertex count, labels,
+    then the edges as the construction yields them.  The accepted graph
+    itself becomes the instance's graph.
     """
     parsed = _parse_sat_labels(g)
     a = max((int(grp[0]) for grp in parsed["xcore"].values()), default=0)
@@ -265,10 +250,9 @@ def sat_cnd_from_graph(g: Graph, s: int, t: int) -> SatCnd:
         raise InputError(
             f"labels (a={a}, b={b}, c={c}) give a construction of {want} "
             f"vertices, the graph has {g.n}")
-    _require_edge_count(g, _sat_edge_count(formula))
-    built = e2sat_to_cnd(formula, allow_small=True)
-    _require_construction(g, built.graph)
-    return built
+    layout, built = _sat_layout(formula)
+    _require_construction(g, built, _sat_expected_edges(formula, layout))
+    return SatCnd(formula, CndInstance(g, s, t), layout)
 
 
 def valuation_to_deletion(sc: SatCnd, nu: Assignment) -> VertexSet:

@@ -26,8 +26,9 @@ def is_proper(inst, defense):
         for w in support:
             if u == w:
                 continue
-            if (inst.lo[w] <= inst.lo[u] and inst.hi[u] <= inst.hi[w]
-                    and (inst.lo[w], inst.hi[w]) != (inst.lo[u], inst.hi[u])):
+            (lo_u, hi_u), (lo_w, hi_w) = inst.interval(u), inst.interval(w)
+            if (lo_w <= lo_u and hi_u <= hi_w
+                    and (lo_w, hi_w) != (lo_u, hi_u)):
                 return False
     return True
 
@@ -71,8 +72,8 @@ def interval_components(inst):
     as `(part, ids)`: its own instance on vertices 1..|C|, and the id map,
     `ids[j - 1]` being the original id of the part's vertex j.
     """
-    events = sorted([(inst.lo[v], 0, v) for v in inst.vertices]
-                    + [(inst.hi[v], 1, v) for v in inst.vertices])
+    events = sorted([(lo, 0, v) for v, (lo, _) in inst.items()]
+                    + [(hi, 1, v) for v, (_, hi) in inst.items()])
     parts, members, open_now = [], [], 0
     for _, closing, v in events:
         if not closing:

@@ -114,6 +114,27 @@ def test_solve_exact_constrained_infeasible(tmp_path, capsys):
     assert code == 1 and verdict == "none"
 
 
+def test_long_augmenting_path_ends_with_a_record(tmp_path, capsys):
+    # attacker a sees stations R(a) and R(a+1), station ids descending, so
+    # the attack's matching needs an augmenting path through all 1 500
+    # attackers; a recursive path search ended this in a RecursionError
+    n = 1500
+
+    def station(j):
+        return 2 * n - j
+
+    edges = [(a + 1, station(a)) for a in range(n)]
+    edges += [(a + 1, station(a + 1)) for a in range(n - 1)]
+    graph, attacks, upper = tmp_path / "chain.dds", tmp_path / "a.atk", tmp_path / "u.ms"
+    write_graph(graph, Graph(2 * n, edges))
+    write_attacks(attacks, [range(1, n + 1)])
+    write_multiset(upper, {station(j): 1 for j in range(n)})
+    code, (verdict, _, _), err = run(capsys, "--time-limit", 5, "solve-exact", graph,
+                                     "--attacks", attacks, "--upper", upper)
+    assert code in (0, 3) and verdict in ("optimal", "timeout"), err
+    assert "Traceback" not in err
+
+
 def test_solve_exact_bounds_need_attacks(tmp_path, capsys):
     graph = tmp_path / "p3.dds"
     write_graph(graph, path_graph(3))
@@ -336,13 +357,18 @@ def test_out_of_range_values_are_input_errors(tmp_path, capsys):
     write_vertex_set(defense, [2])
     attacks = tmp_path / "a.atk"
     write_attacks(attacks, [[1, 99]])
+    intervals = tmp_path / "i.txt"
+    write_intervals(intervals, IntervalInstance({1: (0, 1)}))
     out = tmp_path / "out.txt"
     for argv in (["--time-limit", 99999999999, "verify", graph, defense, 2],
                  ["--time-limit", -1, "verify", graph, defense, 2],
                  ["--time-limit", 0, "verify", graph, defense, 2],
                  ["gen", "interval", "--n", -3, "-o", out],
                  ["gen", "formula", "--a", 2, "--b", 2, "--c", -1, "-o", out],
-                 # the library checks each of these three inputs
+                 # the library checks each of these inputs
+                 ["verify", graph, defense, 0],
+                 ["greedy", intervals, 0],
+                 ["solve-exact", graph, 0],
                  ["solve-exact", graph, "--attacks", attacks],
                  ["gen", "random", "--n", 5, "--p", 2, "-o", out],
                  ["clique", graph, 0]):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defdom.cli import _gen_intervals
 from defdom.defense import find_violator, good_defense, hall_deficiency
 from defdom.errors import InputError
 from defdom.graphs import closed_neighborhood, multiset_size
@@ -57,7 +58,8 @@ def test_intersection_graph_matches_pairwise_checks():
         inst = random_intervals(rng)
         g = intersection_graph(inst)
         for u, v in itertools.combinations(inst.vertices, 2):
-            expected = (inst.lo[u] <= inst.hi[v] and inst.lo[v] <= inst.hi[u])
+            (lo_u, hi_u), (lo_v, hi_v) = inst.interval(u), inst.interval(v)
+            expected = (lo_u <= hi_v and lo_v <= hi_u)
             assert g.has_edge(u, v) == expected
 
 
@@ -105,9 +107,9 @@ def test_endpoint_ranks_preserve_order_and_thicken_points():
 def fraction_ranks(inst):
     """Endpoint ranks from one stable sort of Fraction-converted endpoints."""
     entries = []
-    for v in inst.vertices:
-        entries.append((Fraction(inst.lo[v]), v, 0))
-        entries.append((Fraction(inst.hi[v]), v, 1))
+    for v, (lo, hi) in inst.items():
+        entries.append((Fraction(lo), v, 0))
+        entries.append((Fraction(hi), v, 1))
     entries.sort(key=lambda e: e[0])
     ranks = ([0] * (inst.n + 1), [0] * (inst.n + 1))
     for rank, (_, v, kind) in enumerate(entries):
@@ -145,7 +147,7 @@ def test_endpoint_ranks_match_fraction_sort_on_mixed_files(tmp_path):
             lines.append(f"{v} {spell(lo, style)} {spell(hi, style)}")
         path.write_text("\n".join(lines) + "\n")
         inst = read_intervals(path)
-        for value in [*inst.lo.values(), *inst.hi.values()]:
+        for value in inst.ends:
             assert type(value) is (int if value.denominator == 1 else Fraction)
         assert _endpoint_ranks(inst) == fraction_ranks(inst)
 
@@ -250,6 +252,17 @@ def test_greedy_cost_follows_component_size():
     assert multiset_size(defense) == inst.n
 
 
+def test_greedy_large_k_on_one_big_component():
+    # the dense generator's n = 20 000 intervals form one component, so a
+    # step may see all k = 5 000 top lefts: a sweep that scanned every block
+    # of them per step took about 34 s on a 2-vCPU VM, the run lists 0.06 s
+    inst = _gen_intervals(20_000, seed=7)
+    start = time.perf_counter()
+    defense = greedy_defense(inst, 5_000)
+    assert time.perf_counter() - start < 1.0
+    assert multiset_size(defense) == 5_000
+
+
 def test_greedy_splits_along_components():
     # invariant 3 of greedy_defense: the answer is the union of the answers
     # on the components, each found on its own
@@ -344,15 +357,15 @@ def test_span_monotone_deficiency():
         if violator is None:
             continue
         a1 = violator.attack
-        union = [(inst.lo[v], inst.hi[v]) for v in a1]
-        inside = [w for w in inst.vertices
-                  if any(lo <= inst.lo[w] and inst.hi[w] <= hi for lo, hi in union)
-                  or w in a1]
+        union = [inst.interval(v) for v in a1]
+
+        def covered(w):
+            lo_w, hi_w = inst.interval(w)
+            return any(lo <= lo_w and hi_w <= hi for lo, hi in union)
+
+        inside = [w for w in inst.vertices if covered(w) or w in a1]
         for size in range(len(a1), min(len(inside), len(a1) + 1) + 1):
             for a2 in itertools.combinations(sorted(inside), size):
-                covered = all(
-                    any(lo <= inst.lo[w] and inst.hi[w] <= hi for lo, hi in union)
-                    for w in a2)
-                if covered:
+                if all(map(covered, a2)):
                     assert hall_deficiency(g, defense, a2) > 0
         checked += 1

@@ -46,6 +46,16 @@ def test_empty_instance():
     assert size == 0 and assignment == {}
 
 
+def test_augmenting_path_through_every_token():
+    # each token but the last first takes the right token its successor
+    # needs, so the last one's augmenting path runs through all 3 000
+    n = 3000
+    chain = [[u + 1, u] for u in range(n - 1)] + [[n - 1]]
+    size, assignment = max_matching(chain, n)
+    assert size == n
+    assert assignment == {u: u for u in range(n)}
+
+
 def test_matching_agrees_with_brute_force():
     rng = random.Random(3)
     for _ in range(80):

@@ -11,7 +11,7 @@ from defdom.matching import counters
 from defdom.reductions import (CndInstance, cnd_to_dds, dds_from_graph,
                                enumerate_serious_attacks, extract_deletion_set,
                                proof_defense, solve_cnd_bruteforce)
-from defdom.reductions.dds import _dds_edge_count
+from defdom.reductions.dds import _dds_layout, _expected_edges
 
 
 def k4_pendant():
@@ -183,7 +183,9 @@ def test_file_reconstruction_equals_original():
         dds_from_graph(cut, small.k, -(small.k + 1))
 
 
-def test_edge_count_closed_form_matches_the_builder():
+def test_edge_stream_yields_each_edge_once():
+    # the rebuild counts the stream against the file's edge count, so a
+    # repeated edge would refuse the construction itself
     rng = random.Random(33)
     for _ in range(40):
         n = rng.randint(5, 10)
@@ -191,7 +193,16 @@ def test_edge_count_closed_form_matches_the_builder():
                            rng.randint(1, n), 4)
         for mode in ("proof-consistent", "literal"):
             dds = cnd_to_dds(inst, ell_mode=mode)
-            assert _dds_edge_count(inst, dds.ell) == dds.graph.edge_count()
+            layout, _ = _dds_layout(inst, dds.ell)
+            assert sum(1 for _ in _expected_edges(layout)) == dds.graph.edge_count()
+
+
+def test_file_with_an_extra_edge_is_refused():
+    dds = cnd_to_dds(CndInstance(k4_pendant(), 1, 4))
+    u, v = dds.layout.i3[:2]   # I3 is an independent set
+    extra = Graph(dds.graph.n, [*dds.graph.edges(), (u, v)], dds.graph.labels)
+    with pytest.raises(InputError, match="^the file has 864 edges, the construction 863$"):
+        dds_from_graph(extra, dds.k, dds.ell)
 
 
 def test_solve_cnd_bruteforce_examples():

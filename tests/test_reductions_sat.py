@@ -9,7 +9,7 @@ from defdom.graphs import Graph, delete_vertices, has_clique
 from defdom.reductions import (e2sat_to_cnd, deletion_to_valuation,
                                kt_witness_from_y, sat_cnd_from_graph,
                                typed_clique_audit, valuation_to_deletion)
-from defdom.reductions.sat import _sat_edge_count
+from defdom.reductions.sat import _sat_expected_edges, _sat_layout
 
 # Four clauses that pin x1=True to a contradiction over every (y1, y2) sign
 # pattern: yes-instance with winning assignment (True,).
@@ -177,7 +177,9 @@ def test_typed_audit_agrees_with_generic_search():
             assert (typed is not None) == has_clique(remnant, t)
 
 
-def test_edge_count_closed_form_matches_the_builder():
+def test_edge_stream_yields_each_edge_once():
+    # the rebuild counts the stream against the file's edge count, so a
+    # repeated edge would refuse the construction itself
     rng = random.Random(34)
     for _ in range(60):
         a, b = rng.randint(0, 3), rng.randint(0, 3)
@@ -187,7 +189,9 @@ def test_edge_count_closed_form_matches_the_builder():
             variables = rng.sample(range(1, a + b + 1), 3)
             clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
         f = E2Formula(a, b, tuple(clauses))
-        assert _sat_edge_count(f) == e2sat_to_cnd(f, allow_small=True).graph.edge_count()
+        layout, _ = _sat_layout(f)
+        streamed = sum(1 for _ in _sat_expected_edges(f, layout))
+        assert streamed == e2sat_to_cnd(f, allow_small=True).graph.edge_count()
 
 
 def test_label_file_roundtrip():
@@ -219,3 +223,11 @@ def test_reconstruction_rejects_corruption():
     edges = [e for e in sc.graph.edges() if e != (u, v)]
     with pytest.raises(InputError, match=rf"^vertex {u} "):
         sat_cnd_from_graph(Graph(sc.graph.n, edges, sc.graph.labels), sc.cnd.s, sc.cnd.t)
+
+
+def test_file_with_an_extra_edge_is_refused():
+    sc = e2sat_to_cnd(YES4, allow_small=True)
+    u, v = sc.layout.x_pads[(1, 1, 1)][0], sc.layout.x_pads[(1, 1, 2)][0]
+    extra = Graph(sc.graph.n, [*sc.graph.edges(), (u, v)], sc.graph.labels)
+    with pytest.raises(InputError, match="^the file has 1035 edges, the construction 1034$"):
+        sat_cnd_from_graph(extra, sc.cnd.s, sc.cnd.t)
