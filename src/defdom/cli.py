@@ -10,8 +10,8 @@ a usage error.  `--help` alone prints its text and exits 0 without one.
 
 `_EXIT_CODES` maps the verdict to the exit code: 0 = affirmative/optimal
 (good, optimal, ok, pass, yes, found), 1 = negative/infeasible (bad, none,
-fail, no), 2 = usage or input error (error), 3 = time limit exceeded
-(timeout).
+fail, no), 2 = usage or input error, or memory exhausted (error), 3 = time
+limit exceeded (timeout).
 
 Each command imports the modules it runs when it runs, so a job loads only
 its own code, and `main` builds the argument parser of that command alone.
@@ -555,6 +555,9 @@ def main(argv=None) -> int:
             record = args.func(args)
     except InputError as exc:
         _log(f"error: {exc}")
+        record = ("error",)
+    except MemoryError:
+        _log("error: out of memory")
         record = ("error",)
     except _Timeout:
         _log("time limit exceeded")

@@ -17,7 +17,8 @@ are the ones that enumeration returns.
 """
 
 import itertools
-from typing import Iterable, Optional
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional
 
 from defdom.errors import InputError, record
 from defdom.graphs import (Graph, VertexMultiset, VertexSet, check_multiset,
@@ -50,7 +51,7 @@ def _copy_masks(g: Graph, defense: VertexMultiset) -> list[int]:
     """Per-vertex bitmask of defender copies stationed in N[v].
 
     Each defender copy gets its own bit, so popcounts of mask unions count
-    copies with multiplicity.  This is the workhorse for both strategies.
+    copies with multiplicity.
     """
     dmask = [0] * (g.n + 1)
     bit = 0
@@ -76,78 +77,121 @@ def _violator_exhaustive(g: Graph, dmask: list[int], k: int) -> Optional[Violato
     return None
 
 
-def _uncovered_subset(neighbors: list[int], dmask: list[int], members: list[int],
-                      size: int) -> Optional[tuple[tuple[int, ...], int]]:
-    """First size-`size` subset of `members`, connected in the mask-encoded
-    graph `neighbors`, whose copy cover has fewer than `size` copies; returns
-    it with its cover, or None.
+def _components(g: Graph) -> Iterator[list[int]]:
+    """The vertex lists of g's components with two or more vertices, each
+    in ascending id order."""
+    seen = bytearray(g.n + 1)
+    for root in g.vertices:
+        if seen[root] or not g.adj[root]:
+            continue
+        seen[root] = 1
+        part = [root]
+        for v in part:
+            for u in g.adj[v]:
+                if not seen[u]:
+                    seen[u] = 1
+                    part.append(u)
+        part.sort()
+        yield part
 
-    Root-anchored extension search: subsets containing a root only ever use
-    higher-numbered vertices, and each new vertex must be a fresh neighbor of
-    the current subset, which makes every subset appear exactly once.  The
-    search carries the cover of the subset so far and skips a branch once
-    the cover holds `size` copies: covers only grow as a subset grows, so no
-    subset in that branch is uncovered.
+
+def _uncovered_from(square: list[int], dmask: list[int], members: int, root: int,
+                    size: int) -> Optional[tuple[list[int], int]]:
+    """First size-`size` subset of `members` with least element `root`,
+    connected in the mask-encoded graph `square`, whose copy cover has fewer
+    than `size` copies; returns it with its cover, or None.
+
+    Root-anchored extension search: the subset only ever uses places above
+    the root, and each new place must be a fresh neighbor of the subset so
+    far, which makes every subset appear exactly once.  The search carries
+    the cover of the subset so far and skips a branch once the cover holds
+    `size` copies: covers only grow as a subset grows, so no subset in that
+    branch is uncovered.
     """
-    member_mask = 0
-    for v in members:
-        member_mask |= 1 << (v - 1)
-    sub: list[int] = []
+    above = members >> (root + 1) << (root + 1)
+    sub = [root]
 
-    def extend(ext: int, hood: int, cover: int, above: int):
+    def extend(ext: int, hood: int, cover: int):
         if len(sub) == size:
-            return tuple(sub), cover
+            return sub, cover
         while ext:
             low = ext & -ext
             ext ^= low
-            w = low.bit_length()
+            w = low.bit_length() - 1
             grown = cover | dmask[w]
             if grown.bit_count() >= size:
                 continue
             sub.append(w)
-            found = extend(ext | (neighbors[w] & above & ~hood),
-                           hood | neighbors[w] | low, grown, above)
+            found = extend(ext | (square[w] & above & ~hood), hood | square[w] | low, grown)
             if found is not None:
                 return found
             sub.pop()
         return None
 
-    for root in members:
-        sub.append(root)
-        above = member_mask & ~((1 << root) - 1)  # ids strictly above root
-        found = extend(neighbors[root] & above, neighbors[root] | (1 << (root - 1)),
-                       dmask[root], above)
-        if found is not None:
-            return found
-        sub.pop()
-    return None
+    return extend(square[root] & above, square[root] | (1 << root), dmask[root])
 
 
-def _violator_pruned(g: Graph, dmask: list[int], k: int) -> Optional[Violator]:
+def _violator_pruned(g: Graph, defense: VertexMultiset, k: int) -> Optional[Violator]:
     # A minimum-size uncountered attack splits along components that are
     # pairwise farther than two apart, and the shortfall adds up across the
     # split, so some minimum violator is connected at distance <= 2.  Search
     # only those, per size m, over vertices with fewer than m nearby copies.
-    # Size 1 needs no distance-2 masks: the first vertex with no copy nearby.
+    # Size 1 needs no masks: the first vertex with no copy nearby.
+    copies = defense.keys()
     for v in g.vertices:
-        if not dmask[v]:
+        if v not in defense and copies.isdisjoint(g.adj[v]):
             return Violator(frozenset({v}), 1)
-    masks = g.neighborhood_masks()
-    square = [0] * (g.n + 1)
-    for v in g.vertices:
-        m = masks[v]
-        for u in g.adj[v]:
-            m |= masks[u]
-        square[v] = m & ~(1 << (v - 1))
+    # A larger one lies inside one component of g, so each component numbers
+    # its own vertices and copies, in ascending id order, and its masks are
+    # as wide as it is.  Roots are still tried in ascending id for each m.
+    local = [0] * (g.n + 1)   # v -> its place in its component
+    comps = []                # per component: ids, copy masks, distance-2 masks
+    for part in _components(g):
+        for i, v in enumerate(part):
+            local[v] = i
+        dmask, bit = [0] * len(part), 0
+        for i, v in enumerate(part):      # the copy masks, as in _copy_masks
+            count = defense.get(v)
+            if count:
+                mask = ((1 << count) - 1) << bit
+                bit += count
+                dmask[i] |= mask
+                for u in g.adj[v]:
+                    dmask[local[u]] |= mask
+        comps.append([part, dmask, None])
     for m in range(2, min(k, g.n) + 1):
-        cand = [v for v in g.vertices if dmask[v].bit_count() < m]
-        if len(cand) < m:
-            continue
-        found = _uncovered_subset(square, dmask, cand, m)
-        if found is not None:
-            combo, cover = found
-            return Violator(frozenset(combo), m - cover.bit_count())
+        roots = []
+        for comp in comps:
+            places = [i for i, mask in enumerate(comp[1]) if mask.bit_count() < m]
+            if len(places) >= m:
+                members = sum(1 << i for i in places)
+                roots += [(comp[0][i], i, members, comp) for i in places]
+        for _, i, members, comp in sorted(roots, key=itemgetter(0)):
+            ids, dmask, square = comp
+            if square is None:
+                comp[2] = square = _squares(g, ids, local)
+            found = _uncovered_from(square, dmask, members, i, m)
+            if found is not None:
+                sub, cover = found
+                return Violator(frozenset(ids[j] for j in sub), m - cover.bit_count())
     return None
+
+
+def _squares(g: Graph, ids: list[int], local: list[int]) -> list[int]:
+    """Per place in the component `ids`: the other places within distance 2."""
+    hood = []
+    for i, v in enumerate(ids):
+        mask = 1 << i
+        for u in g.adj[v]:
+            mask |= 1 << local[u]
+        hood.append(mask)
+    square = []
+    for i, v in enumerate(ids):
+        mask = hood[i]
+        for u in g.adj[v]:
+            mask |= hood[local[u]]
+        square.append(mask & ~(1 << i))
+    return square
 
 
 def find_violator(g: Graph, defense: VertexMultiset, k: int,
@@ -166,10 +210,10 @@ def find_violator(g: Graph, defense: VertexMultiset, k: int,
     # A station serves at most |A| <= min(k, n) attackers, so copies past that
     # change no count compared with an attack size, and get no bit.
     cap = min(k, g.n)
-    dmask = _copy_masks(g, {v: min(c, cap) for v, c in defense.items()})
+    capped = {v: min(c, cap) for v, c in defense.items()}
     if strategy == "exhaustive":
-        return _violator_exhaustive(g, dmask, k)
-    return _violator_pruned(g, dmask, k)
+        return _violator_exhaustive(g, _copy_masks(g, capped), k)
+    return _violator_pruned(g, capped, k)
 
 
 def good_defense(g: Graph, defense: VertexMultiset, k: int,

@@ -10,8 +10,7 @@ instance has been written to disk and read back.
 
 import itertools
 import random
-from collections import defaultdict
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from defdom.errors import InputError
 
@@ -35,20 +34,40 @@ class Graph:
                  labels: Optional[Mapping[int, str]] = None):
         if n < 0:
             raise InputError("vertex count must be nonnegative")
-        nbrs: defaultdict[int, list[int]] = defaultdict(list)
+        us: list[int] = []
+        vs: list[int] = []
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise InputError(f"edge ({u},{v}) outside vertex range 1..{n}")
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
-            nbrs[u].append(v)
-            nbrs[v].append(u)
+            us.append(u)
+            vs.append(v)
+        self._build(n, us, vs, labels)
+
+    @classmethod
+    def _from_columns(cls, n: int, us: Sequence[int], vs: Sequence[int],
+                      labels: Optional[Mapping[int, str]] = None) -> "Graph":
+        """The graph with edges (us[i], vs[i]), which the caller has already
+        checked: ids in 1..n, no self-loop.  A repeated edge counts once."""
+        g = cls.__new__(cls)
+        g._build(n, us, vs, labels)
+        return g
+
+    def _build(self, n: int, us: Sequence[int], vs: Sequence[int],
+               labels: Optional[Mapping[int, str]]) -> None:
         self.n = n
-        # isolated vertices share one empty set, so an edgeless graph costs
-        # a pointer per vertex
-        adj = [_NO_NEIGHBORS] * (n + 1)
-        for v, vs in nbrs.items():
-            adj[v] = frozenset(vs)
+        # only vertices with an edge get a list; isolated ones share one
+        # empty set, so a header's n costs a pointer per vertex
+        adj: list = [_NO_NEIGHBORS] * (n + 1)
+        touched = set(us).union(vs)
+        for v in touched:
+            adj[v] = []
+        for u, v in zip(us, vs):
+            adj[u].append(v)
+            adj[v].append(u)
+        for v in touched:
+            adj[v] = frozenset(adj[v])
         self.adj: tuple[frozenset[int], ...] = tuple(adj)
         if labels is not None:
             if set(labels) != set(range(1, n + 1)):
@@ -70,20 +89,10 @@ class Graph:
                     yield (u, v)
 
     def edge_count(self) -> int:
-        return sum(len(self.adj[v]) for v in self.vertices) // 2
+        return sum(map(len, self.adj)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def neighborhood_masks(self) -> list[int]:
-        """Closed-neighborhood bitmasks (bit v-1 stands for vertex v)."""
-        masks = [0] * (self.n + 1)
-        for v in self.vertices:
-            m = 1 << (v - 1)
-            for u in self.adj[v]:
-                m |= 1 << (u - 1)
-            masks[v] = m
-        return masks
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

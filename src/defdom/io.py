@@ -13,12 +13,15 @@ are a single line of 0/1 bits.
 Every parse failure raises InputError with the offending line number; a
 file that cannot be read as UTF-8 text, or cannot be written, raises it too.
 The line readers below are the one definition of each format and of every
-error text.  Interval files alone also have a bulk path: a file in the
-canonical layout that `write_intervals` produces (the header, then lines
-"<id> <lo> <hi>" of integers with ids 1..n in order, single spaces and a
-final newline) is checked in one pass over the text and read column-wise,
-and any other file goes to the line reader, so every other spelling is
-accepted or refused exactly as that reader says.
+error text.  Interval and graph files also have a bulk path for the
+canonical layout that `write_intervals` and `write_graph` produce: for
+intervals, the header, then lines "<id> <lo> <hi>" of integers with ids
+1..n in order; for graphs, any lines up to the first edge, then exactly
+the header's m lines "e <u> <v>" of unsigned integers; in both, single
+spaces and a final newline.  Such a file is checked in one pass over the
+text and read column-wise.  Any other file, or one that fails a check,
+goes to the line reader, so every other spelling is accepted or refused
+exactly as that reader says.
 """
 
 import operator
@@ -77,12 +80,37 @@ def _int(token: str, path: PathLike, num: int) -> int:
 
 def read_graph(path: PathLike) -> tuple["Graph", dict[str, int]]:
     """Parse a graph file; returns the graph and any "c params" entries."""
+    text = _read(path)
+    cut = text.find("\ne ") + 1      # the first "e " line after line 1; 0 if none
+    if cut:
+        header, edges, labels, params = _graph_lines(text[:cut], path)
+        if header is not None and not edges:
+            g = _canonical_edges(text[cut:], header, labels)
+            if g is not None:
+                return g, params
+    header, edges, labels, params = _graph_lines(text, path)
+    if header is None:
+        raise InputError(f"{path}: missing 'p dds' header")
+    n, m = header
+    if len(edges) != m:
+        raise InputError(f"{path}: header promises {m} edges, found {len(edges)}")
+    if len(set(edges)) != len(edges):
+        raise InputError(f"{path}: duplicate edge lines")
+    for v in labels:
+        if not 1 <= v <= n:
+            raise InputError(f"{path}: role line for out-of-range vertex {v}")
     from defdom.graphs import Graph
+    return Graph(n, edges, labels or None), params
+
+
+def _graph_lines(text: str, path: PathLike):
+    """The header (or None), edges, role labels and params of a graph
+    file's lines, each line checked on its own."""
     header: Optional[tuple[int, int]] = None
     edges: list[tuple[int, int]] = []
     labels: dict[int, str] = {}
     params: dict[str, int] = {}
-    for num, line in _lines(_read(path), keep=("role", "params")):
+    for num, line in _lines(text, keep=("role", "params")):
         parts = line.split()
         if parts[0] == "c":
             if parts[1] == "role":
@@ -121,17 +149,43 @@ def read_graph(path: PathLike) -> tuple["Graph", dict[str, int]]:
             edges.append((u, v))
             continue
         raise InputError(f"{path}:{num}: unrecognized line {line!r}")
-    if header is None:
-        raise InputError(f"{path}: missing 'p dds' header")
+    return header, edges, labels, params
+
+
+_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def _canonical_edges(block: str, header: tuple[int, int],
+                     labels: dict[int, str]) -> Optional["Graph"]:
+    """The graph of a file whose lines from the first edge on are exactly
+    the header's m lines "e <u> <v>" (digits, single spaces, final
+    newline) with 1 <= u < v <= n, no edge twice, and roles, if any, on
+    exactly 1..n; None for any other file.
+
+    Deleting the digits leaves "e  \n" once per edge; given the final
+    newline, 3m tokens, every third an "e", then mean that each line is
+    "e <u> <v>" with no id empty.  The newlines are counted first, so a
+    header's m sizes nothing before the file has shown m lines.
+    """
     n, m = header
-    if len(edges) != m:
-        raise InputError(f"{path}: header promises {m} edges, found {len(edges)}")
-    if len(set(edges)) != len(edges):
-        raise InputError(f"{path}: duplicate edge lines")
-    for v in labels:
-        if not 1 <= v <= n:
-            raise InputError(f"{path}: role line for out-of-range vertex {v}")
-    return Graph(n, edges, labels or None), params
+    if (block.count("\n") != m or not block.endswith("\n")
+            or block.translate(_DIGITS) != "e  \n" * m):
+        return None
+    tokens = block.split()
+    if len(tokens) != 3 * m or tokens[::3].count("e") != m:
+        return None
+    try:
+        us, vs = list(map(int, tokens[1::3])), list(map(int, tokens[2::3]))
+    except ValueError:            # past int()'s digit limit
+        return None
+    del tokens
+    if not (min(us) >= 1 and max(vs) <= n and all(map(operator.lt, us, vs))):
+        return None
+    if labels and (len(labels) != n or min(labels) < 1 or max(labels) > n):
+        return None
+    from defdom.graphs import Graph
+    g = Graph._from_columns(n, us, vs, labels or None)
+    return g if g.edge_count() == m else None     # else an edge is repeated
 
 
 def write_graph(path: PathLike, g: "Graph", params: Optional[Mapping[str, int]] = None) -> None:

@@ -101,6 +101,13 @@ def random_split_graph(rng, parts=3, n_max=6):
     """Disjoint union of 1..parts random graphs, vertex ids shuffled so the
     components interleave."""
     pieces = [random_simple_graph(rng, n_max=n_max) for _ in range(rng.randint(1, parts))]
+    return shuffled_union(rng, pieces)[0]
+
+
+def shuffled_union(rng, pieces):
+    """Disjoint union of the graphs, vertex ids shuffled so the components
+    interleave; returns it with the id map, the union's `ids[base + v - 1]`
+    being vertex v of the piece whose predecessors hold `base` vertices."""
     ids = list(range(1, sum(p.n for p in pieces) + 1))
     rng.shuffle(ids)
     edges, base = [], 0
@@ -108,7 +115,7 @@ def random_split_graph(rng, parts=3, n_max=6):
         edges += [(ids[base + u - 1], ids[base + v - 1])
                   for u in piece.vertices for v in piece.adj[u] if u < v]
         base += piece.n
-    return Graph(len(ids), edges)
+    return Graph(len(ids), edges), ids
 
 
 def random_defense(rng, g, max_copies=2, density=0.5):
@@ -281,10 +288,21 @@ def connected_subsets(neighbors, members, size):
         yield from extend(neighbors[root] & above, neighbors[root] | (1 << (root - 1)))
 
 
+def neighborhood_masks(g):
+    """Closed-neighborhood bitmasks (bit v-1 stands for vertex v)."""
+    masks = [0] * (g.n + 1)
+    for v in g.vertices:
+        m = 1 << (v - 1)
+        for u in g.adj[v]:
+            m |= 1 << (u - 1)
+        masks[v] = m
+    return masks
+
+
 def reference_pruned_violator(g, defense, k):
     """(attack, deficiency) of the first violator the unbounded enumeration
     finds, or None."""
-    masks = g.neighborhood_masks()
+    masks = neighborhood_masks(g)
     square = [0] * (g.n + 1)
     for v in g.vertices:
         m = masks[v]

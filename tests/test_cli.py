@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import re
 import resource
 import shutil
@@ -15,11 +16,13 @@ from defdom import cli
 from defdom.cli import main
 from defdom.errors import InputError
 from defdom.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
-from defdom.intervals import IntervalInstance
+from defdom.intervals import IntervalInstance, greedy_defense, intersection_graph
 from defdom.io import (read_formula, read_multiset, read_valuation,
                        read_vertex_set, write_attacks, write_formula,
                        write_graph, write_intervals, write_multiset,
                        write_valuation, write_vertex_set)
+from defdom.reductions import dds, sat
+from helpers import clustered_intervals
 
 RECORD = re.compile(r"^verdict=(\w+) value=(\S+) certificate=(\S+)$")
 
@@ -184,6 +187,20 @@ def test_huge_copy_counts_end_at_once(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def count_drawn(monkeypatch, module, name):
+    """Replace the edge generator `module.name` by one that records each
+    edge it yields; returns the record."""
+    original, drawn = getattr(module, name), []
+
+    def recording(*args):
+        for edge in original(*args):
+            drawn.append(edge)
+            yield edge
+
+    monkeypatch.setattr(module, name, recording)
+    return drawn
+
+
 def test_reduce_and_audit_chain(tmp_path, capsys, monkeypatch):
     source = k4_pendant_file(tmp_path, {"s": 1, "t": 4})
     reduced = tmp_path / "out.dds"
@@ -206,16 +223,14 @@ def test_reduce_and_audit_chain(tmp_path, capsys, monkeypatch):
     assert code == 1 and verdict == "fail"
     assert "serious attack" in err
 
-    # parameters far beyond the file are refused before anything is built
-    def no_build(*args):
-        raise AssertionError("built a construction the file cannot hold")
-
-    monkeypatch.setattr("defdom.reductions.dds._build_dds", no_build)
+    # parameters far beyond the file are refused before any edge is drawn
+    drawn = count_drawn(monkeypatch, dds, "_expected_edges")
     for audit in ("dds-forward", "dds-roundtrip"):
         for flag in ("--k", "--ell"):
             code, (verdict, _, _), err = run(
                 capsys, "audit", audit, reduced, "--deletion", deletion, flag, 10 ** 12)
             assert code == 2 and verdict == "error", (audit, flag)
+    assert drawn == []
 
     # a second value for a parameter the audit reads is refused
     with reduced.open("a") as f:
@@ -253,16 +268,17 @@ def test_sat_reduction_chain(tmp_path, capsys):
     assert code == 0 and verdict == "pass"
 
 
-@pytest.mark.parametrize("reduce, audit, builder", [
+@pytest.mark.parametrize("reduce, audit, edges", [
     (["cnd-to-dds", "cnd.dds"], ["dds-forward", "--deletion", "x.set"],
-     "defdom.reductions.dds._build_dds"),
+     (dds, "_expected_edges")),
     (["e2sat-to-cnd", "f.cnf", "--allow-small"], ["cnd-certificate", "--valuation", "nu.val"],
-     "defdom.reductions.sat.e2sat_to_cnd"),
+     (sat, "_sat_expected_edges")),
 ], ids=["dds", "sat"])
 def test_edgeless_reduction_files_end_before_the_builder(
-        tmp_path, capsys, monkeypatch, reduce, audit, builder):
+        tmp_path, capsys, monkeypatch, reduce, audit, edges):
     # an edgeless copy of a construction, labels and parameters intact, once
-    # made the audit build the whole construction before comparing
+    # made the audit build the whole construction before comparing; the
+    # rebuild must stop at the first edge of the construction's stream
     from defdom.formulas import E2Formula
     from defdom.io import read_graph
     monkeypatch.chdir(tmp_path)
@@ -276,13 +292,11 @@ def test_edgeless_reduction_files_end_before_the_builder(
     g, params = read_graph("r.dds")
     write_graph("r.dds", Graph(g.n, [], g.labels), params)
 
-    def no_build(*args, **kwargs):
-        raise AssertionError("built the construction for an edgeless file")
-
-    monkeypatch.setattr(builder, no_build)
+    drawn = count_drawn(monkeypatch, *edges)
     code, (verdict, _, _), err = run(capsys, "audit", audit[0], "r.dds", *audit[1:])
     assert code == 2 and verdict == "error"
     assert "edges" in err and "Traceback" not in err
+    assert len(drawn) == 1
 
 
 def test_e2sat_verdicts(tmp_path, capsys):
@@ -515,15 +529,19 @@ CHILD = ("import sys\n"
          "sys.exit(code)\n")
 
 
-def run_child(*argv, timeout=60):
-    """Run one defdom command in a fresh interpreter.
+def run_child(*argv, timeout=60, address_space=None):
+    """Run one defdom command in a fresh interpreter, its address space
+    capped at `address_space` bytes if given.
 
     Returns the exit code, the record line, stderr and the child's own peak
     RSS in MB (None when the child died before reporting it).
     """
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     proc = subprocess.run([sys.executable, "-c", CHILD, *map(str, argv)],
                           capture_output=True, text=True, env=source_env(),
-                          timeout=timeout)
+                          timeout=timeout, preexec_fn=limit if address_space else None)
     lines = proc.stdout.splitlines()
     record = lines[0] if lines else ""
     rss_mb = int(lines[1]) / 1024 if len(lines) == 2 else None
@@ -571,6 +589,19 @@ def test_verify_finds_a_lone_vertex_in_bounded_memory(tmp_path, graph, k):
     assert rss_mb < 100, rss_mb
 
 
+def test_verify_on_many_small_components_in_bounded_memory(tmp_path):
+    # 50 000 clustered intervals, no component above 16 vertices: masks
+    # indexed by global vertex and copy ids once took 456 MB here
+    inst = clustered_intervals(random.Random(18), 50_000)
+    graph = tmp_path / "g.dds"
+    write_graph(graph, intersection_graph(inst))
+    defense = tmp_path / "d.ms"
+    write_multiset(defense, greedy_defense(inst, 4))
+    code, record, err, rss_mb = run_child("verify", graph, defense, 4, "--multiset")
+    assert code == 0 and RECORD.match(record).group(1) == "good", err
+    assert rss_mb < 150, rss_mb
+
+
 @pytest.mark.parametrize("n, size", [(30, 13), (40, 20)])
 def test_solve_exact_learns_cuts_for_a_large_attack(tmp_path, n, size):
     # seeding the cut of every subset of the attack took 10 s at (30, 13)
@@ -601,17 +632,26 @@ def test_hostile_sat_labels_exit_2_in_bounded_memory(tmp_path):
                 {"s": 1, "t": 401})
     valuation = tmp_path / "nu.val"
     write_valuation(valuation, [True] * a)
+    code, record, err, _ = run_child("audit", "cnd-certificate", graph,
+                                     "--valuation", valuation, timeout=30,
+                                     address_space=1 << 30)
+    assert code == 2, err
+    assert RECORD.match(record).group(1) == "error"
+    assert "Traceback" not in err and "out of memory" not in err
 
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    proc = subprocess.run([sys.executable, "-m", "defdom", "audit", "cnd-certificate",
-                           str(graph), "--valuation", str(valuation)],
-                          capture_output=True, text=True, env=source_env(),
-                          preexec_fn=limit_address_space, timeout=30)
-    assert proc.returncode == 2, proc.stderr
-    assert RECORD.match(proc.stdout.strip().splitlines()[-1]).group(1) == "error"
-    assert "Traceback" not in proc.stderr
+def test_hostile_header_exits_2_when_memory_runs_out(tmp_path):
+    # an edgeless header promising 10^9 vertices asks for an 8 GB
+    # adjacency table; the MemoryError once ended in a traceback and exit 1
+    graph = tmp_path / "g.dds"
+    graph.write_text("p dds 1000000000 0\n")
+    defense = tmp_path / "d.ms"
+    write_multiset(defense, {1: 1})
+    code, record, err, _ = run_child("verify", graph, defense, 2, "--multiset",
+                                     address_space=3 << 29)
+    assert code == 2, err
+    assert RECORD.match(record).group(1) == "error"
+    assert "out of memory" in err and "Traceback" not in err
 
 
 NINES = "9" * 5000   # beyond int()'s 4 300-digit string limit

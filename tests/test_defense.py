@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 from defdom.defense import STRATEGIES, find_violator, good_defense, hall_deficiency
 from defdom.errors import InputError
 from defdom.graphs import Graph, path_graph, random_graph, star_graph
+from defdom.intervals import greedy_defense, intersection_graph
 from defdom.matching import counters
 from defdom.reductions import CndInstance, cnd_to_dds, proof_defense, solve_cnd_bruteforce
-from helpers import (attacks_up_to, hall_ok, random_defense, random_simple_graph,
-                     random_split_graph, reference_pruned_violator)
+from helpers import (attacks_up_to, clustered_intervals, hall_ok, random_defense,
+                     random_simple_graph, random_split_graph, reference_pruned_violator,
+                     shuffled_union)
 
 
 def test_hall_deficiency_examples():
@@ -106,6 +109,37 @@ def test_pruned_witness_matches_unbounded_enumeration():
         assert pruned_witness(g, defense, k) == expected, (g.n, defense, k)
         found += expected is not None
     assert 300 < found < 1100   # both outcomes are well represented
+
+
+def test_pruned_witness_on_many_components():
+    # a few hundred vertices in interleaved components: random pieces with
+    # one or two copies on every vertex, and clustered interval graphs with
+    # the greedy defense for k or a smaller budget, then a few copies taken
+    # away; each component numbers its own vertices and copies, and the
+    # witness must still be the unbounded enumeration's
+    rng = random.Random(18)
+    sizes = Counter()
+    for _ in range(60):
+        k = rng.randint(2, 6)
+        pieces = [(random_split_graph(rng, parts=4), None) for _ in range(rng.randint(5, 15))]
+        for _ in range(rng.randint(1, 3)):
+            inst = clustered_intervals(rng, rng.randint(30, 80))
+            budget = rng.choice([k, rng.randint(1, k)])
+            pieces.append((intersection_graph(inst), greedy_defense(inst, budget)))
+        g, ids = shuffled_union(rng, [piece for piece, _ in pieces])
+        defense, base = {}, 0
+        for piece, own in pieces:
+            own = own or {v: rng.randint(1, 2) for v in piece.vertices}
+            defense.update({ids[base + v - 1]: count for v, count in own.items()})
+            base += piece.n
+        for v in rng.sample(sorted(defense), rng.randint(0, 2)):
+            defense[v] -= 1
+            if not defense[v]:
+                del defense[v]
+        expected = reference_pruned_violator(g, defense, k)
+        assert pruned_witness(g, defense, k) == expected, (g.n, k)
+        sizes[expected and len(expected[0])] += 1
+    assert sizes[None] >= 10 and sum(sizes[m] > 0 for m in range(2, 7)) >= 4, sizes
 
 
 def test_pruned_witness_on_dds_with_a_copy_removed():

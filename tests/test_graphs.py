@@ -10,7 +10,7 @@ from defdom.errors import InputError
 from defdom.graphs import (Graph, closed_neighborhood, complete_graph, count_in,
                            cycle_graph, delete_vertices, find_clique, has_clique,
                            multiset_size, path_graph, random_graph, star_graph)
-from helpers import brute_has_clique, is_clique, random_simple_graph
+from helpers import brute_has_clique, is_clique, neighborhood_masks, random_simple_graph
 
 
 def test_construction_and_adjacency():
@@ -42,7 +42,7 @@ def test_neighborhood_masks_match_closed_neighborhoods():
     rng = random.Random(1)
     for _ in range(30):
         g = random_simple_graph(rng)
-        masks = g.neighborhood_masks()
+        masks = neighborhood_masks(g)
         for v in g.vertices:
             expected = closed_neighborhood(g, [v])
             got = {u for u in g.vertices if masks[v] >> (u - 1) & 1}

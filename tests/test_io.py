@@ -241,6 +241,88 @@ def test_canonical_interval_files_skip_the_line_reader(tmp_path, monkeypatch):
         read_intervals(written)
 
 
+GRAPH = ("p dds 5 4\nc params k 2 ell 7\nc role 1 hub\nc role 2 mid x\nc role 3 a\n"
+         "c role 4 b\nc role 5 c\ne 1 2\ne 1 3\ne 2 4\ne 4 5\n")
+BARE = "p dds 5 4\nc params k 4\ne 1 2\ne 1 3\ne 2 4\ne 4 5\n"    # as the benchmark writes
+GRAPH_SPELLINGS = [
+    GRAPH,
+    BARE,
+    "p dds 5 0\n",
+    GRAPH.replace("e 4 5", "e 1 3"),                       # a duplicate edge
+    GRAPH.replace("e 2 4", "e 2 2"),
+    GRAPH.replace("e 2 4", "e 4 2"),
+    GRAPH.replace("e 2 4", "e 0 4"),
+    GRAPH.replace("e 2 4", "e 2 6"),
+    GRAPH.replace("e 2 4", "e 2 +4"),
+    GRAPH.replace("e 2 4", "e 002 04"),
+    GRAPH.replace("e 2 4", "e 2 ٤"),                       # a non-ASCII digit
+    GRAPH.replace("e 2 4", "e 2 0_4"),
+    GRAPH.replace("e 2 4", "e\t2 4"),
+    GRAPH.replace("e 2 4", "e 2  4"),
+    GRAPH.replace("e 2 4", "e  24"),
+    GRAPH.replace("e 2 4", "e2 3 5"),
+    GRAPH.replace("e 2 4", "2e 3 5"),
+    GRAPH.replace("e 2 4", "e 2 4 "),
+    GRAPH.replace("e 2 4", "e 2"),
+    GRAPH.replace("e 2 4", "e 2 4 5"),
+    GRAPH.replace("e 2 4", "e 2 " + "9" * 5000),           # past int()'s digit limit
+    GRAPH.replace("e 2 4\n", "c a comment\ne 2 4\n"),
+    GRAPH.replace("e 2 4\n", "\ne 2 4\n"),
+    GRAPH.replace("e 1 2", "e\t1 2"),                      # the first edge in another spelling
+    GRAPH.replace("e 1 2", "e\t1 2").replace("dds 5 4", "dds 5 3"),
+    GRAPH.replace("\n", "\r\n"),
+    GRAPH.rstrip("\n"),
+    GRAPH.replace("e 4 5\n", "e 4 \n5"),                  # an id after the last newline
+    GRAPH.replace("dds 5 4", "dds 5 5"),
+    GRAPH.replace("dds 5 4", "dds 5 3"),
+    GRAPH.replace("dds 5 4", "dds 5 1000000000000"),
+    GRAPH.replace("dds 5 4", "dds -5 4"),
+    GRAPH.replace("c role 5 c\n", "") + "c role 5 c\n",    # a role line after the edges
+    GRAPH.replace("c role 5 c\n", ""),                     # roles miss a vertex
+    GRAPH.replace("c role 5 c\n", "c role 6 c\n"),
+    GRAPH.replace("c role 5 c\n", "c role 0 c\n"),
+    GRAPH.replace("c role 5 c\n", "").replace("e 4 5", "e 1 3"),
+    GRAPH.replace("p dds 5 4\n", "") + "p dds 5 4\n",      # the header after the edges
+    "e 1 2\n" + BARE,
+]
+
+
+def test_bulk_and_line_graph_readers_agree(tmp_path, monkeypatch):
+    # the line reader defines the format: the bulk path must return the
+    # same graph, labels and params, or raise its exact error, on every
+    # spelling
+    path = tmp_path / "g.dds"
+    write_graph(path, random_graph(40, 0.3, seed=3), {"k": 3})
+    spellings = [path.read_text(), *GRAPH_SPELLINGS]
+    for text in spellings:
+        path.write_bytes(text.encode())
+        bulk = outcome(read_graph, path)
+        with monkeypatch.context() as patch:
+            patch.setattr(io, "_canonical_edges", lambda *args: None)
+            assert outcome(read_graph, path) == bulk, text
+
+
+def test_canonical_graph_files_skip_the_line_reader(tmp_path, monkeypatch):
+    # as for intervals: a layout check that quietly stopped matching would
+    # leave every graph file on the line reader
+    line_reader = io._graph_lines
+
+    def head_only(text, path):
+        assert "\ne " not in text, f"{path} went to the line reader"
+        return line_reader(text, path)
+
+    path = tmp_path / "g.dds"
+    for text in (GRAPH, BARE):
+        path.write_text(text)
+        expected = read_graph(path)
+        with monkeypatch.context() as patch:
+            patch.setattr(io, "_graph_lines", head_only)
+            assert read_graph(path) == expected
+            path.write_text(text.replace("e 2 4", "e 2  4"))
+            with pytest.raises(AssertionError, match="line reader"):   # not canonical
+                read_graph(path)
+
+
 def test_huge_interval_header_ends_at_once(tmp_path):
     # the header count is checked against the file before anything that
     # large is built
