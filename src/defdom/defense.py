@@ -97,38 +97,42 @@ def _components(g: Graph) -> Iterator[list[int]]:
 
 def _uncovered_from(square: list[int], dmask: list[int], members: int, root: int,
                     size: int) -> Optional[tuple[list[int], int]]:
-    """First size-`size` subset of `members` with least element `root`,
-    connected in the mask-encoded graph `square`, whose copy cover has fewer
-    than `size` copies; returns it with its cover, or None.
+    """First size-`size` subset (size >= 2) of `members` with least element
+    `root`, connected in the mask-encoded graph `square`, whose copy cover
+    has fewer than `size` copies; returns it with its cover, or None.
 
     Root-anchored extension search: the subset only ever uses places above
     the root, and each new place must be a fresh neighbor of the subset so
     far, which makes every subset appear exactly once.  The search carries
     the cover of the subset so far and skips a branch once the cover holds
     `size` copies: covers only grow as a subset grows, so no subset in that
-    branch is uncovered.
+    branch is uncovered.  It runs depth first on an explicit stack, so an
+    attack of any size needs no recursion.
     """
     above = members >> (root + 1) << (root + 1)
     sub = [root]
-
-    def extend(ext: int, hood: int, cover: int):
-        if len(sub) == size:
-            return sub, cover
-        while ext:
-            low = ext & -ext
-            ext ^= low
-            w = low.bit_length() - 1
-            grown = cover | dmask[w]
-            if grown.bit_count() >= size:
-                continue
-            sub.append(w)
-            found = extend(ext | (square[w] & above & ~hood), hood | square[w] | low, grown)
-            if found is not None:
-                return found
+    # the places still to try next, the places within distance 2 of sub (or
+    # in it), and sub's cover; `stack` keeps these for each shorter prefix
+    ext, hood, cover = square[root] & above, square[root] | (1 << root), dmask[root]
+    stack = []
+    while True:
+        if not ext:
+            if not stack:
+                return None
+            ext, hood, cover = stack.pop()
             sub.pop()
-        return None
-
-    return extend(square[root] & above, square[root] | (1 << root), dmask[root])
+            continue
+        low = ext & -ext
+        ext ^= low
+        w = low.bit_length() - 1
+        grown = cover | dmask[w]
+        if grown.bit_count() >= size:
+            continue
+        sub.append(w)
+        if len(sub) == size:
+            return sub, grown
+        stack.append((ext, hood, cover))
+        ext, hood, cover = ext | (square[w] & above & ~hood), hood | square[w] | low, grown
 
 
 def _violator_pruned(g: Graph, defense: VertexMultiset, k: int) -> Optional[Violator]:

@@ -179,28 +179,28 @@ def find_clique(g: Graph, t: int) -> Optional[VertexSet]:
                 m |= 1 << pos[u]
         adj_mask[pos[v]] = m
 
-    witness: list[int] = []
-
-    def extend(current: list[int], cand: int) -> bool:
-        if len(current) == t:
-            witness.extend(current)
-            return True
-        while cand:
-            if len(current) + cand.bit_count() < t:
-                return False
-            low = cand & -cand
-            i = low.bit_length() - 1
-            cand ^= low
-            current.append(order[i])
-            if extend(current, cand & adj_mask[i]):
-                return True
+    # Depth first on an explicit stack, so a clique of any size needs no
+    # recursion: `cand` holds the vertices still to try next after
+    # `current`, and `stack` the same for each shorter prefix.  A level ends
+    # once its candidates cannot complete a K_t.
+    current: list[int] = []
+    stack: list[int] = []
+    cand = (1 << len(order)) - 1
+    while True:
+        if len(current) + cand.bit_count() < t:
+            if not stack:
+                return None
+            cand = stack.pop()
             current.pop()
-        return False
-
-    full = (1 << len(order)) - 1
-    if extend([], full):
-        return frozenset(witness)
-    return None
+            continue
+        low = cand & -cand
+        i = low.bit_length() - 1
+        cand ^= low
+        current.append(order[i])
+        if len(current) == t:
+            return frozenset(current)
+        stack.append(cand)
+        cand &= adj_mask[i]
 
 
 def has_clique(g: Graph, t: int) -> bool:

@@ -12,7 +12,7 @@ directions and instances can be audited after a round trip through files.
 
 import re
 from itertools import combinations
-from math import comb
+from math import comb, inf
 from typing import Iterable, Iterator, Optional
 
 from defdom.errors import InputError, record
@@ -124,13 +124,6 @@ def _ell_value(n: int, s: int, t: int, ell_mode: str) -> int:
     raise InputError(f"unknown ell mode {ell_mode!r}; use one of {ELL_MODES}")
 
 
-def _group_sizes(n: int, s: int, t: int, ell: int) -> tuple[tuple[str, int], ...]:
-    """The seven shared groups and their sizes, in build order."""
-    return (("I1", n + s), ("I2", n + s - comb(t, 2)),
-            ("I3", n + s + ell), ("I4", n + s),
-            ("Q1", n + s), ("Q2", n + s - (t + 1)), ("Q4", n + s))
-
-
 def cnd_to_dds(inst: CndInstance, ell_mode: str = "proof-consistent") -> DdsInstance:
     """Build the defensive-domination instance for a deletion instance.
 
@@ -149,33 +142,50 @@ def _build_dds(inst: CndInstance, ell: int) -> DdsInstance:
     return DdsInstance(graph, inst.graph.n + inst.s, ell, inst.s, inst.t, layout)
 
 
-def _dds_layout(inst: CndInstance, ell: int) -> tuple[DdsLayout, dict[int, str]]:
+class _Labels(dict):
+    """Vertex id -> role label, filled in id order by `fresh`.  A rebuild caps
+    the ids at the file's vertex count, so a layout the file cannot hold is
+    refused after cap + 1 ids, before any edge is drawn."""
+
+    def __init__(self, params: str, cap: float = inf):
+        super().__init__()
+        self.params, self.cap = params, cap
+
+    def fresh(self, label: str) -> int:
+        vid = len(self) + 1
+        if vid > self.cap:
+            raise self.size_error(f"more than {self.cap}")
+        self[vid] = label
+        return vid
+
+    def size_error(self, size: object) -> InputError:
+        return InputError(f"{self.params} give a construction of {size} vertices, "
+                          f"the graph has {self.cap}")
+
+
+def _dds_layout(inst: CndInstance, ell: int, cap: float = inf) -> tuple[DdsLayout, _Labels]:
     """The construction's vertex groups and the role label of each vertex id."""
     g, s, t = inst.graph, inst.s, inst.t
     n = g.n
     if t < 4:
         raise InputError("construction requires t >= 4")
+    # with t >= 4 this gives n+s >= t+2, so the group Q2 is never empty
     if n + s < comb(t, 2):
         raise InputError(
             f"construction requires n+s >= t(t-1)/2 (got {n + s} < {comb(t, 2)})")
-    if n + s < t + 1:
-        raise InputError(
-            f"construction requires n+s >= t+1 (got {n + s} < {t + 1})")
     if ell < 0:
         raise InputError(f"defense bound ell must be nonnegative (got {ell})")
 
-    labels: dict[int, str] = {}
-
-    def fresh(label: str) -> int:
-        vid = len(labels) + 1
-        labels[vid] = label
-        return vid
-
+    labels = _Labels(f"labels and parameters (n={n}, s={s}, t={t}, ell={ell})", cap)
+    fresh = labels.fresh
+    # with t >= 4 every loop iteration allocates an id: work stays within cap
     v_prime = {v: fresh(f"v'({v})") for v in range(1, n + 1)}
     v_second = {v: fresh(f"v''({v})") for v in range(1, n + 1)}
     e_vertex = {(u, v): fresh(f"e'({u},{v})") for u, v in g.edges()}
     groups = {name: tuple(fresh(f"{name}#{i}") for i in range(1, size + 1))
-              for name, size in _group_sizes(n, s, t, ell)}
+              for name, size in (("I1", n + s), ("I2", n + s - comb(t, 2)),
+                                 ("I3", n + s + ell), ("I4", n + s), ("Q1", n + s),
+                                 ("Q2", n + s - (t + 1)), ("Q4", n + s))}
     i_v = {v: tuple(fresh(f"Iv({v})#{i}") for i in range(1, comb(t, 2) + 1))
            for v in range(1, n + 1)}
     ip_v = {v: tuple(fresh(f"I'v({v})#{i}") for i in range(1, t + 1))
@@ -188,16 +198,18 @@ def _dds_layout(inst: CndInstance, ell: int) -> tuple[DdsLayout, dict[int, str]]
     return layout, labels
 
 
-def _require_construction(g: Graph, labels: dict[int, str],
+def _require_construction(g: Graph, labels: _Labels,
                           edges: Iterable[tuple[int, int]]) -> None:
     """Accept g only if it is the construction with these labels and this
     edge stream (each edge yielded once), vertex ids included.
 
-    The labels are compared first, then each edge as it is yielded, so a
-    file that lacks one is refused at the first such edge without the rest
-    being produced; a file with extra edges is refused last, on the count.
-    Callers have already matched the vertex counts.
+    The vertex counts are compared first, then the labels, then each edge
+    as it is yielded, so a file that lacks one is refused at the first such
+    edge without the rest being produced; a file with extra edges is
+    refused last, on the count.
     """
+    if len(labels) != g.n:
+        raise labels.size_error(len(labels))
     if g.labels != labels:
         v = next(v for v in g.vertices if g.labels[v] != labels[v])
         raise InputError(
@@ -228,11 +240,9 @@ def dds_from_graph(g: Graph, k: int, ell: int) -> DdsInstance:
     The labels name the source graph (n from the v'(i) vertices, its edges
     from the e'(u,v) vertices) and t (the size of the I'v(1) class), and
     s = k - n.  The graph is accepted exactly when it is the construction
-    for these parameters, vertex ids included: the vertex count is compared
-    first, then the labels, then the edges as the construction yields them,
-    stopping at the first one the graph lacks; a graph with extra edges is
-    refused with both edge counts.  The accepted graph itself becomes the
-    instance's graph.
+    for these parameters, vertex ids included: laid out with ids capped at
+    the vertex count, then checked by `_require_construction`.  The
+    accepted graph itself becomes the instance's graph.
     """
     if g.labels is None:
         raise InputError("graph carries no role labels")
@@ -244,14 +254,7 @@ def dds_from_graph(g: Graph, k: int, ell: int) -> DdsInstance:
     if s < 1:
         raise InputError("k must exceed the source vertex count")
     inst = CndInstance(Graph(n, edges), s, t)
-    # per source vertex v', v'', Iv(v), I'v(v); one e' per source edge
-    want = (n * (2 + comb(t, 2) + t) + inst.graph.edge_count()
-            + sum(size for _, size in _group_sizes(n, s, t, ell)))
-    if want != g.n:
-        raise InputError(
-            f"labels and parameters (n={n}, s={s}, t={t}, ell={ell}) give a "
-            f"construction of {want} vertices, the graph has {g.n}")
-    layout, built = _dds_layout(inst, ell)
+    layout, built = _dds_layout(inst, ell, cap=g.n)
     _require_construction(g, built, _expected_edges(layout))
     return DdsInstance(g, k, ell, s, t, layout)
 
@@ -295,11 +298,12 @@ def enumerate_serious_attacks(dds: DdsInstance) -> Iterator[VertexSet]:
 def extract_deletion_set(dds: DdsInstance, defense: VertexMultiset) -> VertexSet:
     """Recover a deletion certificate from a good defense.
 
-    Applies the three normalization moves in order: stray pair-class
-    defenders slide onto v', all defenders on I2 and edge vertices collect
-    on Q2, and surplus v'' defenders drain to Q2 until the source-vertex
-    group holds exactly k defenders.  The result is the set of doubly
-    defended source vertices, which must have size s.
+    Applies the normalization moves that reach the source-vertex group, in
+    order: stray pair-class defenders slide onto v', and surplus v''
+    defenders drain to Q2 until the group holds exactly k defenders.  The
+    result is the set of doubly defended source vertices, which must have
+    size s.  The proof's middle move, collecting the defenders on I2 and
+    edge vertices on Q2, leaves that group as it is, so it is not made.
     """
     lay = dds.layout
     out = {vid: c for vid, c in defense.items() if c > 0}
@@ -324,13 +328,6 @@ def extract_deletion_set(dds: DdsInstance, defense: VertexMultiset) -> VertexSet
                 f"near the classes of source vertex {v}")
         move_one(donor, vp)
 
-    movers = [w for w in lay.i2 + lay.e_group() if w in out]
-    if movers and not lay.q2:
-        raise InputError("defenders stranded on I2/E with an empty Q2 group")
-    for w in movers:
-        while w in out:
-            move_one(w, lay.q2[0])
-
     def v_count() -> int:
         return sum(out.get(w, 0) for w in lay.v_group())
 
@@ -341,8 +338,6 @@ def extract_deletion_set(dds: DdsInstance, defense: VertexMultiset) -> VertexSet
             raise InputError(
                 "cannot normalize: source group overfull but no vertex is "
                 "doubly defended")
-        if not lay.q2:
-            raise InputError("cannot normalize: surplus defenders but empty Q2")
         move_one(lay.v_second[doubly], lay.q2[0])
 
     extracted = frozenset(v for v in lay.v_prime

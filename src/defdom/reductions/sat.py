@@ -13,13 +13,14 @@ vertex-deleted) labeled graph without the formula at hand.
 """
 
 import re
+from math import inf
 from typing import Iterator, Optional
 
 from defdom.errors import InputError, record
 from defdom.formulas import Assignment, E2Formula
 from defdom.graphs import Graph, VertexSet, find_clique
 from defdom.reductions.dds import (_INDEX, CndInstance, _bipartite_edges, _clique_edges,
-                                   _require_construction)
+                                   _Labels, _require_construction)
 
 
 @record
@@ -86,6 +87,11 @@ def _sat_expected_edges(f: E2Formula, lay: SatLayout) -> Iterator[tuple[int, int
             yield from _bipartite_edges(cross[k], cross[kp])
 
 
+def _budget(f: E2Formula) -> tuple[int, int]:
+    """The deletion budget s = ac+3c and the clique size t = b+c."""
+    return f.a * f.c + 3 * f.c, f.b + f.c
+
+
 @record
 class SatCnd:
     """A clique-node-deletion instance constructed from a formula."""
@@ -112,23 +118,19 @@ def e2sat_to_cnd(f: E2Formula, allow_small: bool = False) -> SatCnd:
         raise InputError(f"construction requires c > 6 (got c = {f.c})")
     layout, labels = _sat_layout(f)
     graph = Graph(len(labels), _sat_expected_edges(f, layout), labels)
-    return SatCnd(f, CndInstance(graph, f.a * f.c + 3 * f.c, f.b + f.c), layout)
+    return SatCnd(f, CndInstance(graph, *_budget(f)), layout)
 
 
-def _sat_layout(f: E2Formula) -> tuple[SatLayout, dict[int, str]]:
+def _sat_layout(f: E2Formula, cap: float = inf) -> tuple[SatLayout, _Labels]:
     """The construction's gadget parts and the role label of each vertex id."""
     c = f.c
-    t = f.b + c
+    _, t = _budget(f)
     if t < 4:
         raise InputError(f"downscaled construction still requires b+c >= 4 (got {t})")
 
-    labels: dict[int, str] = {}
-
-    def fresh(label: str) -> int:
-        vid = len(labels) + 1
-        labels[vid] = label
-        return vid
-
+    labels = _Labels(f"labels (a={f.a}, b={f.b}, c={c})", cap)
+    fresh = labels.fresh
+    # t >= 4: each loop allocates an id per iteration or per clause, so work stays within cap
     x_pos = {i: tuple(fresh(f"x{i}:pos:{p}") for p in range(1, c + 1))
              for i in range(1, f.a + 1)}
     x_neg = {i: tuple(fresh(f"x{i}:neg:{p}") for p in range(1, c + 1))
@@ -236,21 +238,12 @@ def sat_cnd_from_graph(g: Graph, s: int, t: int) -> SatCnd:
             lits.append(var if positive else -var)
         clauses.append(tuple(lits))
     formula = E2Formula(a, b, tuple(clauses))
-    if t != b + c:
-        raise InputError(f"clique size t={t} must equal b+c={b + c}")
-    if s != a * c + 3 * c:
-        raise InputError(f"deletion budget s={s} must equal ac+3c={a * c + 3 * c}")
-    # what e2sat_to_cnd builds: variable classes and their t-2 paddings per
-    # gadget edge, universal pairs, clause classes and their paddings, and
-    # the clause-clique pads
-    x_occurrences = sum(1 for clause in clauses for lit in clause if abs(lit) <= a)
-    want = (2 * a * c + a * c * c * (t - 2) + 2 * b + 6 * c + 9 * c * (t - 2)
-            + c * (t - 1) - x_occurrences)
-    if want != g.n:
-        raise InputError(
-            f"labels (a={a}, b={b}, c={c}) give a construction of {want} "
-            f"vertices, the graph has {g.n}")
-    layout, built = _sat_layout(formula)
+    want_s, want_t = _budget(formula)
+    if t != want_t:
+        raise InputError(f"clique size t={t} must equal b+c={want_t}")
+    if s != want_s:
+        raise InputError(f"deletion budget s={s} must equal ac+3c={want_s}")
+    layout, built = _sat_layout(formula, cap=g.n)
     _require_construction(g, built, _sat_expected_edges(formula, layout))
     return SatCnd(formula, CndInstance(g, s, t), layout)
 

@@ -17,7 +17,7 @@ from defdom.cli import main
 from defdom.errors import InputError
 from defdom.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from defdom.intervals import IntervalInstance, greedy_defense, intersection_graph
-from defdom.io import (read_formula, read_multiset, read_valuation,
+from defdom.io import (read_formula, read_graph, read_multiset, read_valuation,
                        read_vertex_set, write_attacks, write_formula,
                        write_graph, write_intervals, write_multiset,
                        write_valuation, write_vertex_set)
@@ -280,7 +280,6 @@ def test_edgeless_reduction_files_end_before_the_builder(
     # made the audit build the whole construction before comparing; the
     # rebuild must stop at the first edge of the construction's stream
     from defdom.formulas import E2Formula
-    from defdom.io import read_graph
     monkeypatch.chdir(tmp_path)
     k4_pendant_file(tmp_path, {"s": 1, "t": 4})
     write_formula("f.cnf", E2Formula(
@@ -324,6 +323,11 @@ def test_solve_cnd_and_clique(tmp_path, capsys):
     assert code == 0 and verdict == "yes" and value == "1"
     assert read_vertex_set(out) == frozenset({1})
 
+    # no single deletion leaves the K4 free of triangles
+    code, (verdict, value, _), err = run(capsys, "solve-cnd", source, "--s", 1, "--t", 3)
+    assert code == 1 and verdict == "no" and value == "-"
+    assert "Traceback" not in err
+
     code, (verdict, value, _), _ = run(capsys, "clique", source, 4)
     assert code == 0 and verdict == "found" and value == "4"
     code, (verdict, _, _), _ = run(capsys, "clique", source, 5)
@@ -337,6 +341,12 @@ def test_gen_is_deterministic(tmp_path, capsys):
                          "--seed", 9, "-o", out)
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+    for argv, expected in ((["star", "--leaves", 5], star_graph(5)),
+                           (["cycle", "--n", 6], cycle_graph(6)),
+                           (["complete", "--n", 5], complete_graph(5))):
+        code, _, _ = run(capsys, "gen", *argv, "-o", a)
+        assert code == 0 and read_graph(a)[0] == expected, argv
 
     f = tmp_path / "f.cnf"
     code, _, _ = run(capsys, "gen", "formula", "--a", 2, "--b", 2, "--c", 5,
@@ -638,6 +648,74 @@ def test_hostile_sat_labels_exit_2_in_bounded_memory(tmp_path):
     assert code == 2, err
     assert RECORD.match(record).group(1) == "error"
     assert "Traceback" not in err and "out of memory" not in err
+
+
+def count_ids(monkeypatch):
+    """Make every construction layout record each vertex id it asks for;
+    returns the record.  A runaway layout stops at 10**6 ids."""
+    original, asked = dds._Labels.fresh, []
+
+    def recording(labels, label):
+        asked.append(label)
+        if len(asked) > 10 ** 6:
+            raise RuntimeError("layout ran past 10**6 ids")
+        return original(labels, label)
+
+    monkeypatch.setattr(dds._Labels, "fresh", recording)
+    return asked
+
+
+def test_rebuild_layouts_stop_at_the_file_size(tmp_path, capsys, monkeypatch):
+    # a construction larger than the file is refused after at most g.n + 1
+    # ids and before any edge is drawn: ell = 10**12 on the 137-vertex K4
+    # construction, and labels naming a = c = 400 (b = 1) with the s and t
+    # they imply, whose layout has over 64 million vertices (the labels of
+    # test_hostile_sat_labels_exit_2_in_bounded_memory, whose s and t differ)
+    monkeypatch.chdir(tmp_path)
+    source = k4_pendant_file(tmp_path, {"s": 1, "t": 4})
+    assert run(capsys, "reduce", "cnd-to-dds", source, "-o", "big.dds")[0] == 0
+    write_vertex_set("x.set", [1])
+    a = c = 400
+    labels = [f"x{i}:{sign}:1" for i in range(1, a + 1) for sign in ("pos", "neg")]
+    labels += ["y1:pos", "y1:neg"]
+    for k in range(1, c + 1):
+        labels += [f"c{k}:good:1:x{k}:pos", f"c{k}:good:2:y1:pos",
+                   f"c{k}:good:3:x{k % a + 1}:neg",
+                   f"c{k}:ugly:1", f"c{k}:bad:2", f"c{k}:bad:3"]
+    write_graph("hostile.dds", Graph(len(labels), [], dict(enumerate(labels, start=1))),
+                {"s": a * c + 3 * c, "t": 1 + c})
+    write_valuation("nu.val", [True] * a)
+
+    asked = count_ids(monkeypatch)
+    drawn = count_drawn(monkeypatch, dds, "_expected_edges")
+    drawn += count_drawn(monkeypatch, sat, "_sat_expected_edges")
+    for argv, n, params in (
+            (["dds-forward", "big.dds", "--deletion", "x.set", "--ell", 10 ** 12], 137,
+             "labels and parameters (n=5, s=1, t=4, ell=1000000000000)"),
+            (["cnd-certificate", "hostile.dds", "--valuation", "nu.val"], 3202,
+             "labels (a=400, b=1, c=400)")):
+        asked.clear()
+        code, (verdict, _, _), err = run(capsys, "audit", *argv)
+        assert code == 2 and verdict == "error", err
+        assert f"{params} give a construction of more than {n} vertices, the graph has {n}" in err
+        assert len(asked) <= n + 1
+    assert drawn == []
+
+
+@pytest.mark.parametrize("graph, size, argv, code, record", [
+    (star_graph, 1099, ["verify", "g.dds", "d.ms", 1100, "--multiset"], 1, ("bad", "1")),
+    (complete_graph, 1100, ["clique", "g.dds", 1100], 0, ("found", "1100")),
+], ids=["verify-star", "clique-complete"])
+def test_searches_deeper_than_the_recursion_limit(tmp_path, monkeypatch, graph, size, argv,
+                                                   code, record):
+    # the pruned violator search and the clique search each recursed once
+    # per member, and died with RecursionError near 1 000 members
+    monkeypatch.chdir(tmp_path)
+    write_graph("g.dds", graph(size))
+    write_multiset("d.ms", {1: 1099})   # the star's center: one copy short
+    got, line, err, _ = run_child(*argv)
+    assert "Traceback" not in err
+    assert got == code and RECORD.match(line).groups()[:2] == record
 
 
 def test_hostile_header_exits_2_when_memory_runs_out(tmp_path):

@@ -139,6 +139,59 @@ def test_extraction_rejects_foreign_defenses():
         extract_deletion_set(dds, {dds.layout.i3[0]: 39})
 
 
+def moved(defense, src, dst):
+    """The defense with one copy moved from src to dst."""
+    out = dict(defense)
+    out[src] -= 1
+    if not out[src]:
+        del out[src]
+    out[dst] = out.get(dst, 0) + 1
+    return out
+
+
+def test_extraction_undoes_each_normalization_move():
+    # K5 with s = 2, t = 4 has one I2 vertex and two Q2 vertices; proof
+    # defenses are already normal, so each case undoes one move on one
+    dds = cnd_to_dds(CndInstance(complete_graph(5), 2, 4))
+    lay, deletion = dds.layout, frozenset({2, 4})
+    defense = proof_defense(dds, deletion)
+    q2 = lay.q2[0]
+    undone = {
+        # a v' copy on its Iv class, v'' empty
+        "pair class": moved(defense, lay.v_prime[3], lay.i_v[3][2]),
+        # a Q2 copy on I2, or on an edge vertex: the proof's middle move,
+        # which leaves the source-vertex group as it is
+        "I2": moved(defense, q2, lay.i2[0]),
+        "edge vertex": moved(defense, q2, lay.e_vertex[(1, 5)]),
+        # an extra copy on a v'' of a vertex left in place
+        "surplus v''": moved(defense, q2, lay.v_second[1]),
+    }
+    undone["all three"] = moved(moved(undone["pair class"], lay.q2[1], lay.i2[0]),
+                                lay.q1[0], lay.v_second[1])
+    for case, changed in undone.items():
+        assert changed != defense and multiset_size(changed) == dds.ell, case
+        assert extract_deletion_set(dds, changed) == deletion, case
+
+
+def test_extraction_names_each_refusal():
+    dds = cnd_to_dds(CndInstance(complete_graph(5), 2, 4))
+    lay = dds.layout
+    defense = proof_defense(dds, frozenset({2, 4}))
+    with pytest.raises(InputError, match=f"unknown vertex {dds.graph.n + 1}$"):
+        extract_deletion_set(dds, {**defense, dds.graph.n + 1: 1})
+    lone = {w: c for w, c in defense.items() if w != lay.v_prime[3]}
+    with pytest.raises(InputError, match="no defender near the classes of source vertex 3$"):
+        extract_deletion_set(dds, lone)
+    # k + 1 copies on the source group, none of its vertices doubly defended
+    piled = {lay.v_prime[v]: 1 for v in range(1, 6)}
+    piled[lay.v_prime[1]] += dds.s + 1
+    with pytest.raises(InputError, match="overfull but no vertex is doubly defended"):
+        extract_deletion_set(dds, piled)
+    short = moved(defense, lay.v_second[4], lay.q2[0])
+    with pytest.raises(InputError, match="marks 1 doubly defended vertices, expected s=2$"):
+        extract_deletion_set(dds, short)
+
+
 def test_proof_defense_validates_deletion_set():
     dds = cnd_to_dds(CndInstance(k4_pendant(), 1, 4))
     with pytest.raises(InputError):
@@ -176,6 +229,15 @@ def test_file_reconstruction_equals_original():
                        {swap.get(v, v): label for v, label in dds.graph.labels.items()})
     with pytest.raises(InputError, match="^vertex 1 "):
         dds_from_graph(renumbered, dds.k, dds.ell)
+    # one vertex more or less than the construction
+    n = dds.graph.n
+    grown = Graph(n + 1, dds.graph.edges(), {**dds.graph.labels, n + 1: "Q4#1"})
+    with pytest.raises(InputError, match=r"^labels and parameters \(n=5, s=1, t=4, ell=39\) give "
+                                         r"a construction of 137 vertices, the graph has 138$"):
+        dds_from_graph(grown, dds.k, dds.ell)
+    cut, _ = delete_vertices(dds.graph, [n])
+    with pytest.raises(InputError, match="of more than 136 vertices, the graph has 136$"):
+        dds_from_graph(cut, dds.k, dds.ell)
     # a construction cut short so that a negative ell would explain its size
     small = cnd_to_dds(CndInstance(Graph(3, []), 3, 4))
     cut, _ = delete_vertices(small.graph, small.layout.i3 + (small.graph.n,))

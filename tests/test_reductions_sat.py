@@ -177,6 +177,22 @@ def test_typed_audit_agrees_with_generic_search():
             assert (typed is not None) == has_clique(remnant, t)
 
 
+def test_typed_audit_finds_a_clause_clique():
+    # with every x-pad and c-pad gone, shapes (a) and (b) find nothing, and
+    # a clause clique that names an existential variable still holds K_t
+    for f in small_formulas():
+        sc = e2sat_to_cnd(f, allow_small=True)
+        lay, t = sc.layout, sc.cnd.t
+        pads = [w for group in (lay.x_pads, lay.c_pads) for pads in group.values()
+                for w in pads]
+        remnant, trans = delete_vertices(sc.graph, pads)
+        witness = typed_clique_audit(remnant, t)
+        assert (witness is not None) == has_clique(remnant, t)
+        assert witness is not None and len(witness) == t
+        cliques = [{trans[w] for w in lay.q_members[k]} for k in lay.q_members]
+        assert any(witness <= q for q in cliques)
+
+
 def test_edge_stream_yields_each_edge_once():
     # the rebuild counts the stream against the file's edge count, so a
     # repeated edge would refuse the construction itself
@@ -213,6 +229,15 @@ def test_reconstruction_rejects_corruption():
         sat_cnd_from_graph(Graph(3, [(1, 2)]), sc.cnd.s, sc.cnd.t)
     with pytest.raises(InputError):
         sat_cnd_from_graph(sc.graph, sc.cnd.s + 1, sc.cnd.t)
+    # one vertex more or less than the construction
+    n = sc.graph.n
+    grown = Graph(n + 1, sc.graph.edges(), {**sc.graph.labels, n + 1: "c1:qpad:1"})
+    with pytest.raises(InputError, match=r"^labels \(a=1, b=2, c=4\) give a construction "
+                                         r"of 260 vertices, the graph has 261$"):
+        sat_cnd_from_graph(grown, sc.cnd.s, sc.cnd.t)
+    cut, _ = delete_vertices(sc.graph, [n])
+    with pytest.raises(InputError, match="of more than 259 vertices, the graph has 259$"):
+        sat_cnd_from_graph(cut, sc.cnd.s, sc.cnd.t)
     # another well-formed role label on one vertex, or one edge gone
     pad = sc.layout.x_pads[(1, 1, 1)][0]
     labels = dict(sc.graph.labels)
