@@ -17,6 +17,7 @@ are the ones that enumeration returns.
 """
 
 import itertools
+from bisect import bisect_left
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -149,7 +150,9 @@ def _violator_pruned(g: Graph, defense: VertexMultiset, k: int) -> Optional[Viol
     # its own vertices and copies, in ascending id order, and its masks are
     # as wide as it is.  Roots are still tried in ascending id for each m.
     local = [0] * (g.n + 1)   # v -> its place in its component
-    comps = []                # per component: ids, copy masks, distance-2 masks
+    # per component: ids, copy masks, copy counts, the counts sorted, and
+    # the distance-2 masks once a search starts in it
+    comps = []
     for part in _components(g):
         for i, v in enumerate(part):
             local[v] = i
@@ -162,18 +165,20 @@ def _violator_pruned(g: Graph, defense: VertexMultiset, k: int) -> Optional[Viol
                 dmask[i] |= mask
                 for u in g.adj[v]:
                     dmask[local[u]] |= mask
-        comps.append([part, dmask, None])
+        counts = [mask.bit_count() for mask in dmask]
+        comps.append([part, dmask, counts, sorted(counts), None])
     for m in range(2, min(k, g.n) + 1):
         roots = []
         for comp in comps:
-            places = [i for i, mask in enumerate(comp[1]) if mask.bit_count() < m]
-            if len(places) >= m:
+            # a size-m violator needs m places with fewer than m copies nearby
+            if bisect_left(comp[3], m) >= m:
+                places = [i for i, count in enumerate(comp[2]) if count < m]
                 members = sum(1 << i for i in places)
                 roots += [(comp[0][i], i, members, comp) for i in places]
         for _, i, members, comp in sorted(roots, key=itemgetter(0)):
-            ids, dmask, square = comp
+            ids, dmask, _, _, square = comp
             if square is None:
-                comp[2] = square = _squares(g, ids, local)
+                comp[4] = square = _squares(g, ids, local)
             found = _uncovered_from(square, dmask, members, i, m)
             if found is not None:
                 sub, cover = found

@@ -216,12 +216,20 @@ def delete_vertices(g: Graph, x: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     x = set(x)
     require_vertices(g, x, "deletion set")
     keep = [v for v in g.vertices if v not in x]
-    trans = {v: i + 1 for i, v in enumerate(keep)}
-    edges = [(trans[u], trans[v]) for u, v in g.edges() if u in trans and v in trans]
+    new = [0] * (g.n + 1)   # old id -> new id, 0 once deleted
+    for i, v in enumerate(keep, start=1):
+        new[v] = i
+    us: list[int] = []
+    vs: list[int] = []
+    for v in keep:   # each surviving edge once, from its lower end
+        for u in g.adj[v]:
+            if u > v and new[u]:
+                us.append(new[v])
+                vs.append(new[u])
     labels = None
     if g.labels is not None:
-        labels = {trans[v]: g.labels[v] for v in keep}
-    return Graph(len(keep), edges, labels), trans
+        labels = {new[v]: g.labels[v] for v in keep}
+    return Graph._from_columns(len(keep), us, vs, labels), {v: new[v] for v in keep}
 
 
 # ---------------------------------------------------------------------------

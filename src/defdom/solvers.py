@@ -27,8 +27,6 @@ from defdom.errors import InputError, record
 from defdom.graphs import (Graph, VertexMultiset, VertexSet, check_multiset,
                            closed_neighborhood, count_in, multiset_size,
                            require_vertices)
-from defdom.defense import find_violator
-from defdom.matching import uncountered
 
 # A Hall cut: at least `need` copies among the vertices of `hood`.
 Cut = tuple[Iterable[int], int]
@@ -166,6 +164,7 @@ def _min_defense(g: Graph, k: int, cap: int):
     """Least (size, lexicographic) defense against every attack of size <= k
     with at most `cap` copies per vertex; the exhaustive verifier separates,
     and each violator it finds becomes the Hall cut of its attack."""
+    from defdom.defense import find_violator   # the --attacks path never loads it
     if k < 1:
         raise InputError("attack budget k must be at least 1")
 
@@ -216,6 +215,7 @@ def min_constrained_multiset(g: Graph, attacks: Iterable[Iterable[int]],
     strands become the cut D(N[S]) >= |S|, net of the copies `lower`
     already puts in N[S].
     """
+    from defdom.matching import uncountered   # the size-k solvers never load it
     check_multiset(g, lower)
     check_multiset(g, upper)
     for v, c in lower.items():

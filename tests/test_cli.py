@@ -62,6 +62,8 @@ def test_verify_bad_path(tmp_path, capsys):
     code, (verdict, value, _), err = run(capsys, "verify", graph, defense, 2)
     assert code == 1 and verdict == "bad" and value == "1"
     assert "BAD" in err
+    assert run(capsys, "verify", graph, defense, 2, "--strategy", "exhaustive") == (
+        code, (verdict, value, "-"), err)
 
 
 def test_verify_usage_errors(tmp_path, capsys):
@@ -328,8 +330,11 @@ def test_solve_cnd_and_clique(tmp_path, capsys):
     assert code == 1 and verdict == "no" and value == "-"
     assert "Traceback" not in err
 
-    code, (verdict, value, _), _ = run(capsys, "clique", source, 4)
-    assert code == 0 and verdict == "found" and value == "4"
+    witness = tmp_path / "w.set"
+    code, (verdict, value, cert), _ = run(
+        capsys, "clique", source, 4, "--emit-witness", witness)
+    assert code == 0 and verdict == "found" and value == "4" and cert == str(witness)
+    assert read_vertex_set(witness) == frozenset({1, 2, 3, 4})
     code, (verdict, _, _), _ = run(capsys, "clique", source, 5)
     assert code == 1 and verdict == "none"
 
@@ -753,6 +758,25 @@ def test_long_label_indices_are_input_errors(tmp_path, capsys, monkeypatch, argv
 LOADED = "print(' '.join(sorted(m for m in sys.modules if m.startswith('defdom'))))"
 
 
+def run_loaded(argv, probe):
+    """Run one command in a fresh interpreter: its record line, the line
+    `probe` prints, and the `defdom` modules it loaded outside
+    `defdom.commands`."""
+    code = ("import sys, defdom.cli; "
+            f"defdom.cli.main({[str(a) for a in argv]!r}); "
+            f"print({probe}); " + LOADED)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=source_env())
+    assert proc.returncode == 0, proc.stderr
+    record, probed, loaded = proc.stdout.strip().splitlines()
+    # a job imports its own command's module and no other command's
+    modules = loaded.split()
+    assert "defdom.commands" in modules, argv
+    assert [m for m in modules if m.startswith("defdom.commands.")] == [
+        "defdom.commands." + argv[0].replace("-", "_")], argv
+    return record, probed, {m for m in modules if not m.startswith("defdom.commands")}
+
+
 def test_cli_import_leaves_numpy_out(tmp_path):
     proc = subprocess.run([sys.executable, "-c",
                            "import sys, defdom.cli; print('numpy' in sys.modules); " + LOADED],
@@ -765,34 +789,27 @@ def test_cli_import_leaves_numpy_out(tmp_path):
     intervals = tmp_path / "i.ivl"
     write_intervals(intervals, IntervalInstance({1: (0, 2), 2: (1, 3), 3: (4, 5)}))
     out = tmp_path / "d.ms"
-    code = ("import sys, defdom.cli; "
-            f"defdom.cli.main(['greedy', {str(intervals)!r}, '2', '--emit-defense', {str(out)!r}]); "
-            "print('dataclasses' in sys.modules, 'numpy' in sys.modules, "
-            "'fractions' in sys.modules); " + LOADED)
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=source_env())
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.strip().splitlines()
-    assert lines[0].startswith("verdict=ok value=3")
-    assert lines[1] == "False False False"
-    assert lines[2] == "defdom defdom.cli defdom.errors defdom.intervals defdom.io"
+    record, probed, loaded = run_loaded(
+        ["greedy", intervals, "2", "--emit-defense", out],
+        "'dataclasses' in sys.modules, 'numpy' in sys.modules, 'fractions' in sys.modules")
+    assert record.startswith("verdict=ok value=3")
+    assert probed == "False False False"
+    assert loaded == {"defdom", "defdom.cli", "defdom.errors", "defdom.intervals", "defdom.io"}
 
     # a graph job loads neither the interval module nor fractions
     graph = tmp_path / "star.dds"
     write_graph(graph, star_graph(3))
     defense = tmp_path / "d.set"
     write_vertex_set(defense, [1])
-    code = ("import sys, defdom.cli; "
-            f"defdom.cli.main(['verify', {str(graph)!r}, {str(defense)!r}, '1']); "
-            "print('fractions' in sys.modules); " + LOADED)
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, env=source_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines() == [
-        "verdict=good value=0 certificate=-", "False",
-        "defdom defdom.cli defdom.defense defdom.errors defdom.graphs defdom.io"]
+    record, probed, loaded = run_loaded(["verify", graph, defense, "1"],
+                                        "'fractions' in sys.modules")
+    assert (record, probed) == ("verdict=good value=0 certificate=-", "False")
+    assert loaded == {"defdom", "defdom.cli", "defdom.defense", "defdom.errors",
+                      "defdom.graphs", "defdom.io"}
 
-    # exact and certify jobs build their records without dataclasses or inspect
+    # exact and certify jobs build their records without dataclasses or
+    # inspect; the size-k solvers leave the matching code out, and listed
+    # attacks the verifier
     from defdom.formulas import E2Formula
     formula = tmp_path / "f.cnf"
     write_formula(formula, E2Formula(
@@ -800,21 +817,22 @@ def test_cli_import_leaves_numpy_out(tmp_path):
     reduced = tmp_path / "cnd.dds"
     valuation = tmp_path / "nu.val"
     write_valuation(valuation, [True])
-    for argv, expected in (
-            (["solve-exact", graph, "1", "--multiset"], "verdict=optimal value=1"),
+    attacks = tmp_path / "a.atk"
+    write_attacks(attacks, [[2, 3]])
+    for argv, expected, left_out in (
+            (["solve-exact", graph, "3", "--multiset"], "verdict=optimal value=3",
+             "defdom.matching"),
+            (["solve-exact", graph, "--attacks", attacks], "verdict=optimal value=2",
+             "defdom.defense"),
             (["reduce", "e2sat-to-cnd", formula, "-o", reduced, "--allow-small"],
-             "verdict=ok value=16"),
+             "verdict=ok value=16", None),
             (["audit", "cnd-certificate", reduced, "--valuation", valuation],
-             "verdict=pass")):
-        code = ("import sys, defdom.cli; "
-                f"defdom.cli.main({[str(a) for a in argv]!r}); "
-                "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, env=source_env())
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.strip().splitlines()
-        assert lines[0].startswith(expected), argv
-        assert lines[1] == "False False", argv
+             "verdict=pass", None)):
+        record, probed, loaded = run_loaded(
+            argv, "'dataclasses' in sys.modules, 'inspect' in sys.modules")
+        assert record.startswith(expected), argv
+        assert probed == "False False", argv
+        assert left_out not in loaded, argv
 
 
 def test_lazy_namespace_resolves_every_public_name():

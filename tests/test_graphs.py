@@ -133,10 +133,17 @@ def test_delete_vertices_induces_subgraph():
         drop = {v for v in g.vertices if rng.random() < 0.3}
         h, mapping = delete_vertices(g, drop)
         keep = sorted(set(g.vertices) - drop)
-        assert sorted(mapping) == keep
+        assert mapping == {v: i for i, v in enumerate(keep, start=1)}
         assert h.n == len(keep)
         for u, v in itertools.combinations(keep, 2):
             assert g.has_edge(u, v) == h.has_edge(mapping[u], mapping[v])
+        # labels follow their vertices; the remnant equals the graph built
+        # from the surviving edges
+        labeled = Graph(g.n, g.edges(), {v: f"v{v}" for v in g.vertices})
+        h, _ = delete_vertices(labeled, drop)
+        assert h == Graph(len(keep), [(mapping[u], mapping[v]) for u, v in g.edges()
+                                      if u in mapping and v in mapping],
+                          {mapping[v]: f"v{v}" for v in keep})
 
 
 def test_delete_vertices_carries_labels():
