@@ -11,9 +11,6 @@ def add_arguments(p) -> None:
     q.add_argument("-o", "--output", required=True)
     q.add_argument("--s", type=int)
     q.add_argument("--t", type=int)
-    q.add_argument("--ell-mode", default="proof-consistent",
-                   help="defense bound: proof-consistent or literal "
-                        "(default: %(default)s)")
     q.set_defaults(func=run)
     q = psub.add_parser("e2sat-to-cnd",
                         help="two-level satisfiability -> clique node deletion")
@@ -31,7 +28,7 @@ def run(args) -> tuple:
         g, params = read_graph(args.input)
         s = _param(args.s, params, "s")
         t = _param(args.t, params, "t")
-        dds = cnd_to_dds(CndInstance(g, s, t), ell_mode=args.ell_mode)
+        dds = cnd_to_dds(CndInstance(g, s, t))
         write_graph(args.output, dds.graph,
                     {"k": dds.k, "ell": dds.ell, "s": s, "t": t})
         _log(f"wrote instance with {dds.graph.n} vertices, k={dds.k}, ell={dds.ell}")

@@ -7,7 +7,6 @@ import importlib
 
 # public name -> the submodule that defines it
 _EXPORTS = {
-    "ELL_MODES": "dds",
     "CndInstance": "dds",
     "DdsInstance": "dds",
     "SatCnd": "sat",

@@ -16,10 +16,8 @@ from math import comb, inf
 from typing import Iterable, Iterator, Optional
 
 from defdom.errors import InputError, record
-from defdom.graphs import (Graph, VertexMultiset, VertexSet, delete_vertices,
-                           has_clique)
-
-ELL_MODES = ("proof-consistent", "literal")
+from defdom.graphs import (Graph, VertexMultiset, VertexSet, check_multiset,
+                           delete_vertices, has_clique)
 
 
 @record
@@ -116,30 +114,23 @@ class DdsInstance:
     layout: DdsLayout
 
 
-def _ell_value(n: int, s: int, t: int, ell_mode: str) -> int:
-    if ell_mode == "proof-consistent":
-        return 4 * (n + s) + n * t - (t + 1)
-    if ell_mode == "literal":
-        return 4 * (n + s) + n * t - (t - 1)
-    raise InputError(f"unknown ell mode {ell_mode!r}; use one of {ELL_MODES}")
+def _ell(inst: CndInstance) -> int:
+    """The defense bound: the size of the proof's forward defense."""
+    n, s, t = inst.graph.n, inst.s, inst.t
+    return 4 * (n + s) + n * t - (t + 1)
 
 
-def cnd_to_dds(inst: CndInstance, ell_mode: str = "proof-consistent") -> DdsInstance:
+def cnd_to_dds(inst: CndInstance) -> DdsInstance:
     """Build the defensive-domination instance for a deletion instance.
 
-    The defense bound is 4(n+s) + nt minus a mode-dependent term:
-    "proof-consistent" (default) subtracts t+1, matching the sizes the
-    correctness argument actually uses, and "literal" subtracts t-1 as the
-    construction is stated, so it is two larger.
+    The attack bound is k = n+s and the defense bound is
+    ell = 4(n+s) + nt - (t+1), exactly the size of `proof_defense`'s
+    defense.  The bound is tight: on two disjoint K4 with s = 1, a good
+    defense of ell + 1 copies exists although no deletion set does.
     """
-    return _build_dds(inst, _ell_value(inst.graph.n, inst.s, inst.t, ell_mode))
-
-
-def _build_dds(inst: CndInstance, ell: int) -> DdsInstance:
-    """The construction for a deletion instance and an explicit defense bound."""
-    layout, labels = _dds_layout(inst, ell)
+    layout, labels = _dds_layout(inst)
     graph = Graph(len(labels), _expected_edges(layout), labels)
-    return DdsInstance(graph, inst.graph.n + inst.s, ell, inst.s, inst.t, layout)
+    return DdsInstance(graph, inst.graph.n + inst.s, _ell(inst), inst.s, inst.t, layout)
 
 
 class _Labels(dict):
@@ -163,7 +154,7 @@ class _Labels(dict):
                           f"the graph has {self.cap}")
 
 
-def _dds_layout(inst: CndInstance, ell: int, cap: float = inf) -> tuple[DdsLayout, _Labels]:
+def _dds_layout(inst: CndInstance, cap: float = inf) -> tuple[DdsLayout, _Labels]:
     """The construction's vertex groups and the role label of each vertex id."""
     g, s, t = inst.graph, inst.s, inst.t
     n = g.n
@@ -173,8 +164,7 @@ def _dds_layout(inst: CndInstance, ell: int, cap: float = inf) -> tuple[DdsLayou
     if n + s < comb(t, 2):
         raise InputError(
             f"construction requires n+s >= t(t-1)/2 (got {n + s} < {comb(t, 2)})")
-    if ell < 0:
-        raise InputError(f"defense bound ell must be nonnegative (got {ell})")
+    ell = _ell(inst)
 
     labels = _Labels(f"labels and parameters (n={n}, s={s}, t={t}, ell={ell})", cap)
     fresh = labels.fresh
@@ -239,7 +229,9 @@ def dds_from_graph(g: Graph, k: int, ell: int) -> DdsInstance:
 
     The labels name the source graph (n from the v'(i) vertices, its edges
     from the e'(u,v) vertices) and t (the size of the I'v(1) class), and
-    s = k - n.  The graph is accepted exactly when it is the construction
+    s = k - n.  The stated ell must be the construction's own,
+    4(n+s) + nt - (t+1); any other value is refused before a vertex id is
+    laid out.  The graph is accepted exactly when it is the construction
     for these parameters, vertex ids included: laid out with ids capped at
     the vertex count, then checked by `_require_construction`.  The
     accepted graph itself becomes the instance's graph.
@@ -254,7 +246,11 @@ def dds_from_graph(g: Graph, k: int, ell: int) -> DdsInstance:
     if s < 1:
         raise InputError("k must exceed the source vertex count")
     inst = CndInstance(Graph(n, edges), s, t)
-    layout, built = _dds_layout(inst, ell, cap=g.n)
+    want = _ell(inst)
+    if ell != want:
+        raise InputError(f"stated bound ell={ell} differs from the construction's "
+                         f"ell={want} (n={n}, s={s}, t={t})")
+    layout, built = _dds_layout(inst, cap=g.n)
     _require_construction(g, built, _expected_edges(layout))
     return DdsInstance(g, k, ell, s, t, layout)
 
@@ -298,55 +294,38 @@ def enumerate_serious_attacks(dds: DdsInstance) -> Iterator[VertexSet]:
 def extract_deletion_set(dds: DdsInstance, defense: VertexMultiset) -> VertexSet:
     """Recover a deletion certificate from a good defense.
 
-    Applies the normalization moves that reach the source-vertex group, in
-    order: stray pair-class defenders slide onto v', and surplus v''
-    defenders drain to Q2 until the group holds exactly k defenders.  The
-    result is the set of doubly defended source vertices, which must have
-    size s.  The proof's middle move, collecting the defenders on I2 and
-    edge vertices on Q2, leaves that group as it is, so it is not made.
+    v'(v) and v''(v) are false twins: they have the same open neighbourhood
+    and are not adjacent, so a copy counters the same attacks on either,
+    and the copies on the pair count together.  The normalization moves
+    that reach the source-vertex group are made on these pair counts, in
+    order: a pair holding no copy takes one from its Iv class, and while
+    the group holds more than k copies, the lowest pair holding two or
+    more gives one to Q2.  Every pair then holds a copy, so at most s pairs
+    hold two or more; their source vertices, padded with the lowest other
+    ones, are the s-set returned.  The proof's middle move, collecting the
+    defenders on I2 and edge vertices on Q2, leaves the group as it is, so
+    it is not made.  Neither the defense nor the set is checked here: a
+    defense that is not good may give a set that leaves a K_t.
     """
+    check_multiset(dds.graph, defense)
     lay = dds.layout
-    out = {vid: c for vid, c in defense.items() if c > 0}
-    for vid in out:
-        if not (1 <= vid <= dds.graph.n):
-            raise InputError(f"defense mentions unknown vertex {vid}")
-
-    def move_one(src: int, dst: int) -> None:
-        out[src] -= 1
-        if out[src] == 0:
-            del out[src]
-        out[dst] = out.get(dst, 0) + 1
-
+    pair = {}
     for v in sorted(lay.v_prime):
-        vp, vs = lay.v_prime[v], lay.v_second[v]
-        if vp in out or vs in out:
-            continue
-        donor = next((w for w in lay.i_v[v] if w in out), None)
-        if donor is None:
-            raise InputError(
-                "defense violates backward-direction observation: no defender "
-                f"near the classes of source vertex {v}")
-        move_one(donor, vp)
-
-    def v_count() -> int:
-        return sum(out.get(w, 0) for w in lay.v_group())
-
-    while v_count() > dds.k:
-        doubly = next((v for v in sorted(lay.v_prime)
-                       if lay.v_prime[v] in out and lay.v_second[v] in out), None)
-        if doubly is None:
-            raise InputError(
-                "cannot normalize: source group overfull but no vertex is "
-                "doubly defended")
-        move_one(lay.v_second[doubly], lay.q2[0])
-
-    extracted = frozenset(v for v in lay.v_prime
-                          if lay.v_prime[v] in out and lay.v_second[v] in out)
-    if len(extracted) != dds.s:
-        raise InputError(
-            f"normalized defense marks {len(extracted)} doubly defended "
-            f"vertices, expected s={dds.s}")
-    return extracted
+        pair[v] = defense.get(lay.v_prime[v], 0) + defense.get(lay.v_second[v], 0)
+        if not pair[v]:
+            if not any(w in defense for w in lay.i_v[v]):
+                raise InputError(
+                    "defense violates backward-direction observation: no defender "
+                    f"near the classes of source vertex {v}")
+            pair[v] = 1
+    surplus = max(0, sum(pair.values()) - dds.k)
+    for v in pair:
+        drained = min(surplus, pair[v] - 1)
+        pair[v] -= drained
+        surplus -= drained
+    doubly = [v for v in pair if pair[v] > 1]
+    rest = [v for v in pair if pair[v] == 1]
+    return frozenset(doubly + rest[:dds.s - len(doubly)])
 
 
 def solve_cnd_bruteforce(inst: CndInstance) -> Optional[VertexSet]:

@@ -449,27 +449,27 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
 
 def test_unknown_mode_values_are_input_errors(tmp_path, capsys, monkeypatch):
     from defdom.defense import STRATEGIES
-    from defdom.reductions.dds import ELL_MODES
     graph = tmp_path / "p3.dds"
     write_graph(graph, path_graph(3))
     defense = tmp_path / "d.set"
     write_vertex_set(defense, [2])
+    code, (verdict, _, _), err = run(capsys, "verify", graph, defense, 2, "--strategy", "bogus")
+    assert code == 2 and verdict == "error"
+    assert "Traceback" not in err and "bogus" in err
+    # the defense bound has one definition, so there is no mode to choose
     source = k4_pendant_file(tmp_path, {"s": 1, "t": 4})
     out = tmp_path / "out.dds"
-    for argv in (["verify", graph, defense, 2, "--strategy", "bogus"],
-                 ["reduce", "cnd-to-dds", source, "-o", out, "--ell-mode", "bogus"]):
-        code, (verdict, _, _), err = run(capsys, *argv)
-        assert code == 2 and verdict == "error", argv
-        assert "Traceback" not in err and "bogus" in err, argv
+    code, (verdict, _, _), err = run(capsys, "reduce", "cnd-to-dds", source, "-o", out,
+                                     "--ell-mode", "literal")
+    assert code == 2 and verdict == "error"
+    assert "Traceback" not in err and "unrecognized arguments: --ell-mode literal" in err
     assert not out.exists()
     # the help text names every valid value; wide enough not to wrap a name
     monkeypatch.setenv("COLUMNS", "200")
-    for argv, values in ((["verify", "--help"], STRATEGIES),
-                         (["reduce", "cnd-to-dds", "--help"], ELL_MODES)):
-        with pytest.raises(SystemExit):
-            main(argv)
-        text = capsys.readouterr().out
-        assert all(value in text for value in values), (argv, text)
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    text = capsys.readouterr().out
+    assert all(value in text for value in STRATEGIES), text
 
 
 def test_usage_errors_end_in_an_error_record(capsys):
@@ -672,14 +672,22 @@ def count_ids(monkeypatch):
 
 def test_rebuild_layouts_stop_at_the_file_size(tmp_path, capsys, monkeypatch):
     # a construction larger than the file is refused after at most g.n + 1
-    # ids and before any edge is drawn: ell = 10**12 on the 137-vertex K4
-    # construction, and labels naming a = c = 400 (b = 1) with the s and t
-    # they imply, whose layout has over 64 million vertices (the labels of
-    # test_hostile_sat_labels_exit_2_in_bounded_memory, whose s and t differ)
+    # ids and before any edge is drawn: labels naming n = 1000 source
+    # vertices and t = 4 on a 1 004-vertex file, whose construction has
+    # over 27 000 vertices, and labels naming a = c = 400 (b = 1) with the s
+    # and t they imply, whose layout has over 64 million vertices (the
+    # labels of test_hostile_sat_labels_exit_2_in_bounded_memory, whose s
+    # and t differ); a stated ell other than the construction's is refused
+    # before any id is asked for
     monkeypatch.chdir(tmp_path)
     source = k4_pendant_file(tmp_path, {"s": 1, "t": 4})
     assert run(capsys, "reduce", "cnd-to-dds", source, "-o", "big.dds")[0] == 0
     write_vertex_set("x.set", [1])
+    n = 1000
+    labels = [f"v'({v})" for v in range(1, n + 1)] + [f"I'v(1)#{i}" for i in range(1, 5)]
+    ell = 4 * (n + 1) + 4 * n - 5
+    write_graph("wide.dds", Graph(len(labels), [], dict(enumerate(labels, start=1))),
+                {"k": n + 1, "ell": ell})
     a = c = 400
     labels = [f"x{i}:{sign}:1" for i in range(1, a + 1) for sign in ("pos", "neg")]
     labels += ["y1:pos", "y1:neg"]
@@ -694,16 +702,23 @@ def test_rebuild_layouts_stop_at_the_file_size(tmp_path, capsys, monkeypatch):
     asked = count_ids(monkeypatch)
     drawn = count_drawn(monkeypatch, dds, "_expected_edges")
     drawn += count_drawn(monkeypatch, sat, "_sat_expected_edges")
-    for argv, n, params in (
-            (["dds-forward", "big.dds", "--deletion", "x.set", "--ell", 10 ** 12], 137,
-             "labels and parameters (n=5, s=1, t=4, ell=1000000000000)"),
+    code, (verdict, _, _), err = run(capsys, "audit", "dds-forward", "big.dds",
+                                     "--deletion", "x.set", "--ell", 10 ** 12)
+    assert code == 2 and verdict == "error", err
+    assert ("stated bound ell=1000000000000 differs from the construction's ell=39 "
+            "(n=5, s=1, t=4)") in err
+    assert asked == []
+    for argv, size, params in (
+            (["dds-forward", "wide.dds", "--deletion", "x.set"], n + 4,
+             f"labels and parameters (n={n}, s=1, t=4, ell={ell})"),
             (["cnd-certificate", "hostile.dds", "--valuation", "nu.val"], 3202,
              "labels (a=400, b=1, c=400)")):
         asked.clear()
         code, (verdict, _, _), err = run(capsys, "audit", *argv)
         assert code == 2 and verdict == "error", err
-        assert f"{params} give a construction of more than {n} vertices, the graph has {n}" in err
-        assert len(asked) <= n + 1
+        assert (f"{params} give a construction of more than {size} vertices, "
+                f"the graph has {size}") in err
+        assert len(asked) <= size + 1
     assert drawn == []
 
 

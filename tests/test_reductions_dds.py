@@ -7,7 +7,7 @@ from defdom.defense import find_violator
 from defdom.errors import InputError
 from defdom.graphs import (Graph, complete_graph, cycle_graph, delete_vertices,
                            has_clique, multiset_size, path_graph, random_graph)
-from defdom.matching import counters
+from defdom.matching import counters, uncountered
 from defdom.reductions import (CndInstance, cnd_to_dds, dds_from_graph,
                                enumerate_serious_attacks, extract_deletion_set,
                                proof_defense, solve_cnd_bruteforce)
@@ -69,12 +69,26 @@ def test_k4_pendant_frozen_shape():
     assert all(len(a) == 6 for a in attacks)
 
 
-def test_ell_modes():
-    inst = CndInstance(k4_pendant(), 1, 4)
-    assert cnd_to_dds(inst, ell_mode="proof-consistent").ell == 39
-    assert cnd_to_dds(inst, ell_mode="literal").ell == 41
-    with pytest.raises(InputError):
-        cnd_to_dds(inst, ell_mode="bogus")
+def two_k4():
+    return Graph(8, [(u, v) for base in (0, 4)
+                     for u, v in itertools.combinations(range(base + 1, base + 5), 2)])
+
+
+def test_ell_is_tight():
+    # two disjoint K4 need two deletions, so s = 1 is a no-instance; yet the
+    # proof's defense for {1} with one more copy, on v''(5), is good, and
+    # its extracted set leaves a K4
+    inst = CndInstance(two_k4(), 1, 4)
+    assert solve_cnd_bruteforce(inst) is None
+    dds = cnd_to_dds(inst)
+    assert (dds.k, dds.ell) == (9, 63)
+    defense = {**proof_defense(dds, frozenset({1})), dds.layout.v_second[5]: 1}
+    assert multiset_size(defense) == dds.ell + 1
+    assert uncountered(dds.graph, defense, enumerate_serious_attacks(dds)) is None
+    assert find_violator(dds.graph, defense, dds.k, strategy="pruned") is None
+    deletion = extract_deletion_set(dds, defense)
+    assert deletion == frozenset({5})
+    assert has_clique(delete_vertices(inst.graph, deletion)[0], inst.t)
 
 
 def test_edge_vertex_wiring():
@@ -173,23 +187,75 @@ def test_extraction_undoes_each_normalization_move():
         assert extract_deletion_set(dds, changed) == deletion, case
 
 
+def test_extraction_counts_twin_copies_together():
+    # v'(v) and v''(v) have the same open neighbourhood and are not
+    # adjacent, so two copies on either one mark v as deleted
+    stacked = 0
+    for inst in itertools.islice(tiny_instances(), 2):
+        dds = cnd_to_dds(inst)
+        adj, lay = dds.graph.adj, dds.layout
+        deletion = solve_cnd_bruteforce(inst)
+        defense = proof_defense(dds, deletion)
+        for v in sorted(deletion):
+            pair = (lay.v_prime[v], lay.v_second[v])
+            assert adj[pair[0]] == adj[pair[1]] and pair[1] not in adj[pair[0]]
+            for src, dst in (pair, pair[::-1]):
+                changed = moved(defense, src, dst)
+                assert find_violator(dds.graph, changed, dds.k, strategy="pruned") is None
+                assert extract_deletion_set(dds, changed) == deletion, (v, src)
+                stacked += 1
+    assert stacked == 6
+
+
+def test_extraction_of_fuzzed_good_defenses():
+    # proof defenses with 1-4 copies moved among the groups the
+    # normalization touches, keeping a set or stacking copies: each one
+    # the pruned search accepts must give an s-set that leaves no K_t
+    rng = random.Random(34)
+    kept = {False: 0, True: 0}
+    for inst in itertools.islice(tiny_instances(), 3):
+        dds = cnd_to_dds(inst)
+        lay = dds.layout
+        sources = lay.v_group() + lay.q2 + lay.i_v_all()
+        targets = sources + lay.i2 + lay.e_group()
+        deletions = [frozenset(c) for c in itertools.combinations(inst.graph.vertices, inst.s)
+                     if not has_clique(delete_vertices(inst.graph, c)[0], inst.t)]
+        for trial in range(400):
+            stack = trial % 2 == 1
+            defense = proof_defense(dds, rng.choice(deletions))
+            for _ in range(rng.randint(1, 4)):
+                src = rng.choice([w for w in sources if w in defense])
+                pool = lay.v_group() if rng.random() < 0.5 else targets
+                dst = rng.choice([w for w in pool if w != src and (stack or w not in defense)])
+                defense = moved(defense, src, dst)
+            if find_violator(dds.graph, defense, dds.k, strategy="pruned") is not None:
+                continue
+            kept[max(defense.values()) > 1] += 1
+            deletion = extract_deletion_set(dds, defense)
+            assert len(deletion) == inst.s, defense
+            assert not has_clique(delete_vertices(inst.graph, deletion)[0], inst.t), defense
+    assert min(kept.values()) >= 10, kept
+
+
 def test_extraction_names_each_refusal():
     dds = cnd_to_dds(CndInstance(complete_graph(5), 2, 4))
     lay = dds.layout
     defense = proof_defense(dds, frozenset({2, 4}))
-    with pytest.raises(InputError, match=f"unknown vertex {dds.graph.n + 1}$"):
+    with pytest.raises(InputError, match=f"vertex {dds.graph.n + 1} outside 1..{dds.graph.n}$"):
         extract_deletion_set(dds, {**defense, dds.graph.n + 1: 1})
+    with pytest.raises(InputError, match="must be positive, got 0$"):
+        extract_deletion_set(dds, {**defense, lay.i3[0]: 0})
     lone = {w: c for w, c in defense.items() if w != lay.v_prime[3]}
     with pytest.raises(InputError, match="no defender near the classes of source vertex 3$"):
         extract_deletion_set(dds, lone)
-    # k + 1 copies on the source group, none of its vertices doubly defended
+    # k + 1 copies on the source group, s + 2 of them on v'(1): the surplus
+    # drains from v'(1), which stays marked, and the lowest other pads
     piled = {lay.v_prime[v]: 1 for v in range(1, 6)}
     piled[lay.v_prime[1]] += dds.s + 1
-    with pytest.raises(InputError, match="overfull but no vertex is doubly defended"):
-        extract_deletion_set(dds, piled)
+    assert extract_deletion_set(dds, piled) == frozenset({1, 2})
+    # one marked vertex short of s: the lowest unmarked one pads the set
     short = moved(defense, lay.v_second[4], lay.q2[0])
-    with pytest.raises(InputError, match="marks 1 doubly defended vertices, expected s=2$"):
-        extract_deletion_set(dds, short)
+    assert extract_deletion_set(dds, short) == frozenset({1, 2})
 
 
 def test_proof_defense_validates_deletion_set():
@@ -241,7 +307,8 @@ def test_file_reconstruction_equals_original():
     # a construction cut short so that a negative ell would explain its size
     small = cnd_to_dds(CndInstance(Graph(3, []), 3, 4))
     cut, _ = delete_vertices(small.graph, small.layout.i3 + (small.graph.n,))
-    with pytest.raises(InputError, match="ell must be nonnegative"):
+    with pytest.raises(InputError, match=r"^stated bound ell=-7 differs from the "
+                                         r"construction's ell=31 \(n=3, s=3, t=4\)$"):
         dds_from_graph(cut, small.k, -(small.k + 1))
 
 
@@ -253,10 +320,8 @@ def test_edge_stream_yields_each_edge_once():
         n = rng.randint(5, 10)
         inst = CndInstance(random_graph(n, rng.random(), rng.randrange(1000)),
                            rng.randint(1, n), 4)
-        for mode in ("proof-consistent", "literal"):
-            dds = cnd_to_dds(inst, ell_mode=mode)
-            layout, _ = _dds_layout(inst, dds.ell)
-            assert sum(1 for _ in _expected_edges(layout)) == dds.graph.edge_count()
+        layout, _ = _dds_layout(inst)
+        assert sum(1 for _ in _expected_edges(layout)) == cnd_to_dds(inst).graph.edge_count()
 
 
 def test_file_with_an_extra_edge_is_refused():
