@@ -43,11 +43,11 @@ def dds_forward(args) -> tuple:
     from defdom.matching import uncountered
     from defdom.reductions.dds import enumerate_serious_attacks
     dds, _, defense = _load_dds(args)
-    stranded = uncountered(dds.graph, defense, enumerate_serious_attacks(dds))
-    if stranded is not None:
-        _log(f"FAIL: attackers {_listing(stranded)} of a serious attack see "
+    reached = uncountered(dds.graph, defense, enumerate_serious_attacks(dds))
+    if reached is not None:
+        _log(f"FAIL: attackers {_listing(reached)} of a serious attack see "
              "fewer defenders than their number")
-        return "fail", len(stranded)
+        return "fail", len(reached)
     violator = find_violator(dds.graph, defense, dds.k, strategy="pruned")
     if violator is not None:
         _log(f"FAIL: attack {_listing(violator.attack)} exceeds nearby defenders "

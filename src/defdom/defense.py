@@ -19,7 +19,7 @@ are the ones that enumeration returns.
 import itertools
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from defdom.errors import InputError, record
 from defdom.graphs import (Graph, VertexMultiset, VertexSet, check_multiset,
@@ -48,33 +48,37 @@ def hall_deficiency(g: Graph, defense: VertexMultiset, attack: Iterable[int]) ->
     return len(attack) - count_in(defense, closed_neighborhood(g, attack))
 
 
-def _copy_masks(g: Graph, defense: VertexMultiset) -> list[int]:
-    """Per-vertex bitmask of defender copies stationed in N[v].
+def _copy_masks(g: Graph, defense: VertexMultiset, part: Sequence[int],
+                place: Sequence[int]) -> list[int]:
+    """Per place i, the bitmask of defender copies stationed in N[part[i]],
+    where `part` is closed under neighbors and place[v] is v's index in it.
 
     Each defender copy gets its own bit, so popcounts of mask unions count
     copies with multiplicity.
     """
-    dmask = [0] * (g.n + 1)
-    bit = 0
-    for v in sorted(defense):
-        mask = ((1 << defense[v]) - 1) << bit
-        bit += defense[v]
-        dmask[v] |= mask
-        for u in g.adj[v]:
-            dmask[u] |= mask
+    dmask, bit = [0] * len(part), 0
+    for i, v in enumerate(part):
+        count = defense.get(v)
+        if count:
+            mask = ((1 << count) - 1) << bit
+            bit += count
+            dmask[i] |= mask
+            for u in g.adj[v]:
+                dmask[place[u]] |= mask
     return dmask
 
 
-def _violator_exhaustive(g: Graph, dmask: list[int], k: int) -> Optional[Violator]:
+def _violator_exhaustive(g: Graph, defense: VertexMultiset, k: int) -> Optional[Violator]:
     # Ascending size, lexicographic inside each size: the first hit is the
-    # canonical witness.
+    # canonical witness.  Vertex v is place v - 1.
+    dmask = _copy_masks(g, defense, g.vertices, range(-1, g.n))
     for size in range(1, min(k, g.n) + 1):
-        for combo in itertools.combinations(g.vertices, size):
+        for combo in itertools.combinations(range(g.n), size):
             cover = 0
-            for v in combo:
-                cover |= dmask[v]
+            for i in combo:
+                cover |= dmask[i]
             if cover.bit_count() < size:
-                return Violator(frozenset(combo), size - cover.bit_count())
+                return Violator(frozenset(i + 1 for i in combo), size - cover.bit_count())
     return None
 
 
@@ -156,15 +160,7 @@ def _violator_pruned(g: Graph, defense: VertexMultiset, k: int) -> Optional[Viol
     for part in _components(g):
         for i, v in enumerate(part):
             local[v] = i
-        dmask, bit = [0] * len(part), 0
-        for i, v in enumerate(part):      # the copy masks, as in _copy_masks
-            count = defense.get(v)
-            if count:
-                mask = ((1 << count) - 1) << bit
-                bit += count
-                dmask[i] |= mask
-                for u in g.adj[v]:
-                    dmask[local[u]] |= mask
+        dmask = _copy_masks(g, defense, part, local)
         counts = [mask.bit_count() for mask in dmask]
         comps.append([part, dmask, counts, sorted(counts), None])
     for m in range(2, min(k, g.n) + 1):
@@ -221,7 +217,7 @@ def find_violator(g: Graph, defense: VertexMultiset, k: int,
     cap = min(k, g.n)
     capped = {v: min(c, cap) for v, c in defense.items()}
     if strategy == "exhaustive":
-        return _violator_exhaustive(g, _copy_masks(g, capped), k)
+        return _violator_exhaustive(g, capped, k)
     return _violator_pruned(g, capped, k)
 
 

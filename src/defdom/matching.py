@@ -1,149 +1,115 @@
-"""Bipartite maximum matching and the attacker-coverage check built on it.
+"""The attacker-coverage check: match attackers to defender stations.
 
 An attack is countered when every attacker can be assigned its own defender
-copy stationed in the attacker's closed neighborhood, no copy reused.  That
-is exactly a perfect matching of the attackers into defender copies, so the
-coverage check reduces to Hopcroft-Karp.  `uncountered` checks a whole list
-of attacks against one defense and shares the per-vertex copy lists across
-them; `counters` is its one-attack case.  A failed maximum matching names
-a Hall violator: each copy seen by the attackers that alternating paths
-reach from an unmatched one (Hopcroft and Karp, SIAM J. Comput. 2, 1973) is
-matched to another of them, so they see one copy fewer than their number.
+copy stationed in the attacker's closed neighborhood, no copy reused.  A
+station is a vertex holding copies, and it serves at most as many attackers
+as it holds copies, so the check is a matching of the attackers into
+stations of bounded capacity.  `uncountered` places the attackers one by one
+in ascending order, each on the first station in its neighborhood with room,
+or else by an augmenting-path search that shifts earlier attackers along an
+alternating path (Kuhn, Naval Res. Logist. Q. 2, 1955).  It checks a whole
+list of attacks against one defense and shares the per-vertex station lists
+across them; `counters` is its one-attack case.
+
+The first attacker that cannot be placed ends the check.  The attackers its
+search reached form a Hall violator: every station they see is full and
+held only by the others among them, so they see exactly one copy fewer than
+their number.
 """
 
-from collections import deque
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from defdom.graphs import (Graph, VertexMultiset, VertexSet, check_multiset,
                            require_vertices)
 
-INF = float("inf")
+
+def _unplaced(reach: list[list[int]], defense: VertexMultiset,
+              attackers: list[int]) -> Optional[VertexSet]:
+    """Place the attackers on the stations in their `reach` lists, at most
+    defense[s] on station s.  Returns None once all are placed, else the
+    attackers reached by the search for the first one that cannot be."""
+    holders: dict[int, list[int]] = {}   # station -> the attackers it serves
+    seat: dict[int, tuple[int, int]] = {}   # attacker -> (station, place)
+    for root in attackers:
+        for s in reach[root]:
+            held = holders.setdefault(s, [])
+            if len(held) < defense[s]:
+                seat[root] = (s, len(held))
+                held.append(root)
+                break
+        else:
+            reached = _shift(root, reach, defense, holders, seat)
+            if reached is not None:
+                return reached
+    return None
 
 
-def max_matching(adj: Sequence[Sequence[int]],
-                 num_right: int) -> tuple[int, dict[int, int]]:
-    """Hopcroft-Karp on left tokens 0..len(adj)-1, where adj[u] lists the
-    right tokens in 0..num_right-1 that u may take, in the order tried.
-    Returns the matching size and a left->right pairing."""
-    num_left = len(adj)
-    match_l = [-1] * num_left
-    match_r = [-1] * num_right
-    dist = [INF] * num_left
+def _shift(root: int, reach: list[list[int]], defense: VertexMultiset,
+           holders: dict[int, list[int]],
+           seat: dict[int, tuple[int, int]]) -> Optional[VertexSet]:
+    """Place `root` along an alternating path, or return the attackers the
+    search reached: every station they see is full and held by them.
 
-    def bfs() -> bool:
-        q = deque()
-        for u in range(num_left):
-            if match_l[u] == -1:
-                dist[u] = 0
-                q.append(u)
-            else:
-                dist[u] = INF
-        found = False
-        while q:
-            u = q.popleft()
-            for r in adj[u]:
-                w = match_r[r]
-                if w == -1:
-                    found = True
-                elif dist[w] is INF:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        return found
-
-    # Each phase searches augmenting paths down the BFS layers, depth
-    # first from each free left token in turn.  The path is a stack of left
-    # tokens, and next_arc[u] is the arc u tries next: an arc that fails
-    # once cannot succeed later in the phase, so the index only moves
-    # forward, and a token with no arc left is dead for the phase.
-    size = 0
-    while bfs():
-        next_arc = [0] * num_left
-        for root in range(num_left):
-            if match_l[root] != -1:
-                continue
-            path = [root]
-            while path:
-                u = path[-1]
-                arcs = adj[u]
-                layer = dist[u] + 1
-                i = next_arc[u]
-                while i < len(arcs):
-                    w = match_r[arcs[i]]
-                    if w == -1 or dist[w] == layer:
-                        break
-                    i += 1
-                next_arc[u] = i
-                if i == len(arcs):
-                    dist[u] = INF
-                    path.pop()
-                    if path:
-                        next_arc[path[-1]] += 1
-                elif w != -1:
-                    path.append(w)
-                else:                      # a free right token: flip the path
-                    for v in path:
-                        r = adj[v][next_arc[v]]
-                        match_l[v] = r
-                        match_r[r] = v
-                    size += 1
-                    break
-
-    pairing = {u: match_l[u] for u in range(num_left) if match_l[u] != -1}
-    return size, pairing
-
-
-def defender_copies(defense: VertexMultiset) -> list[int]:
-    """Expand a defense multiset into one token per copy, vertex-sorted."""
-    out: list[int] = []
-    for v in sorted(defense):
-        out.extend([v] * defense[v])
-    return out
-
-
-def _stranded(adj: Sequence[Sequence[int]], pairing: dict[int, int]) -> set[int]:
-    """Left tokens that alternating paths reach from the first one the
-    maximum matching `pairing` leaves unmatched."""
-    # every right token reached is matched, or the matching would grow
-    owner = {r: u for u, r in pairing.items()}
-    seen = {next(u for u in range(len(adj)) if u not in pairing)}
-    stack = list(seen)
+    Depth first on an explicit stack; came[b] is the attacker that reached
+    b and may take b's place, and each full station hands over its holders
+    once.
+    """
+    came = {root: None}
+    done = set()
+    stack = [root]
     while stack:
-        for r in adj[stack.pop()]:
-            if owner[r] not in seen:
-                seen.add(owner[r])
-                stack.append(owner[r])
-    return seen
+        a = stack.pop()
+        for s in reach[a]:
+            held = holders.setdefault(s, [])
+            if len(held) < defense[s]:
+                # a takes the free place on s, and every attacker on the
+                # path back to the root takes the place its successor left
+                held.append(a)
+                place = (s, len(held) - 1)
+                while a is not None:
+                    left = seat.get(a)
+                    seat[a] = place
+                    holders[place[0]][place[1]] = a
+                    a, place = came[a], left
+                return None
+            if s not in done:
+                done.add(s)
+                for b in held:
+                    if b not in came:
+                        came[b] = a
+                        stack.append(b)
+    return frozenset(came)
 
 
 def uncountered(g: Graph, defense: VertexMultiset,
                 attacks: Iterable[Iterable[int]]) -> Optional[VertexSet]:
     """A Hall violator inside the first listed attack the defense does not
     counter, or None: the whole attack when it outnumbers the copies, else
-    the attackers that a maximum matching strands.
+    the attackers reached by the search for the first one that cannot be
+    placed.
 
-    The defense is checked and expanded into copies once (at most n per
-    vertex), and each vertex gets the ascending list of copies stationed in
-    its closed neighborhood once; every attack then runs Hopcroft-Karp on
-    those shared lists.  Each attack is validated when its turn comes, so a
-    bad vertex after the first uncountered attack goes unnoticed.
+    The defense is checked once, and each vertex gets the ascending list of
+    stations in its closed neighborhood once; every attack then runs the
+    placement on those shared lists.  A count is a capacity, so a station
+    with 10**12 copies costs no more than one with a single copy.  Each
+    attack is validated when its turn comes, so a bad vertex after the first
+    uncountered attack goes unnoticed.
     """
     check_multiset(g, defense)
-    # an attack has at most n members, so a station's copies past n go unused
-    copies = defender_copies({v: min(c, g.n) for v, c in defense.items()})
     reach: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for ri, d in enumerate(copies):
-        reach[d].append(ri)
-        for u in g.adj[d]:
-            reach[u].append(ri)
+    for s in sorted(defense):
+        reach[s].append(s)
+        for u in g.adj[s]:
+            reach[u].append(s)
+    total = sum(defense.values())
     for attack in attacks:
         attackers = sorted(frozenset(attack))
         require_vertices(g, attackers, "attack")
-        if len(attackers) > len(copies):
+        if len(attackers) > total:
             return frozenset(attackers)
-        adj = [reach[a] for a in attackers]
-        size, pairing = max_matching(adj, len(copies))
-        if size < len(attackers):
-            return frozenset(attackers[u] for u in _stranded(adj, pairing))
+        reached = _unplaced(reach, defense, attackers)
+        if reached is not None:
+            return reached
     return None
 
 

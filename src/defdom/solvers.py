@@ -211,9 +211,9 @@ def min_constrained_multiset(g: Graph, attacks: Iterable[Iterable[int]],
     """Smallest multiset D with lower <= D <= upper countering each listed
     attack (only those).  Returns None when even `upper` fails.
 
-    The matching check on the listed attacks verifies; the attackers S it
-    strands become the cut D(N[S]) >= |S|, net of the copies `lower`
-    already puts in N[S].
+    The matching check on the listed attacks verifies; the attackers S its
+    search reaches for the first attacker it cannot place become the cut
+    D(N[S]) >= |S|, net of the copies `lower` already puts in N[S].
     """
     from defdom.matching import uncountered   # the size-k solvers never load it
     check_multiset(g, lower)
@@ -233,11 +233,11 @@ def min_constrained_multiset(g: Graph, attacks: Iterable[Iterable[int]],
     caps = [upper[v] - lower.get(v, 0) for v in slack_vertices]
 
     def separate(add: VertexMultiset) -> Optional[Cut]:
-        stranded = uncountered(g, _plus(lower, add), attack_list)
-        if stranded is None:
+        reached = uncountered(g, _plus(lower, add), attack_list)
+        if reached is None:
             return None
-        hood = closed_neighborhood(g, stranded)
-        return hood, len(stranded) - count_in(lower, hood)
+        hood = closed_neighborhood(g, reached)
+        return hood, len(reached) - count_in(lower, hood)
 
     found = _least_defense(slack_vertices, caps, sum(caps), separate)
     if found is None:

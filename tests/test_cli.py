@@ -631,6 +631,22 @@ def test_solve_exact_learns_cuts_for_a_large_attack(tmp_path, n, size):
     assert RECORD.match(record).groups()[:2] == ("optimal", str(size))
 
 
+def test_solve_exact_on_a_hub_attack_in_bounded_memory(tmp_path):
+    # every leaf of a 10 000-leaf star in one attack, under the default upper
+    # bound of 10 000 copies per vertex: a matching that expanded each copy
+    # into its own token ran out of memory on this input
+    n = 10_000
+    graph = tmp_path / "star.dds"
+    write_graph(graph, star_graph(n))
+    attacks = tmp_path / "leaves.atk"
+    write_attacks(attacks, [range(2, n + 2)])
+    code, record, err, rss_mb = run_child("solve-exact", graph, "--attacks", attacks,
+                                          address_space=512 * 2**20)
+    assert code == 0, err
+    assert RECORD.match(record).groups()[:2] == ("optimal", str(n))
+    assert rss_mb < 100, rss_mb
+
+
 def test_hostile_sat_labels_exit_2_in_bounded_memory(tmp_path):
     # labels naming a = c = 400 on an edgeless 3 202-vertex file; a rebuild
     # that laid out the a*c^2 variable paddings before checking s ran out of

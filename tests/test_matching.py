@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -8,96 +9,116 @@ from hypothesis import strategies as st
 
 from defdom.defense import hall_deficiency
 from defdom.errors import InputError
-from defdom.graphs import path_graph, star_graph
-from defdom.matching import counters, defender_copies, max_matching, uncountered
-from helpers import brute_matching_size, random_defense, random_split_graph
+from defdom.graphs import Graph, closed_neighborhood, path_graph, star_graph
+from defdom.matching import counters, uncountered
+from helpers import (brute_matching_size, random_defense, random_simple_graph,
+                     random_split_graph)
 
 
-def adjacency(nl, edges):
-    adj = [[] for _ in range(nl)]
-    for u, v in sorted(edges):
-        adj[u].append(v)
-    return adj
+def copy_tokens(g, defense, attackers):
+    """The matching as a bipartite graph on copies: attacker i may take every
+    copy stationed in its closed neighborhood, one right-hand token each."""
+    tokens = [s for s in sorted(defense) for _ in range(defense[s])]
+    return [[r for r, s in enumerate(tokens) if s in closed_neighborhood(g, [a])]
+            for a in attackers], len(tokens)
 
 
-def assert_valid_matching(adj, size, assignment):
-    assert len(assignment) == size
-    assert len(set(assignment.values())) == size
-    for u, v in assignment.items():
-        assert v in adj[u]
+def chain(n):
+    """Attackers n+1..2n and stations 1..n on a path: attacker n+i sees the
+    stations n+1-i and n-i, and the last attacker only station 1."""
+    edges = [(n + i, n + 1 - i) for i in range(1, n + 1)]
+    edges += [(n + i, n - i) for i in range(1, n)]
+    return Graph(2 * n, edges), list(range(n + 1, 2 * n + 1))
 
 
 def test_perfect_matching_on_complete_bipartite():
-    size, assignment = max_matching([[0, 1, 2]] * 3, 3)
-    assert size == 3
-    assert sorted(assignment) == [0, 1, 2]
-    assert len(set(assignment.values())) == 3
+    # K_{3,3}: each of the attackers 1..3 sees every station 4..6
+    g = Graph(6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)])
+    assert counters(g, {4: 1, 5: 1, 6: 1}, [1, 2, 3])
+    assert counters(g, {5: 3}, [1, 2, 3])
+    assert uncountered(g, {4: 1, 6: 1}, [[1, 2, 3]]) == {1, 2, 3}
 
 
 def test_matching_respects_missing_edges():
-    # both left tokens compete for the single right token
-    size, assignment = max_matching([[0], [0]], 1)
-    assert size == 1
-    assert len(assignment) == 1
+    # attackers 1 and 3 compete for the one copy on 2; a copy on 3 reaches
+    # 3 but not 1
+    g = path_graph(3)
+    assert uncountered(g, {2: 1}, [[1, 3]]) == {1, 3}
+    assert counters(g, {2: 1, 3: 1}, [1, 3])
+    assert uncountered(g, {3: 2}, [[1, 3]]) == {1}
 
 
 def test_empty_instance():
-    size, assignment = max_matching([], 0)
-    assert size == 0 and assignment == {}
+    g = path_graph(2)
+    assert uncountered(g, {}, []) is None
+    assert counters(g, {}, [])
+    assert uncountered(g, {}, [[1]]) == {1}
 
 
-def test_augmenting_path_through_every_token():
-    # each token but the last first takes the right token its successor
-    # needs, so the last one's augmenting path runs through all 3 000
+def test_augmenting_path_through_every_attacker():
+    # each attacker but the last first takes the station its successor
+    # needs, so the last one is placed only by shifting all 2 999 before it
     n = 3000
-    chain = [[u + 1, u] for u in range(n - 1)] + [[n - 1]]
-    size, assignment = max_matching(chain, n)
-    assert size == n
-    assert assignment == {u: u for u in range(n)}
+    g, attackers = chain(n)
+    stations = {s: 1 for s in range(1, n + 1)}
+    assert uncountered(g, stations, [attackers]) is None
+    # without station n the search reaches every attacker and places none
+    del stations[n]
+    assert uncountered(g, stations, [attackers]) == frozenset(attackers)
+
+
+def test_a_full_station_hands_over_its_holders_once():
+    # 20 000 leaves attacked and the hub one copy short (the other copy sits
+    # on an isolated vertex): the search for the last leaf reaches all the
+    # others through the hub, and expanding the hub again for each of them
+    # would make 4 * 10**8 membership checks
+    m = 20_000
+    g = Graph(m + 2, [(1, v) for v in range(2, m + 2)])
+    leaves = range(2, m + 2)
+    start = time.perf_counter()
+    assert uncountered(g, {1: m - 1, m + 2: 1}, [leaves]) == frozenset(leaves)
+    assert time.perf_counter() - start < 2
 
 
 def test_matching_agrees_with_brute_force():
     rng = random.Random(3)
-    for _ in range(80):
-        nl, nr = rng.randint(1, 6), rng.randint(1, 6)
-        edges = [(u, v) for u in range(nl) for v in range(nr)
-                 if rng.random() < 0.45]
-        adj = adjacency(nl, edges)
-        size, assignment = max_matching(adj, nr)
-        assert size == brute_matching_size(dict(enumerate(adj)), nl)
-        assert_valid_matching(adj, size, assignment)
+    for _ in range(120):
+        g = random_simple_graph(rng, n_max=7)
+        defense = random_defense(rng, g, max_copies=2, density=0.4)
+        attackers = rng.sample(g.vertices, rng.randint(1, min(5, g.n)))
+        adj, _ = copy_tokens(g, defense, attackers)
+        size = brute_matching_size(dict(enumerate(adj)), len(attackers))
+        assert counters(g, defense, attackers) == (size == len(attackers))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 40), st.integers(0, 40), st.floats(0.0, 0.5),
-       st.integers(0, 2**32))
-def test_matching_agrees_with_networkx(nl, nr, p, seed):
+@given(st.integers(1, 14), st.floats(0.0, 0.6), st.integers(0, 2**32))
+def test_matching_agrees_with_networkx(n, p, seed):
     rng = random.Random(seed)
-    edges = [(u, v) for u in range(nl) for v in range(nr) if rng.random() < p]
-    adj = adjacency(nl, edges)
-    size, assignment = max_matching(adj, nr)
+    g = Graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                  if rng.random() < p])
+    defense = random_defense(rng, g, max_copies=3, density=rng.random())
+    attackers = rng.sample(g.vertices, rng.randint(0, n))
+    adj, num_tokens = copy_tokens(g, defense, attackers)
     b = nx.Graph()
-    b.add_nodes_from(("L", u) for u in range(nl))
-    b.add_nodes_from(("R", v) for v in range(nr))
-    b.add_edges_from((("L", u), ("R", v)) for u, v in edges)
-    top = [("L", u) for u in range(nl)]
-    assert size == len(nx.bipartite.maximum_matching(b, top_nodes=top)) // 2
-    assert_valid_matching(adj, size, assignment)
+    b.add_nodes_from(("L", u) for u in range(len(attackers)))
+    b.add_nodes_from(("R", r) for r in range(num_tokens))
+    b.add_edges_from((("L", u), ("R", r)) for u, rs in enumerate(adj) for r in rs)
+    top = [("L", u) for u in range(len(attackers))]
+    size = len(nx.bipartite.maximum_matching(b, top_nodes=top)) // 2
+    assert counters(g, defense, attackers) == (size == len(attackers))
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 5), st.data())
-def test_matching_size_is_monotone_in_edges(nl, nr, data):
-    all_pairs = [(u, v) for u in range(nl) for v in range(nr)]
-    chosen = data.draw(st.lists(st.sampled_from(all_pairs), unique=True, max_size=12))
-    small, _ = max_matching(adjacency(nl, chosen[: len(chosen) // 2]), nr)
-    large, _ = max_matching(adjacency(nl, chosen), nr)
-    assert small <= large
-
-
-def test_defender_copies_expansion():
-    assert defender_copies({3: 2, 1: 1}) == [1, 3, 3]
-    assert defender_copies({}) == []
+@given(st.integers(0, 2**32))
+def test_adding_a_copy_never_uncounters(seed):
+    rng = random.Random(seed)
+    g = random_split_graph(rng)
+    defense = random_defense(rng, g, max_copies=2, density=0.4)
+    attack = rng.sample(g.vertices, rng.randint(1, g.n))
+    if counters(g, defense, attack):
+        for v in g.vertices:
+            assert counters(g, {**defense, v: defense.get(v, 0) + 1}, attack)
 
 
 def test_counters_star_multiset_example():
@@ -142,20 +163,24 @@ def test_uncountered_matches_per_attack_checks():
             assert counters(g, defense, a) == all(hall_deficiency(g, defense, s) <= 0
                                                   for s in subsets)
         first = next((frozenset(a) for a in attacks if not counters(g, defense, a)), None)
-        stranded = uncountered(g, defense, attacks)
-        assert (stranded is None) == (first is None)
+        reached = uncountered(g, defense, attacks)
+        assert (reached is None) == (first is None)
         if first is not None:
             # a Hall violator inside the first uncountered attack, re-checked
-            # by counting
-            assert stranded <= first
-            assert hall_deficiency(g, defense, stranded) >= 1
+            # by counting: one copy short, unless the whole attack outnumbers
+            # the copies
+            assert reached <= first
+            if len(first) > sum(defense.values()):
+                assert reached == first
+            else:
+                assert hall_deficiency(g, defense, reached) == 1
         failing += first is not None
     assert 50 < failing < 250
 
 
 def test_uncountered_ignores_copies_past_n():
-    # an attack has at most n members, so n copies on a station and 10**12
-    # counter the same attacks
+    # a count is a capacity and an attack has at most n members, so n copies
+    # on a station and 10**12 counter the same attacks
     rng = random.Random(13)
     for _ in range(100):
         g = random_split_graph(rng)
@@ -170,12 +195,12 @@ def test_uncountered_ignores_copies_past_n():
 def test_uncountered_edge_cases():
     g = star_graph(3)
     assert uncountered(g, {1: 1}, []) is None
-    # more attackers than copies, found without a matching
+    # more attackers than copies, found without a search
     assert uncountered(g, {1: 2}, [[1, 2], [2, 3, 4]]) == {2, 3, 4}
     # a repeated attack is checked again, and the first failure wins
     assert uncountered(g, {2: 1}, [[2], [2], [3], [4]]) == {3}
-    # only the attackers the failed matching strands: 5 sees no copy, while
-    # 1 and 2 are matched to copies on 1 and 3
+    # only the attackers the search for 5 reaches: 5 sees no copy, while 1
+    # and 2 are placed on the copies on 1 and 3
     assert uncountered(path_graph(5), {1: 1, 3: 2}, [[1, 2, 5]]) == {5}
     with pytest.raises(InputError):
         uncountered(g, {1: 1}, [[1], [5]])

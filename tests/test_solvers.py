@@ -150,7 +150,8 @@ def test_solvers_equal_enumeration_reference():
 
 def test_constrained_solver_with_large_listed_attacks():
     # the search starts with no cuts, so the matching check rejects some
-    # candidates and each rejection teaches the cut of its stranded attackers
+    # candidates and each rejection teaches the cut of the attackers its
+    # search reached
     rng = random.Random(14)
     rejected = 0
     for _ in range(20):
