@@ -24,6 +24,8 @@ def run(args) -> tuple:
                                 min_set_defense)
     g, _ = read_graph(args.graph)
     if args.attacks is not None:
+        if args.k is not None or args.multiset:
+            raise InputError("--attacks takes neither an attack size k nor --multiset")
         attacks = read_attacks(args.attacks)
         lower = read_multiset(args.lower) if args.lower else {}
         if args.upper:

@@ -13,12 +13,14 @@ vertex-deleted) labeled graph without the formula at hand.
 """
 
 import re
+from collections import defaultdict
+from itertools import combinations
 from math import inf
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from defdom.errors import InputError, record
 from defdom.formulas import Assignment, E2Formula
-from defdom.graphs import Graph, VertexSet, find_clique
+from defdom.graphs import Graph, VertexSet, delete_vertices, find_clique
 from defdom.reductions.dds import (_INDEX, CndInstance, _bipartite_edges, _clique_edges,
                                    _Labels, _require_construction)
 
@@ -331,96 +333,67 @@ def kt_witness_from_y(sc: SatCnd, nu: Assignment, mu: Assignment) -> VertexSet:
     out = frozenset(witness)
     if len(out) != sc.cnd.t or out & deletion:
         raise InputError("witness construction failed consistency checks")
-    _verify_clique(sc.graph, out)
+    return _verify_clique(sc.graph, out)
+
+
+def _verify_clique(g: Graph, members: Iterable[int]) -> VertexSet:
+    """The members as a set, once every pair of them is checked adjacent."""
+    out = frozenset(members)
+    for u, v in combinations(sorted(out), 2):
+        if not g.has_edge(u, v):
+            raise InputError(f"claimed clique misses edge ({u},{v})")
     return out
-
-
-def _verify_clique(g: Graph, members: VertexSet) -> None:
-    members = sorted(members)
-    for idx, u in enumerate(members):
-        for v in members[idx + 1:]:
-            if not g.has_edge(u, v):
-                raise InputError(f"claimed clique misses edge ({u},{v})")
 
 
 def typed_clique_audit(g: Graph, t: int) -> Optional[VertexSet]:
     """Find a K_t in a labeled construction by checking the four shapes.
 
-    Works on the construction itself or any vertex-deleted remnant of it:
-    (a) a variable-gadget edge with its full padding, (b) a clause-gadget
-    edge with its full padding, (c) enough survivors of one clause clique,
-    (d) anything built from universal-gadget, bad, and universally assigned
-    good vertices, searched exactly on that small induced subgraph.  Every
-    witness is re-verified edge by edge before being returned.
+    Works on the construction itself or any vertex-deleted remnant of it.
+    One pass over the role labels fills three tables: `ends`, the vertex at
+    each end of a gadget edge (x cores by sign, goods, bads); `pads`, the
+    pad ids of each gadget edge, keyed by shape first so that variable
+    gadgets sort before clause gadgets; and `clause`, the survivors of each
+    clause clique (its pads, x goods and `:Q` cores).  The shapes are tried
+    in order: (a) a variable-gadget edge with its full padding, (b) a
+    clause-gadget edge with its full padding, one loop over `pads` for
+    both, (c) t survivors of one clause clique, (d) anything built from
+    universal-gadget, bad, and universally assigned good vertices, searched
+    exactly on that small induced subgraph.  Every witness is re-verified
+    edge by edge before being returned.
     """
     if t < 5:
         raise InputError("typed audit requires t >= 5")
+    ends: dict[tuple[str, int, int], int] = {}   # (role, gadget, index) -> vertex
+    pads: dict[tuple[str, int, int, int], list[int]] = defaultdict(list)
+    clause: dict[int, list[int]] = defaultdict(list)
+    pool: list[int] = []   # shape (d): y, bad and y-good vertices
     parsed = _parse_sat_labels(g)
-
-    x_pos: dict[tuple[int, int], int] = {}
-    x_neg: dict[tuple[int, int], int] = {}
-    q_core: dict[int, list[int]] = {}
-    for vid, (i, kind, p, qflag) in parsed["xcore"].items():
-        (x_pos if kind == "pos" else x_neg)[(int(i), int(p))] = vid
-        if qflag:
-            q_core.setdefault(int(p), []).append(vid)
-    x_pads: dict[tuple[int, int, int], list[int]] = {}
-    for vid, (i, p, q, _) in parsed["xpad"].items():
-        x_pads.setdefault((int(i), int(p), int(q)), []).append(vid)
-    for (i, p, q), pads in sorted(x_pads.items()):
-        if len(pads) == t - 2 and (i, p) in x_pos and (i, q) in x_neg:
-            witness = frozenset([x_pos[(i, p)], x_neg[(i, q)]] + pads)
-            _verify_clique(g, witness)
-            return witness
-
-    goods: dict[tuple[int, int], int] = {}
-    y_goods: dict[int, list[int]] = {}
-    x_goods: dict[int, list[int]] = {}
-    for vid, (k, o, family, idx, sign) in parsed["good"].items():
-        goods[(int(k), int(o))] = vid
-        if family == "y":
-            y_goods.setdefault(int(k), []).append(vid)
-        else:
-            x_goods.setdefault(int(k), []).append(vid)
-    bads: dict[tuple[int, int], int] = {}
+    for vid, (i, sign, p, q_flag) in parsed["xcore"].items():
+        ends[(sign, int(i), int(p))] = vid
+        if q_flag:
+            clause[int(p)].append(vid)
+    for role, shape in (("xpad", "a"), ("cpad", "b")):
+        for vid, (gadget, one, two, _) in parsed[role].items():
+            pads[(shape, int(gadget), int(one), int(two))].append(vid)
+    for vid, (k, o, family, _, _) in parsed["good"].items():
+        ends[("good", int(k), int(o))] = vid
+        (clause[int(k)] if family == "x" else pool).append(vid)
     for vid, (k, _, o) in parsed["bad"].items():
-        bads[(int(k), int(o))] = vid
-    c_pads: dict[tuple[int, int, int], list[int]] = {}
-    for vid, (k, o, op, _) in parsed["cpad"].items():
-        c_pads.setdefault((int(k), int(o), int(op)), []).append(vid)
-    for (k, o, op), pads in sorted(c_pads.items()):
-        if len(pads) == t - 2 and (k, o) in goods and (k, op) in bads:
-            witness = frozenset([goods[(k, o)], bads[(k, op)]] + pads)
-            _verify_clique(g, witness)
-            return witness
-
-    q_members: dict[int, list[int]] = {}
+        ends[("bad", int(k), int(o))] = vid
+        pool.append(vid)
     for vid, (k, _) in parsed["qpad"].items():
-        q_members.setdefault(int(k), []).append(vid)
-    for k, members in x_goods.items():
-        q_members.setdefault(k, []).extend(members)
-    for k, members in q_core.items():
-        q_members.setdefault(k, []).extend(members)
-    for k in sorted(q_members):
-        members = sorted(q_members[k])
-        if len(members) >= t:
-            witness = frozenset(members[:t])
-            _verify_clique(g, witness)
-            return witness
+        clause[int(k)].append(vid)
+    pool.extend(parsed["y"])
 
-    pool = sorted(set(parsed["y"])
-                  | {vid for (k, o), vid in bads.items()}
-                  | {vid for members in y_goods.values() for vid in members})
-    index = {vid: pos for pos, vid in enumerate(pool, start=1)}
-    sub_edges = []
-    for pos_u, u in enumerate(pool):
-        for v in pool[pos_u + 1:]:
-            if g.has_edge(u, v):
-                sub_edges.append((index[u], index[v]))
-    sub = Graph(len(pool), sub_edges)
+    for (shape, gadget, one, two), ids in sorted(pads.items()):
+        first, second = ("pos", "neg") if shape == "a" else ("good", "bad")
+        u, v = ends.get((first, gadget, one)), ends.get((second, gadget, two))
+        if len(ids) == t - 2 and u and v:
+            return _verify_clique(g, [u, v, *ids])
+    for k in sorted(clause):
+        if len(clause[k]) >= t:
+            return _verify_clique(g, sorted(clause[k])[:t])
+    sub, kept = delete_vertices(g, set(g.vertices).difference(pool))
     found = find_clique(sub, t)
-    if found is not None:
-        witness = frozenset(pool[pos - 1] for pos in found)
-        _verify_clique(g, witness)
-        return witness
-    return None
+    back = {new: old for old, new in kept.items()}
+    return None if found is None else _verify_clique(g, (back[v] for v in found))

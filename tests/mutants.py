@@ -1,0 +1,78 @@
+"""Re-runnable mutation check: does the suite notice each listed fault?
+
+Each entry names a file under `src/defdom`, an exact text that occurs in it
+once, the text that replaces it, and the test files expected to fail.  For
+each entry the script copies `src` to a temporary directory, applies the
+edit there, runs only those tests against the copy under a time limit and
+counts the mutant as killed (a test failed), survived (all passed) or timed
+out.  The counts print as one JSON object.
+
+    python tests/mutants.py            # every entry
+    python tests/mutants.py pads-b-first skip-done   # the named ones
+
+pytest does not collect this file, and the checkout is never edited.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIME_LIMIT = 300   # seconds per mutant
+SAT, MATCHING = "reductions/sat.py", "matching.py"
+SAT_TESTS = ["tests/test_reductions_sat.py", "tests/test_acceptance.py"]
+MATCHING_TESTS = ["tests/test_matching.py"]
+
+# (name, file, old text, new text, tests expected to kill it)
+MUTANTS = [
+    ("pads-b-first", SAT, "sorted(pads.items())",
+     "sorted(pads.items(), key=lambda item: (item[0][0] == 'a', item[0]))", SAT_TESTS),
+    ("pads-short-by-one", SAT, "len(ids) == t - 2", "len(ids) >= t - 3", SAT_TESTS),
+    ("bads-out-of-pool", SAT, 'ends[("bad", int(k), int(o))] = vid\n        pool.append(vid)',
+     'ends[("bad", int(k), int(o))] = vid', SAT_TESTS),
+    ("q-cores-out-of-clause", SAT, "if q_flag:\n            clause[int(p)].append(vid)",
+     "pass", SAT_TESTS),
+    ("pad-witness-unverified", SAT, "return _verify_clique(g, [u, v, *ids])",
+     "return frozenset([u, v, *ids])", SAT_TESTS),
+    ("greedy-room-le", MATCHING, "if len(held) < defense[s]:\n                seat[root]",
+     "if len(held) <= defense[s]:\n                seat[root]", MATCHING_TESTS),
+    ("shift-room-le", MATCHING, "if len(held) < defense[s]:\n                # a takes",
+     "if len(held) <= defense[s]:\n                # a takes", MATCHING_TESTS),
+    ("skip-done", MATCHING, "if s not in done:", "if True:", MATCHING_TESTS),
+    ("root-not-returned", MATCHING, "return frozenset(came)",
+     "return frozenset(came) - {root}", MATCHING_TESTS),
+    ("no-whole-attack-shortcut", MATCHING,
+     "if len(attackers) > total:\n            return frozenset(attackers)\n", "", MATCHING_TESTS),
+]
+
+
+def run(name, file, old, new, tests) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / "defdom" / file
+        text = target.read_text()
+        if text.count(old) != 1:
+            raise SystemExit(f"{name}: the old text occurs {text.count(old)} times in {file}")
+        target.write_text(text.replace(old, new))
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                *(str(ROOT / t) for t in tests)]
+        try:
+            done = subprocess.run(argv, cwd=tmp, env=env, capture_output=True,
+                                  timeout=TIME_LIMIT)
+        except subprocess.TimeoutExpired:
+            return "timed_out"
+        return "survived" if done.returncode == 0 else "killed"
+
+
+if __name__ == "__main__":
+    chosen = [m for m in MUTANTS if not sys.argv[1:] or m[0] in sys.argv[1:]]
+    outcomes = {m[0]: run(*m) for m in chosen}
+    counts = {kind: sum(v == kind for v in outcomes.values())
+              for kind in ("killed", "survived", "timed_out")}
+    print(json.dumps({**counts, "mutants": outcomes}, indent=1))

@@ -149,6 +149,20 @@ def test_solve_exact_bounds_need_attacks(tmp_path, capsys):
     assert code == 2 and verdict == "error"
 
 
+def test_solve_exact_attacks_refuse_k_and_multiset(tmp_path, capsys):
+    # the listed attacks fix the problem, so a size k or --multiset beside
+    # them would be ignored; they are refused instead
+    graph = tmp_path / "p4.dds"
+    write_graph(graph, path_graph(4))
+    attacks = tmp_path / "a.atk"
+    write_attacks(attacks, [[1, 2]])
+    for extra in ([2], ["--multiset"], [2, "--multiset"]):
+        code, (verdict, _, _), err = run(capsys, "solve-exact", graph, *extra,
+                                         "--attacks", attacks)
+        assert code == 2 and verdict == "error", extra
+        assert "--attacks takes neither" in err and "Traceback" not in err, extra
+
+
 def test_greedy_with_check(tmp_path, capsys):
     intervals = tmp_path / "i.ivl"
     code, _, _ = run(capsys, "gen", "interval", "--n", 7, "--seed", 5,
@@ -405,6 +419,57 @@ def test_out_of_range_values_are_input_errors(tmp_path, capsys):
         assert code == 2 and verdict == "error", argv
         assert "Traceback" not in err
     assert not out.exists()
+
+
+F7_CNF = ("p e2cnf 2 1 7\n1 2 3 0\n-1 2 3 0\n1 -2 3 0\n-1 -2 3 0\n"
+          "1 2 -3 0\n-1 2 -3 0\n1 -2 -3 0\n")
+K4P_DDS = "p dds 5 7\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\ne 4 5\n"
+
+
+@pytest.mark.parametrize("files, setup, argv, message", [
+    ({"g.dds": "p dds 3 0\nc role 3\n"}, [], ["clique", "g.dds", 2],
+     "g.dds:2: role line needs a vertex and a label"),
+    ({"i.ivl": "p intervals\n"}, [], ["greedy", "i.ivl", 1],
+     "i.ivl:1: header must be 'p intervals <n>'"),
+    ({"i.ivl": "c only a comment\n"}, [], ["greedy", "i.ivl", 1],
+     "i.ivl: missing 'p intervals' header"),
+    ({"f.cnf": "p e2cnf 1 2 1\np e2cnf 1 2 1\n1 2 3 0\n"}, [], ["e2sat", "f.cnf"],
+     "f.cnf:2: duplicate header"),
+    ({"f.cnf": "p e2cnf 1 2\n"}, [], ["e2sat", "f.cnf"],
+     "f.cnf:1: header must be 'p e2cnf <a> <b> <c>'"),
+    ({"f.cnf": ""}, [], ["e2sat", "f.cnf"], "f.cnf: missing 'p e2cnf' header"),
+    ({"f.cnf": F7_CNF, "nu.val": "00\n"}, ["reduce", "e2sat-to-cnd", "f.cnf", "-o", "cnd.dds"],
+     ["audit", "cnd-certificate", "cnd.dds", "--valuation", "nu.val", "--t", 9],
+     "clique size t=9 must equal b+c=8"),
+    ({"g.dds": "p dds 1 0\nc role 1 c1:good:1:y1:pos\n", "nu.val": "\n"}, [],
+     ["audit", "cnd-certificate", "g.dds", "--valuation", "nu.val", "--s", 3, "--t", 5],
+     "clause 1 is missing occurrence 2"),
+    ({"g.dds": "p dds 1 0\nc role 1 y1:pos\n", "nu.val": "\n"}, [],
+     ["audit", "cnd-certificate", "g.dds", "--valuation", "nu.val", "--s", 3, "--t", 5],
+     "no clause gadgets found in labels"),
+    ({"g.dds": "p dds 1 0\n", "nu.val": "\n"}, [],
+     ["audit", "cnd-certificate", "g.dds", "--valuation", "nu.val", "--t", 5],
+     "parameter s missing: pass --s or a 'c params' line"),
+    ({"k4p.dds": K4P_DDS, "x.set": "1\n"},
+     ["reduce", "cnd-to-dds", "k4p.dds", "-o", "big.dds", "--s", 1, "--t", 4],
+     ["audit", "dds-forward", "big.dds", "--deletion", "x.set", "--k", 5],
+     "k must exceed the source vertex count"),
+    ({}, [], ["gen", "formula", "--a", 1, "--b", 1, "--c", 1, "-o", "f.cnf"],
+     "formula generation needs at least three variables"),
+], ids=["role-without-label", "ivl-header-without-count", "ivl-comment-only",
+        "cnf-duplicate-header", "cnf-short-header", "cnf-empty", "cnd-t-not-b-plus-c",
+        "cnd-clause-missing-occurrence", "cnd-no-clause-gadget", "cnd-no-s",
+        "dds-forward-small-k", "gen-formula-two-variables"])
+def test_input_errors_exit_2_with_their_message(tmp_path, capsys, monkeypatch,
+                                                files, setup, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        Path(name).write_text(text)
+    if setup:
+        assert run(capsys, *setup)[0] == 0
+    code, (verdict, _, _), err = run(capsys, *argv)
+    assert code == 2 and verdict == "error"
+    assert message in err and "Traceback" not in err
 
 
 def test_non_utf8_input_is_an_input_error(tmp_path, capsys):

@@ -178,19 +178,74 @@ def test_typed_audit_agrees_with_generic_search():
 
 
 def test_typed_audit_finds_a_clause_clique():
-    # with every x-pad and c-pad gone, shapes (a) and (b) find nothing, and
-    # a clause clique that names an existential variable still holds K_t
+    # with one pad gone from every x-pad and c-pad clique, shapes (a) and
+    # (b) find nothing (a gadget edge with t - 3 pads is only a K_{t-1}),
+    # and a clause clique that names an existential variable still holds K_t
     for f in small_formulas():
         sc = e2sat_to_cnd(f, allow_small=True)
         lay, t = sc.layout, sc.cnd.t
-        pads = [w for group in (lay.x_pads, lay.c_pads) for pads in group.values()
-                for w in pads]
+        pads = [ids[0] for group in (lay.x_pads, lay.c_pads) for ids in group.values()]
         remnant, trans = delete_vertices(sc.graph, pads)
         witness = typed_clique_audit(remnant, t)
         assert (witness is not None) == has_clique(remnant, t)
         assert witness is not None and len(witness) == t
         cliques = [{trans[w] for w in lay.q_members[k]} for k in lay.q_members]
         assert any(witness <= q for q in cliques)
+
+
+# The audit's witness, in construction ids, on each remnant of the shape
+# test below: intact, then with the x pads, the clause pads and the clause
+# cliques deleted in turn.
+SHAPE_WITNESSES = {
+    YES4: ({1, 5, 9, 10, 11, 12}, {77, 80, 101, 102, 103, 104},
+           {5, 77, 245, 246, 247, 248}, {78, 80, 84, 86, 90, 92}),
+    F7: ({1, 15, 29, 30, 31, 32, 33, 34}, {619, 622, 661, 662, 663, 664, 665, 666},
+         {1, 8, 619, 620, 1039, 1040, 1041, 1042}, {621, 622, 627, 633, 639, 645, 651, 657}),
+}
+
+
+@pytest.mark.parametrize("f", [*small_formulas(), F7])
+def test_each_shape_finds_a_clique_of_its_family(f):
+    # each remnant leaves the earlier shapes nothing, so shape (a), (b),
+    # (c) and (d) in turn must answer, with a clique of its own kind
+    sc = e2sat_to_cnd(f, allow_small=True)
+    lay, t = sc.layout, sc.cnd.t
+    x_pads = [w for ids in lay.x_pads.values() for w in ids]
+    c_pads = [w for ids in lay.c_pads.values() for w in ids]
+    members = [w for ids in lay.q_members.values() for w in ids]
+    pool = {*lay.y_pos.values(), *lay.y_neg.values(),
+            *(w for ids in [*lay.bads.values(), *lay.goods.values()] for w in ids)}
+    families = (
+        [{lay.x_pos[i][p - 1], lay.x_neg[i][q - 1], *ids} for (i, p, q), ids in lay.x_pads.items()],
+        [{lay.goods[k][o - 1], lay.bads[k][op - 1], *ids} for (k, o, op), ids in lay.c_pads.items()],
+        [set(ids) for ids in lay.q_members.values()],
+        [pool - set(members)])   # y, bad and y-good vertices
+    found = []
+    for cut, family in zip(([], x_pads, x_pads + c_pads, x_pads + c_pads + members), families):
+        remnant, trans = delete_vertices(sc.graph, cut)
+        back = {new: old for old, new in trans.items()}
+        witness = typed_clique_audit(remnant, t)
+        assert witness is not None and len(witness) == t
+        found.append({back[v] for v in witness})
+        assert any(found[-1] <= clique for clique in family)
+    if f in SHAPE_WITNESSES:
+        assert tuple(found) == SHAPE_WITNESSES[f]
+
+
+@pytest.mark.parametrize("shape", [0, 1, 2], ids=["a", "b", "c"])
+def test_typed_audit_refuses_a_witness_with_a_missing_edge(shape):
+    # the shapes read roles, not edges, so a labeled graph that lacks one
+    # edge of the clique a shape names must fail the edge-by-edge re-check
+    sc = e2sat_to_cnd(YES4, allow_small=True)
+    lay = sc.layout
+    pads = [[w for ids in group.values() for w in ids]
+            for group in (lay.x_pads, lay.c_pads, lay.q_members)]
+    u, v = sorted(SHAPE_WITNESSES[YES4][shape])[:2]
+    edges = [e for e in sc.graph.edges() if e != (u, v)]
+    broken = Graph(sc.graph.n, edges, sc.graph.labels)
+    remnant, trans = delete_vertices(broken, [w for group in pads[:shape] for w in group])
+    with pytest.raises(InputError, match=rf"^claimed clique misses edge \({trans[u]},{trans[v]}\)$"):
+        typed_clique_audit(remnant, sc.cnd.t)
 
 
 def test_edge_stream_yields_each_edge_once():
