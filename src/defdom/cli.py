@@ -75,12 +75,6 @@ def _record(verdict: str, value="-", certificate="-") -> None:
     print(f"verdict={verdict} value={value} certificate={certificate}")
 
 
-def _require_k(k: Optional[int]) -> int:
-    if k is None:
-        raise InputError("this command needs the attack size k")
-    return k
-
-
 def _param(args_value: Optional[int], params: dict, name: str) -> int:
     if args_value is not None:
         return args_value

@@ -10,15 +10,11 @@ def add_arguments(p) -> None:
         q = psub.add_parser(kind, help=f"deletion set -> defense -> {outcome}")
         q.add_argument("graph")
         q.add_argument("--deletion", required=True, metavar="FILE")
-        q.add_argument("--k", type=int)
-        q.add_argument("--ell", type=int)
         q.set_defaults(func=func)
     q = psub.add_parser("cnd-certificate",
                         help="valuation -> deletion -> typed no-clique audit")
     q.add_argument("graph")
     q.add_argument("--valuation", required=True, metavar="FILE")
-    q.add_argument("--s", type=int)
-    q.add_argument("--t", type=int)
     q.set_defaults(func=cnd_certificate)
     q = psub.add_parser("clique-typed",
                         help="typed audit vs generic clique search")
@@ -32,7 +28,7 @@ def _load_dds(args):
     from defdom.io import read_graph, read_vertex_set
     from defdom.reductions.dds import dds_from_graph, proof_defense
     g, params = read_graph(args.graph)
-    dds = dds_from_graph(g, _param(args.k, params, "k"), _param(args.ell, params, "ell"))
+    dds = dds_from_graph(g, params)
     deletion = read_vertex_set(args.deletion)
     return dds, deletion, proof_defense(dds, deletion)
 
@@ -74,9 +70,8 @@ def cnd_certificate(args) -> tuple:
     from defdom.reductions.sat import (sat_cnd_from_graph, typed_clique_audit,
                                        valuation_to_deletion)
     g, params = read_graph(args.graph)
-    s = _param(args.s, params, "s")
-    t = _param(args.t, params, "t")
-    sc = sat_cnd_from_graph(g, s, t)
+    sc = sat_cnd_from_graph(g, params)
+    t = sc.cnd.t
     nu = read_valuation(args.valuation, expected=sc.formula.a)
     deletion = valuation_to_deletion(sc, nu)
     remnant, mapping = delete_vertices(g, deletion)

@@ -1,6 +1,6 @@
 """`defdom solve-exact`: the smallest defense, by exact cut-pruned search."""
 
-from defdom.cli import _emit, _format_multiset, _listing, _log, _require_k
+from defdom.cli import _emit, _format_multiset, _listing, _log
 from defdom.errors import InputError
 
 
@@ -38,10 +38,11 @@ def run(args) -> tuple:
             _log("NONE: even the upper bound fails to counter the attack list")
             return ("none",)
     else:
-        k = _require_k(args.k)
+        if args.k is None:
+            raise InputError("this command needs the attack size k")
         if args.lower or args.upper:
             raise InputError("--lower/--upper require --attacks")
-        result = (min_multiset_defense if args.multiset else min_set_defense)(g, k)
+        result = (min_multiset_defense if args.multiset else min_set_defense)(g, args.k)
     if args.attacks is not None or args.multiset:
         _log(f"optimum {result.optimum}: {_format_multiset(result.witness)}")
         write = write_multiset

@@ -1,16 +1,14 @@
 """`defdom verify`: check a defense against every attack up to size k."""
 
-from defdom.cli import _listing, _log, _require_k
+from defdom.cli import _listing, _log
 
 
 def add_arguments(p) -> None:
     p.add_argument("graph")
     p.add_argument("defense")
-    p.add_argument("k", type=int, nargs="?")
+    p.add_argument("k", type=int)
     p.add_argument("--multiset", action="store_true",
                    help="read the defense as '<v> <count>' lines")
-    p.add_argument("--strategy", default="pruned",
-                   help="violator search: pruned or exhaustive (default: %(default)s)")
     p.set_defaults(func=run)
 
 
@@ -18,14 +16,13 @@ def run(args) -> tuple:
     from defdom.defense import find_violator
     from defdom.io import read_graph, read_multiset, read_vertex_set
     g, _ = read_graph(args.graph)
-    k = _require_k(args.k)
     if args.multiset:
         defense = read_multiset(args.defense)
     else:
         defense = {v: 1 for v in read_vertex_set(args.defense)}
-    violator = find_violator(g, defense, k, strategy=args.strategy)
+    violator = find_violator(g, defense, args.k, strategy="pruned")
     if violator is None:
-        _log(f"GOOD: defense counters every attack of size <= {k}")
+        _log(f"GOOD: defense counters every attack of size <= {args.k}")
         return "good", 0
     _log(f"BAD: attack {_listing(violator.attack)} exceeds nearby defenders "
          f"by {violator.deficiency}")

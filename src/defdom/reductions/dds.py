@@ -13,7 +13,7 @@ directions and instances can be audited after a round trip through files.
 import re
 from itertools import combinations
 from math import comb, inf
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from defdom.errors import InputError, record
 from defdom.graphs import (Graph, VertexMultiset, VertexSet, check_multiset,
@@ -218,23 +218,35 @@ def _require_construction(g: Graph, labels: _Labels,
         raise InputError(f"the file has {have} edges, the construction {want}")
 
 
+def _require_stated(stated: Optional[Mapping[str, int]], derived: dict[str, int],
+                    basis: str) -> None:
+    """Refuse a stated parameter other than the one the labels derive; the
+    message names the parameter, both values and the `basis` they rest on.
+    A parameter the file does not state is not checked."""
+    for name, want in derived.items():
+        if stated and stated.get(name, want) != want:
+            raise InputError(f"stated {name}={stated[name]} differs from the construction's "
+                             f"{name}={want} ({basis})")
+
+
 # A label index has at most 18 digits: no buildable instance has 10**18
 # vertices, and int() refuses a string of more than 4 300 digits.
 _INDEX = r"(\d{1,18})"
 _EDGE_LABEL = re.compile(rf"e'\({_INDEX},{_INDEX}\)")
 
 
-def dds_from_graph(g: Graph, k: int, ell: int) -> DdsInstance:
-    """Rebuild an instance from a labeled graph plus its two parameters.
+def dds_from_graph(g: Graph, stated: Optional[Mapping[str, int]] = None) -> DdsInstance:
+    """Rebuild an instance from a labeled graph alone.
 
-    The labels name the source graph (n from the v'(i) vertices, its edges
-    from the e'(u,v) vertices) and t (the size of the I'v(1) class), and
-    s = k - n.  The stated ell must be the construction's own,
-    4(n+s) + nt - (t+1); any other value is refused before a vertex id is
-    laid out.  The graph is accepted exactly when it is the construction
-    for these parameters, vertex ids included: laid out with ids capped at
-    the vertex count, then checked by `_require_construction`.  The
-    accepted graph itself becomes the instance's graph.
+    The labels give every parameter: n from the v'(i) vertices, the source
+    edges from the e'(u,v) vertices, t as the size of the I'v(1) class and
+    s as |I1| - n; then k = n+s and ell = 4(n+s) + nt - (t+1).  `stated`,
+    the file's `c params` entries, may repeat any of k, ell, s and t; a
+    value other than the derived one is refused before a vertex id is laid
+    out.  The graph is accepted exactly when it is the construction for
+    these parameters, vertex ids included: laid out with ids capped at the
+    vertex count, then checked by `_require_construction`.  The accepted
+    graph itself becomes the instance's graph.
     """
     if g.labels is None:
         raise InputError("graph carries no role labels")
@@ -242,14 +254,10 @@ def dds_from_graph(g: Graph, k: int, ell: int) -> DdsInstance:
     n = sum(1 for label in labels if label.startswith("v'("))
     edges = [(int(m[1]), int(m[2])) for m in map(_EDGE_LABEL.fullmatch, labels) if m]
     t = sum(1 for label in labels if label.startswith("I'v(1)#"))
-    s = k - n
-    if s < 1:
-        raise InputError("k must exceed the source vertex count")
+    s = sum(1 for label in labels if label.startswith("I1#")) - n
     inst = CndInstance(Graph(n, edges), s, t)
-    want = _ell(inst)
-    if ell != want:
-        raise InputError(f"stated bound ell={ell} differs from the construction's "
-                         f"ell={want} (n={n}, s={s}, t={t})")
+    k, ell = n + s, _ell(inst)
+    _require_stated(stated, {"k": k, "ell": ell, "s": s, "t": t}, f"n={n}, s={s}, t={t}")
     layout, built = _dds_layout(inst, cap=g.n)
     _require_construction(g, built, _expected_edges(layout))
     return DdsInstance(g, k, ell, s, t, layout)

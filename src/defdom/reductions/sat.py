@@ -16,13 +16,13 @@ import re
 from collections import defaultdict
 from itertools import combinations
 from math import inf
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from defdom.errors import InputError, record
 from defdom.formulas import Assignment, E2Formula
 from defdom.graphs import Graph, VertexSet, delete_vertices, find_clique
 from defdom.reductions.dds import (_INDEX, CndInstance, _bipartite_edges, _clique_edges,
-                                   _Labels, _require_construction)
+                                   _Labels, _require_construction, _require_stated)
 
 
 @record
@@ -211,15 +211,18 @@ def _parse_sat_labels(g: Graph) -> dict[str, dict]:
     return parsed
 
 
-def sat_cnd_from_graph(g: Graph, s: int, t: int) -> SatCnd:
-    """Rebuild a full (undeleted) instance, formula included, from labels.
+def sat_cnd_from_graph(g: Graph, stated: Optional[Mapping[str, int]] = None) -> SatCnd:
+    """Rebuild a full (undeleted) instance, formula included, from labels alone.
 
     The clauses come from the good labels, a and b from the largest
-    existential and universal indices.  The graph is accepted exactly when
-    it is the construction of that formula with these s and t, vertex ids
-    included, checked as `dds_from_graph` checks: vertex count, labels,
-    then the edges as the construction yields them.  The accepted graph
-    itself becomes the instance's graph.
+    existential and universal indices, and s = ac+3c and t = b+c from the
+    formula.  `stated`, the file's `c params` entries, may repeat any of s,
+    t, a, b and c; a value other than the derived one is refused before a
+    vertex id is laid out.  The graph is accepted exactly when it is the
+    construction of that formula, vertex ids included, checked as
+    `dds_from_graph` checks: vertex count, labels, then the edges as the
+    construction yields them.  The accepted graph itself becomes the
+    instance's graph.
     """
     parsed = _parse_sat_labels(g)
     a = max((int(grp[0]) for grp in parsed["xcore"].values()), default=0)
@@ -240,11 +243,8 @@ def sat_cnd_from_graph(g: Graph, s: int, t: int) -> SatCnd:
             lits.append(var if positive else -var)
         clauses.append(tuple(lits))
     formula = E2Formula(a, b, tuple(clauses))
-    want_s, want_t = _budget(formula)
-    if t != want_t:
-        raise InputError(f"clique size t={t} must equal b+c={want_t}")
-    if s != want_s:
-        raise InputError(f"deletion budget s={s} must equal ac+3c={want_s}")
+    s, t = _budget(formula)
+    _require_stated(stated, {"s": s, "t": t, "a": a, "b": b, "c": c}, f"a={a}, b={b}, c={c}")
     layout, built = _sat_layout(formula, cap=g.n)
     _require_construction(g, built, _sat_expected_edges(formula, layout))
     return SatCnd(formula, CndInstance(g, s, t), layout)

@@ -42,13 +42,13 @@ class SolveResult:
     explored: int
 
 
-def _least_defense(vertices: list[int], caps: list[int], budget: int,
+def _least_defense(vertices: list[int], caps: list[int],
                    separate: Callable[[VertexMultiset], Optional[Cut]]):
     """First candidate in (size, lexicographic) order that `separate` accepts.
 
     `separate(counts)` returns None to accept, or a cut the candidate breaks
     to reject it.  Returns (size, counts, candidates verified), or None
-    when no candidate of size <= budget is accepted.
+    when no candidate within the caps is accepted.
 
     Positions are decided in order, each taking counts from the most it can
     down to a floor.  Per cut the search keeps its deficit (need minus the
@@ -94,7 +94,7 @@ def _least_defense(vertices: list[int], caps: list[int], budget: int,
         bisect.insort(order, j, key=lambda j: (hmask[j].bit_length(), hmask[j].bit_count()))
 
     explored = 0
-    for size in range(min(budget, suffix[0]) + 1):
+    for size in range(suffix[0] + 1):
         if deficit and max(deficit) > size:
             continue
         rem[0] = size
@@ -175,7 +175,7 @@ def _min_defense(g: Graph, k: int, cap: int):
         attack = violator.attack
         return closed_neighborhood(g, attack), len(attack)
 
-    found = _least_defense(list(g.vertices), [cap] * g.n, g.n, separate)
+    found = _least_defense(list(g.vertices), [cap] * g.n, separate)
     if found is None:
         raise AssertionError("unreachable: one defender per vertex is always enough")
     return found
@@ -239,7 +239,7 @@ def min_constrained_multiset(g: Graph, attacks: Iterable[Iterable[int]],
         hood = closed_neighborhood(g, reached)
         return hood, len(reached) - count_in(lower, hood)
 
-    found = _least_defense(slack_vertices, caps, sum(caps), separate)
+    found = _least_defense(slack_vertices, caps, separate)
     if found is None:
         return None
     extra, add, explored = found

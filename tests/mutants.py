@@ -23,9 +23,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TIME_LIMIT = 300   # seconds per mutant
-SAT, MATCHING = "reductions/sat.py", "matching.py"
+SAT, MATCHING, DDS = "reductions/sat.py", "matching.py", "reductions/dds.py"
 SAT_TESTS = ["tests/test_reductions_sat.py", "tests/test_acceptance.py"]
 MATCHING_TESTS = ["tests/test_matching.py"]
+STATED_TESTS = ["tests/test_reductions_dds.py", "tests/test_reductions_sat.py",
+                "tests/test_cli.py::test_audits_read_every_parameter_off_the_labels",
+                "tests/test_cli.py::test_rebuild_layouts_stop_at_the_file_size"]
+DDS_STATED = ('_require_stated(stated, {"k": k, "ell": ell, "s": s, "t": t}, '
+              'f"n={n}, s={s}, t={t}")')
+DDS_LAYOUT = "layout, built = _dds_layout(inst, cap=g.n)"
 
 # (name, file, old text, new text, tests expected to kill it)
 MUTANTS = [
@@ -47,6 +53,14 @@ MUTANTS = [
      "return frozenset(came) - {root}", MATCHING_TESTS),
     ("no-whole-attack-shortcut", MATCHING,
      "if len(attackers) > total:\n            return frozenset(attackers)\n", "", MATCHING_TESTS),
+    ("dds-stated-k-ell-only", DDS, '{"k": k, "ell": ell, "s": s, "t": t}',
+     '{"k": k, "ell": ell}', STATED_TESTS),
+    ("sat-stated-s-t-only", SAT, '{"s": s, "t": t, "a": a, "b": b, "c": c}',
+     '{"s": s, "t": t}', STATED_TESTS),
+    ("stated-after-layout", DDS, f"{DDS_STATED}\n    {DDS_LAYOUT}",
+     f"{DDS_LAYOUT}\n    {DDS_STATED}", STATED_TESTS),
+    ("derived-s-off-by-one", DDS, 'label.startswith("I1#")) - n',
+     'label.startswith("I1#")) - n - 1', STATED_TESTS),
 ]
 
 

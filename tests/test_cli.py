@@ -62,8 +62,11 @@ def test_verify_bad_path(tmp_path, capsys):
     code, (verdict, value, _), err = run(capsys, "verify", graph, defense, 2)
     assert code == 1 and verdict == "bad" and value == "1"
     assert "BAD" in err
-    assert run(capsys, "verify", graph, defense, 2, "--strategy", "exhaustive") == (
-        code, (verdict, value, "-"), err)
+    # verify always runs the pruned search; there is no strategy to choose
+    code, (verdict, _, _), err = run(capsys, "verify", graph, defense, 2,
+                                     "--strategy", "exhaustive")
+    assert code == 2 and verdict == "error"
+    assert "unrecognized arguments: --strategy exhaustive" in err
 
 
 def test_verify_usage_errors(tmp_path, capsys):
@@ -71,8 +74,11 @@ def test_verify_usage_errors(tmp_path, capsys):
     write_graph(graph, path_graph(3))
     defense = tmp_path / "d.set"
     write_vertex_set(defense, [2])
-    code, (verdict, _, _), _ = run(capsys, "verify", graph, defense)   # no k
-    assert code == 2 and verdict == "error"
+    # a missing k is a usage error, raised before any file is read
+    for argv in (["verify", graph, defense], ["greedy", tmp_path / "nope.ivl"]):
+        code, (verdict, _, _), err = run(capsys, *argv)
+        assert code == 2 and verdict == "error", argv
+        assert "the following arguments are required: k" in err, argv
     code, (verdict, _, _), _ = run(capsys, "verify", tmp_path / "nope", defense, 2)
     assert code == 2 and verdict == "error"
 
@@ -239,13 +245,17 @@ def test_reduce_and_audit_chain(tmp_path, capsys, monkeypatch):
     assert code == 1 and verdict == "fail"
     assert "serious attack" in err
 
-    # parameters far beyond the file are refused before any edge is drawn
+    # stated parameters far beyond the file are refused before any edge is drawn
     drawn = count_drawn(monkeypatch, dds, "_expected_edges")
-    for audit in ("dds-forward", "dds-roundtrip"):
-        for flag in ("--k", "--ell"):
+    g, params = read_graph(reduced)
+    bogus = tmp_path / "bogus.dds"
+    for name in ("k", "ell"):
+        write_graph(bogus, g, {**params, name: 10 ** 12})
+        for audit in ("dds-forward", "dds-roundtrip"):
             code, (verdict, _, _), err = run(
-                capsys, "audit", audit, reduced, "--deletion", deletion, flag, 10 ** 12)
-            assert code == 2 and verdict == "error", (audit, flag)
+                capsys, "audit", audit, bogus, "--deletion", deletion)
+            assert code == 2 and verdict == "error", (audit, name)
+            assert f"stated {name}=1000000000000 differs" in err, (audit, name)
     assert drawn == []
 
     # a second value for a parameter the audit reads is refused
@@ -438,27 +448,26 @@ K4P_DDS = "p dds 5 7\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\ne 4 5\n"
     ({"f.cnf": "p e2cnf 1 2\n"}, [], ["e2sat", "f.cnf"],
      "f.cnf:1: header must be 'p e2cnf <a> <b> <c>'"),
     ({"f.cnf": ""}, [], ["e2sat", "f.cnf"], "f.cnf: missing 'p e2cnf' header"),
-    ({"f.cnf": F7_CNF, "nu.val": "00\n"}, ["reduce", "e2sat-to-cnd", "f.cnf", "-o", "cnd.dds"],
-     ["audit", "cnd-certificate", "cnd.dds", "--valuation", "nu.val", "--t", 9],
-     "clique size t=9 must equal b+c=8"),
+    ({"g.dds": "p dds 4 0\nc role 1 c1:good:1:y1:pos\nc role 2 c1:good:2:y2:pos\n"
+               "c role 3 c1:good:3:y3:pos\nc role 4 y3:pos\nc params t 9\n",
+      "nu.val": "\n"}, [],
+     ["audit", "cnd-certificate", "g.dds", "--valuation", "nu.val"],
+     "stated t=9 differs from the construction's t=4 (a=0, b=3, c=1)"),
     ({"g.dds": "p dds 1 0\nc role 1 c1:good:1:y1:pos\n", "nu.val": "\n"}, [],
-     ["audit", "cnd-certificate", "g.dds", "--valuation", "nu.val", "--s", 3, "--t", 5],
+     ["audit", "cnd-certificate", "g.dds", "--valuation", "nu.val"],
      "clause 1 is missing occurrence 2"),
     ({"g.dds": "p dds 1 0\nc role 1 y1:pos\n", "nu.val": "\n"}, [],
-     ["audit", "cnd-certificate", "g.dds", "--valuation", "nu.val", "--s", 3, "--t", 5],
+     ["audit", "cnd-certificate", "g.dds", "--valuation", "nu.val"],
      "no clause gadgets found in labels"),
-    ({"g.dds": "p dds 1 0\n", "nu.val": "\n"}, [],
-     ["audit", "cnd-certificate", "g.dds", "--valuation", "nu.val", "--t", 5],
-     "parameter s missing: pass --s or a 'c params' line"),
-    ({"k4p.dds": K4P_DDS, "x.set": "1\n"},
-     ["reduce", "cnd-to-dds", "k4p.dds", "-o", "big.dds", "--s", 1, "--t", 4],
-     ["audit", "dds-forward", "big.dds", "--deletion", "x.set", "--k", 5],
-     "k must exceed the source vertex count"),
+    ({"g.dds": "p dds 4 0\nc role 1 v'(1)\nc role 2 I1#1\nc role 3 I1#2\n"
+               "c role 4 I'v(1)#1\nc params k 1\n", "x.set": "1\n"}, [],
+     ["audit", "dds-forward", "g.dds", "--deletion", "x.set"],
+     "stated k=1 differs from the construction's k=2 (n=1, s=1, t=1)"),
     ({}, [], ["gen", "formula", "--a", 1, "--b", 1, "--c", 1, "-o", "f.cnf"],
      "formula generation needs at least three variables"),
 ], ids=["role-without-label", "ivl-header-without-count", "ivl-comment-only",
         "cnf-duplicate-header", "cnf-short-header", "cnf-empty", "cnd-t-not-b-plus-c",
-        "cnd-clause-missing-occurrence", "cnd-no-clause-gadget", "cnd-no-s",
+        "cnd-clause-missing-occurrence", "cnd-no-clause-gadget",
         "dds-forward-small-k", "gen-formula-two-variables"])
 def test_input_errors_exit_2_with_their_message(tmp_path, capsys, monkeypatch,
                                                 files, setup, argv, message):
@@ -512,15 +521,15 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
         assert "Traceback" not in err and "cannot write" in err, argv
 
 
-def test_unknown_mode_values_are_input_errors(tmp_path, capsys, monkeypatch):
-    from defdom.defense import STRATEGIES
+def test_unknown_mode_values_are_input_errors(tmp_path, capsys):
     graph = tmp_path / "p3.dds"
     write_graph(graph, path_graph(3))
     defense = tmp_path / "d.set"
     write_vertex_set(defense, [2])
+    # verify runs the pruned search alone, so there is no strategy to choose
     code, (verdict, _, _), err = run(capsys, "verify", graph, defense, 2, "--strategy", "bogus")
     assert code == 2 and verdict == "error"
-    assert "Traceback" not in err and "bogus" in err
+    assert "Traceback" not in err and "unrecognized arguments: --strategy bogus" in err
     # the defense bound has one definition, so there is no mode to choose
     source = k4_pendant_file(tmp_path, {"s": 1, "t": 4})
     out = tmp_path / "out.dds"
@@ -529,12 +538,6 @@ def test_unknown_mode_values_are_input_errors(tmp_path, capsys, monkeypatch):
     assert code == 2 and verdict == "error"
     assert "Traceback" not in err and "unrecognized arguments: --ell-mode literal" in err
     assert not out.exists()
-    # the help text names every valid value; wide enough not to wrap a name
-    monkeypatch.setenv("COLUMNS", "200")
-    with pytest.raises(SystemExit):
-        main(["verify", "--help"])
-    text = capsys.readouterr().out
-    assert all(value in text for value in STRATEGIES), text
 
 
 def test_usage_errors_end_in_an_error_record(capsys):
@@ -713,9 +716,10 @@ def test_solve_exact_on_a_hub_attack_in_bounded_memory(tmp_path):
 
 
 def test_hostile_sat_labels_exit_2_in_bounded_memory(tmp_path):
-    # labels naming a = c = 400 on an edgeless 3 202-vertex file; a rebuild
-    # that laid out the a*c^2 variable paddings before checking s ran out of
-    # memory here
+    # labels naming a = c = 400 on an edgeless 3 202-vertex file with no
+    # 'c params' line, so the rebuild derives s and t and lays the
+    # construction out; one that laid out the a*c^2 variable paddings
+    # before comparing sizes ran out of memory here
     a = c = 400
     labels = [f"x{i}:{sign}:1" for i in range(1, a + 1) for sign in ("pos", "neg")]
     labels += ["y1:pos", "y1:neg"]
@@ -724,8 +728,7 @@ def test_hostile_sat_labels_exit_2_in_bounded_memory(tmp_path):
                    f"c{k}:good:3:x{k % a + 1}:neg",
                    f"c{k}:ugly:1", f"c{k}:bad:2", f"c{k}:bad:3"]
     graph = tmp_path / "hostile.dds"
-    write_graph(graph, Graph(len(labels), [], dict(enumerate(labels, start=1))),
-                {"s": 1, "t": 401})
+    write_graph(graph, Graph(len(labels), [], dict(enumerate(labels, start=1))))
     valuation = tmp_path / "nu.val"
     write_valuation(valuation, [True] * a)
     code, record, err, _ = run_child("audit", "cnd-certificate", graph,
@@ -734,6 +737,7 @@ def test_hostile_sat_labels_exit_2_in_bounded_memory(tmp_path):
     assert code == 2, err
     assert RECORD.match(record).group(1) == "error"
     assert "Traceback" not in err and "out of memory" not in err
+    assert "give a construction of more than 3202 vertices" in err
 
 
 def count_ids(monkeypatch):
@@ -754,18 +758,20 @@ def count_ids(monkeypatch):
 def test_rebuild_layouts_stop_at_the_file_size(tmp_path, capsys, monkeypatch):
     # a construction larger than the file is refused after at most g.n + 1
     # ids and before any edge is drawn: labels naming n = 1000 source
-    # vertices and t = 4 on a 1 004-vertex file, whose construction has
-    # over 27 000 vertices, and labels naming a = c = 400 (b = 1) with the s
-    # and t they imply, whose layout has over 64 million vertices (the
-    # labels of test_hostile_sat_labels_exit_2_in_bounded_memory, whose s
-    # and t differ); a stated ell other than the construction's is refused
-    # before any id is asked for
+    # vertices, s = 1 and t = 4 on a 2 005-vertex file, whose construction
+    # has over 27 000 vertices, and labels naming a = c = 400 (b = 1) with
+    # the s and t they imply, whose layout has over 64 million vertices (the
+    # labels of test_hostile_sat_labels_exit_2_in_bounded_memory); a stated
+    # ell other than the construction's is refused before any id is asked for
     monkeypatch.chdir(tmp_path)
     source = k4_pendant_file(tmp_path, {"s": 1, "t": 4})
     assert run(capsys, "reduce", "cnd-to-dds", source, "-o", "big.dds")[0] == 0
+    g, params = read_graph("big.dds")
+    write_graph("bogus.dds", g, {**params, "ell": 10 ** 12})
     write_vertex_set("x.set", [1])
     n = 1000
     labels = [f"v'({v})" for v in range(1, n + 1)] + [f"I'v(1)#{i}" for i in range(1, 5)]
+    labels += [f"I1#{i}" for i in range(1, n + 2)]
     ell = 4 * (n + 1) + 4 * n - 5
     write_graph("wide.dds", Graph(len(labels), [], dict(enumerate(labels, start=1))),
                 {"k": n + 1, "ell": ell})
@@ -783,14 +789,14 @@ def test_rebuild_layouts_stop_at_the_file_size(tmp_path, capsys, monkeypatch):
     asked = count_ids(monkeypatch)
     drawn = count_drawn(monkeypatch, dds, "_expected_edges")
     drawn += count_drawn(monkeypatch, sat, "_sat_expected_edges")
-    code, (verdict, _, _), err = run(capsys, "audit", "dds-forward", "big.dds",
-                                     "--deletion", "x.set", "--ell", 10 ** 12)
+    code, (verdict, _, _), err = run(capsys, "audit", "dds-forward", "bogus.dds",
+                                     "--deletion", "x.set")
     assert code == 2 and verdict == "error", err
-    assert ("stated bound ell=1000000000000 differs from the construction's ell=39 "
+    assert ("stated ell=1000000000000 differs from the construction's ell=39 "
             "(n=5, s=1, t=4)") in err
     assert asked == []
     for argv, size, params in (
-            (["dds-forward", "wide.dds", "--deletion", "x.set"], n + 4,
+            (["dds-forward", "wide.dds", "--deletion", "x.set"], 2 * n + 5,
              f"labels and parameters (n={n}, s=1, t=4, ell={ell})"),
             (["cnd-certificate", "hostile.dds", "--valuation", "nu.val"], 3202,
              "labels (a=400, b=1, c=400)")):
@@ -801,6 +807,43 @@ def test_rebuild_layouts_stop_at_the_file_size(tmp_path, capsys, monkeypatch):
                 f"the graph has {size}") in err
         assert len(asked) <= size + 1
     assert drawn == []
+
+
+def test_audits_read_every_parameter_off_the_labels(tmp_path, capsys, monkeypatch):
+    # a construction file passes every rebuild audit without its 'c params'
+    # line, and a stated value other than the one the labels give, for any
+    # one parameter, is refused by name before any vertex id is laid out
+    from defdom.formulas import E2Formula
+    monkeypatch.chdir(tmp_path)
+    k4_pendant_file(tmp_path, {"s": 1, "t": 4})
+    write_formula("f.cnf", E2Formula(
+        1, 2, ((-1, 2, 3), (-1, 2, -3), (-1, -2, 3), (-1, -2, -3))))
+    write_vertex_set("x.set", [1])
+    write_valuation("nu.val", [True])
+    assert run(capsys, "reduce", "cnd-to-dds", "cnd.dds", "-o", "dds.dds")[0] == 0
+    assert run(capsys, "reduce", "e2sat-to-cnd", "f.cnf", "-o", "sat.dds",
+               "--allow-small")[0] == 0
+    asked = count_ids(monkeypatch)
+    for path, audits in (("dds.dds", (["dds-forward", "--deletion", "x.set"],
+                                      ["dds-roundtrip", "--deletion", "x.set"])),
+                         ("sat.dds", (["cnd-certificate", "--valuation", "nu.val"],))):
+        g, params = read_graph(path)
+        assert set(params) == ({"k", "ell", "s", "t"} if path == "dds.dds"
+                               else {"s", "t", "a", "b", "c"})
+        write_graph("bare.dds", g)
+        for audit in audits:
+            code, (verdict, _, _), err = run(capsys, "audit", audit[0], "bare.dds", *audit[1:])
+            assert code == 0 and verdict == "pass", (audit, err)
+        for name, value in params.items():
+            write_graph("wrong.dds", g, {**params, name: value + 1})
+            for audit in audits:
+                asked.clear()
+                code, (verdict, _, _), err = run(capsys, "audit", audit[0], "wrong.dds",
+                                                 *audit[1:])
+                assert code == 2 and verdict == "error", (audit, name)
+                assert (f"stated {name}={value + 1} differs from the construction's "
+                        f"{name}={value} (") in err, (audit, name, err)
+                assert asked == [], (audit, name)
 
 
 @pytest.mark.parametrize("graph, size, argv, code, record", [

@@ -207,6 +207,8 @@ SPELLINGS = [
     CANONICAL.replace(" 6 7", " 7 6"),                      # lo > hi
     CANONICAL.replace(" 6 7", " 6 9"),                      # a shared endpoint
     "p intervals 1000000000000\n1 0 1\n",
+    "p intervals " + "9" * 5000 + "\n1 0 5\n",               # a count past int()'s limit
+    CANONICAL.replace("2 2 9", "2  9"),                     # an empty field
 ]
 
 

@@ -270,46 +270,49 @@ def test_proof_defense_validates_deletion_set():
 
 def test_file_reconstruction_equals_original():
     dds = cnd_to_dds(CndInstance(k4_pendant(), 1, 4))
-    rebuilt = dds_from_graph(dds.graph, dds.k, dds.ell)
+    rebuilt = dds_from_graph(dds.graph)
     assert rebuilt.graph == dds.graph
-    assert (rebuilt.s, rebuilt.t) == (dds.s, dds.t)
+    assert (rebuilt.k, rebuilt.ell, rebuilt.s, rebuilt.t) == (dds.k, dds.ell, dds.s, dds.t)
     assert rebuilt.layout == dds.layout
+    stated = {"k": dds.k, "ell": dds.ell, "s": dds.s, "t": dds.t}
+    assert dds_from_graph(dds.graph, stated) == rebuilt
+    with pytest.raises(InputError, match=r"^stated k=7 differs from the construction's "
+                                         r"k=6 \(n=5, s=1, t=4\)$"):
+        dds_from_graph(dds.graph, {**stated, "k": dds.k + 1})
     with pytest.raises(InputError):
-        dds_from_graph(dds.graph, dds.k + 1, dds.ell)
-    with pytest.raises(InputError):
-        dds_from_graph(Graph(2, [(1, 2)]), 1, 1)
+        dds_from_graph(Graph(2, [(1, 2)]))
     # another well-formed role label on one vertex, or one edge gone
     q1 = dds.layout.q1[0]
     labels = dict(dds.graph.labels)
     labels[q1] = "Q4#1"
     with pytest.raises(InputError, match=rf"^vertex {q1} "):
-        dds_from_graph(Graph(dds.graph.n, dds.graph.edges(), labels), dds.k, dds.ell)
+        dds_from_graph(Graph(dds.graph.n, dds.graph.edges(), labels))
     u, v = sorted((dds.layout.v_prime[1], dds.layout.e_vertex[(1, 2)]))
     edges = [e for e in dds.graph.edges() if e != (u, v)]
     with pytest.raises(InputError, match=rf"^vertex {u} "):
-        dds_from_graph(Graph(dds.graph.n, edges, dds.graph.labels), dds.k, dds.ell)
+        dds_from_graph(Graph(dds.graph.n, edges, dds.graph.labels))
     # the same construction with two vertex ids swapped is not the construction
     swap = {1: 2, 2: 1}
     renumbered = Graph(dds.graph.n,
                        [(swap.get(x, x), swap.get(y, y)) for x, y in dds.graph.edges()],
                        {swap.get(v, v): label for v, label in dds.graph.labels.items()})
     with pytest.raises(InputError, match="^vertex 1 "):
-        dds_from_graph(renumbered, dds.k, dds.ell)
+        dds_from_graph(renumbered)
     # one vertex more or less than the construction
     n = dds.graph.n
     grown = Graph(n + 1, dds.graph.edges(), {**dds.graph.labels, n + 1: "Q4#1"})
     with pytest.raises(InputError, match=r"^labels and parameters \(n=5, s=1, t=4, ell=39\) give "
                                          r"a construction of 137 vertices, the graph has 138$"):
-        dds_from_graph(grown, dds.k, dds.ell)
+        dds_from_graph(grown)
     cut, _ = delete_vertices(dds.graph, [n])
     with pytest.raises(InputError, match="of more than 136 vertices, the graph has 136$"):
-        dds_from_graph(cut, dds.k, dds.ell)
+        dds_from_graph(cut)
     # a construction cut short so that a negative ell would explain its size
     small = cnd_to_dds(CndInstance(Graph(3, []), 3, 4))
     cut, _ = delete_vertices(small.graph, small.layout.i3 + (small.graph.n,))
-    with pytest.raises(InputError, match=r"^stated bound ell=-7 differs from the "
+    with pytest.raises(InputError, match=r"^stated ell=-7 differs from the "
                                          r"construction's ell=31 \(n=3, s=3, t=4\)$"):
-        dds_from_graph(cut, small.k, -(small.k + 1))
+        dds_from_graph(cut, {"k": small.k, "ell": -(small.k + 1)})
 
 
 def test_edge_stream_yields_each_edge_once():
@@ -329,7 +332,7 @@ def test_file_with_an_extra_edge_is_refused():
     u, v = dds.layout.i3[:2]   # I3 is an independent set
     extra = Graph(dds.graph.n, [*dds.graph.edges(), (u, v)], dds.graph.labels)
     with pytest.raises(InputError, match="^the file has 864 edges, the construction 863$"):
-        dds_from_graph(extra, dds.k, dds.ell)
+        dds_from_graph(extra)
 
 
 def test_solve_cnd_bruteforce_examples():

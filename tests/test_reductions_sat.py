@@ -267,10 +267,13 @@ def test_edge_stream_yields_each_edge_once():
 
 def test_label_file_roundtrip():
     sc = e2sat_to_cnd(YES4, allow_small=True)
-    rebuilt = sat_cnd_from_graph(sc.graph, sc.cnd.s, sc.cnd.t)
+    rebuilt = sat_cnd_from_graph(sc.graph)
     assert rebuilt.formula == sc.formula
     assert rebuilt.layout == sc.layout
     assert rebuilt.graph == sc.graph
+    assert (rebuilt.cnd.s, rebuilt.cnd.t) == (sc.cnd.s, sc.cnd.t)
+    stated = {"s": sc.cnd.s, "t": sc.cnd.t, "a": 1, "b": 2, "c": 4}
+    assert sat_cnd_from_graph(sc.graph, stated) == rebuilt
 
 
 def test_reconstruction_rejects_corruption():
@@ -279,30 +282,31 @@ def test_reconstruction_rejects_corruption():
     labels[1] = "never:a:role"
     broken = Graph(sc.graph.n, sc.graph.edges(), labels)
     with pytest.raises(InputError):
-        sat_cnd_from_graph(broken, sc.cnd.s, sc.cnd.t)
+        sat_cnd_from_graph(broken)
     with pytest.raises(InputError):
-        sat_cnd_from_graph(Graph(3, [(1, 2)]), sc.cnd.s, sc.cnd.t)
-    with pytest.raises(InputError):
-        sat_cnd_from_graph(sc.graph, sc.cnd.s + 1, sc.cnd.t)
+        sat_cnd_from_graph(Graph(3, [(1, 2)]))
+    with pytest.raises(InputError, match=r"^stated s=17 differs from the construction's "
+                                         r"s=16 \(a=1, b=2, c=4\)$"):
+        sat_cnd_from_graph(sc.graph, {"s": sc.cnd.s + 1, "t": sc.cnd.t})
     # one vertex more or less than the construction
     n = sc.graph.n
     grown = Graph(n + 1, sc.graph.edges(), {**sc.graph.labels, n + 1: "c1:qpad:1"})
     with pytest.raises(InputError, match=r"^labels \(a=1, b=2, c=4\) give a construction "
                                          r"of 260 vertices, the graph has 261$"):
-        sat_cnd_from_graph(grown, sc.cnd.s, sc.cnd.t)
+        sat_cnd_from_graph(grown)
     cut, _ = delete_vertices(sc.graph, [n])
     with pytest.raises(InputError, match="of more than 259 vertices, the graph has 259$"):
-        sat_cnd_from_graph(cut, sc.cnd.s, sc.cnd.t)
+        sat_cnd_from_graph(cut)
     # another well-formed role label on one vertex, or one edge gone
     pad = sc.layout.x_pads[(1, 1, 1)][0]
     labels = dict(sc.graph.labels)
     labels[pad] = "x1:pad:1:1:9"
     with pytest.raises(InputError, match=rf"^vertex {pad} "):
-        sat_cnd_from_graph(Graph(sc.graph.n, sc.graph.edges(), labels), sc.cnd.s, sc.cnd.t)
+        sat_cnd_from_graph(Graph(sc.graph.n, sc.graph.edges(), labels))
     u, v = sorted((sc.layout.x_pos[1][0], sc.layout.x_neg[1][0]))
     edges = [e for e in sc.graph.edges() if e != (u, v)]
     with pytest.raises(InputError, match=rf"^vertex {u} "):
-        sat_cnd_from_graph(Graph(sc.graph.n, edges, sc.graph.labels), sc.cnd.s, sc.cnd.t)
+        sat_cnd_from_graph(Graph(sc.graph.n, edges, sc.graph.labels))
 
 
 def test_file_with_an_extra_edge_is_refused():
@@ -310,4 +314,4 @@ def test_file_with_an_extra_edge_is_refused():
     u, v = sc.layout.x_pads[(1, 1, 1)][0], sc.layout.x_pads[(1, 1, 2)][0]
     extra = Graph(sc.graph.n, [*sc.graph.edges(), (u, v)], sc.graph.labels)
     with pytest.raises(InputError, match="^the file has 1035 edges, the construction 1034$"):
-        sat_cnd_from_graph(extra, sc.cnd.s, sc.cnd.t)
+        sat_cnd_from_graph(extra)
