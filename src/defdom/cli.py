@@ -58,7 +58,10 @@ def _alarm(seconds: Optional[int]):
     def handler(signum, frame):
         raise _Timeout()
 
-    old = signal.signal(signal.SIGALRM, handler)
+    try:
+        old = signal.signal(signal.SIGALRM, handler)
+    except ValueError:   # signal handlers can be set only in the main thread
+        raise InputError("--time-limit works only in the main thread") from None
     signal.alarm(seconds)
     try:
         yield

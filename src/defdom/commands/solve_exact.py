@@ -12,7 +12,9 @@ def add_arguments(p) -> None:
     p.add_argument("--attacks", metavar="FILE",
                    help="counter exactly these attacks instead of all size-k ones")
     p.add_argument("--lower", metavar="FILE", help="multiset every solution must contain")
-    p.add_argument("--upper", metavar="FILE", help="multiset every solution must stay within")
+    p.add_argument("--upper", metavar="FILE",
+                   help="multiset every solution must stay within (default: the longest "
+                        "listed attack or the --lower count, whichever is larger)")
     p.add_argument("--emit-defense", metavar="FILE")
     p.set_defaults(func=run)
 
@@ -32,7 +34,7 @@ def run(args) -> tuple:
             upper = read_multiset(args.upper)
         else:
             cap = max((len(a) for a in attacks), default=1)
-            upper = {v: cap for v in g.vertices}
+            upper = {v: max(cap, lower.get(v, 0)) for v in g.vertices}
         result = min_constrained_multiset(g, attacks, lower, upper)
         if result is None:
             _log("NONE: even the upper bound fails to counter the attack list")

@@ -203,9 +203,11 @@ def find_violator(g: Graph, defense: VertexMultiset, k: int,
                   strategy: str = "pruned") -> Optional[Violator]:
     """Search for an uncountered attack of size at most k.
 
-    Both strategies are complete for existence; the exhaustive one also
-    promises the (size, lexicographic)-least witness, the pruned one only
-    promises some witness.
+    Both strategies are complete for existence and return a violator of
+    least size, with its deficiency.  The exhaustive one returns the
+    (size, lexicographic)-least one; the pruned one returns the first one
+    that the root-anchored enumeration of attacks connected at distance at
+    most 2 finds, size by size, with roots in ascending vertex id.
     """
     if k < 1:
         raise InputError("attack budget k must be at least 1")

@@ -89,9 +89,8 @@ def _expected_edges(lay: DdsLayout) -> Iterator[tuple[int, int]]:
     """Every edge the construction mandates for a layout, each exactly once
     (the wired groups are disjoint), as (smaller id, larger id)."""
     for (u, v), ev in lay.e_vertex.items():
-        for w in (lay.v_prime[u], lay.v_second[u],
-                  lay.v_prime[v], lay.v_second[v]):
-            yield (min(ev, w), max(ev, w))
+        yield from _bipartite_edges([ev], (lay.v_prime[u], lay.v_second[u],
+                                           lay.v_prime[v], lay.v_second[v]))
     for q in (lay.q1, lay.q2, lay.q4):
         yield from _clique_edges(q)
     yield from _bipartite_edges(lay.i1, lay.q1)

@@ -14,9 +14,9 @@ vertex-deleted) labeled graph without the formula at hand.
 
 import re
 from collections import defaultdict
-from itertools import combinations
+from itertools import combinations, product
 from math import inf
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from defdom.errors import InputError, record
 from defdom.formulas import Assignment, E2Formula
@@ -27,18 +27,19 @@ from defdom.reductions.dds import (_INDEX, CndInstance, _bipartite_edges, _cliqu
 
 @record
 class SatLayout:
-    """Vertex ids of every gadget part, keyed by source indices."""
+    """Vertex ids of every gadget part, keyed by source indices, and every
+    clique the construction wires, in the order its ids were laid out."""
 
     x_pos: dict[int, tuple[int, ...]]   # variable index -> ids numbered 1..c
     x_neg: dict[int, tuple[int, ...]]
-    x_pads: dict[tuple[int, int, int], tuple[int, ...]]   # (i, p, q) -> pad ids
     y_pos: dict[int, int]
     y_neg: dict[int, int]
     goods: dict[int, tuple[int, int, int]]   # clause -> good ids by occurrence
     bads: dict[int, tuple[int, int, int]]    # clause -> bad ids; first is ugly
-    c_pads: dict[tuple[int, int, int], tuple[int, ...]]   # (k, o, o') -> pad ids
-    qpads: dict[int, tuple[int, ...]]        # clause -> clause-clique pad ids
-    q_members: dict[int, tuple[int, ...]]    # clause -> full clause-clique ids
+    # a*c*c variable-gadget edges (i, p, q), then 9c clause-gadget edges
+    # (k, o, o'), each as its two ends and its t-2 pads; then per clause k its
+    # clause clique: the x goods, each followed by its `:Q` core, and q pads
+    cliques: tuple[tuple[int, ...], ...]
 
 
 def _occurrence(f: E2Formula, k: int, o: int) -> tuple[str, int, bool]:
@@ -50,20 +51,26 @@ def _occurrence(f: E2Formula, k: int, o: int) -> tuple[str, int, bool]:
     return ("y", var - f.a, lit > 0)
 
 
+def _multipartite_edges(parts: Sequence[Iterable[int]]) -> Iterator[tuple[int, int]]:
+    """Every edge between two different parts, part by part in order."""
+    for i, part in enumerate(parts):
+        for other in parts[i + 1:]:
+            yield from _bipartite_edges(part, other)
+
+
 def _sat_expected_edges(f: E2Formula, lay: SatLayout) -> Iterator[tuple[int, int]]:
     """Every edge the construction mandates for a layout, each exactly once,
-    as (smaller id, larger id).  A variable- or clause-gadget edge comes
-    with its pad clique, the only clique that holds both its ends."""
-    c = f.c
-    all_y = [lay.y_pos[j] for j in sorted(lay.y_pos)] + \
-            [lay.y_neg[j] for j in sorted(lay.y_neg)]
-    for (i, p, q), pads in lay.x_pads.items():
-        yield from _clique_edges((lay.x_pos[i][p - 1], lay.x_neg[i][q - 1]) + pads)
-    for (k, o, op), pads in lay.c_pads.items():
-        yield from _clique_edges((lay.goods[k][o - 1], lay.bads[k][op - 1]) + pads)
-    for k in range(1, c + 1):
-        yield from _clique_edges(lay.q_members[k])
-    for k in range(1, c + 1):
+    as (smaller id, larger id): the layout's cliques, the wiring of each
+    good and ugly vertex to the universal gadgets, and two complete
+    multipartite graphs, one on the universal gadgets and one on each
+    clause's bads plus its universal goods.  A variable- or clause-gadget
+    edge comes with its pad clique, the only clique that holds both its
+    ends."""
+    for clique in lay.cliques:
+        yield from _clique_edges(clique)
+    cross = []
+    for k in range(1, f.c + 1):
+        cross.append(list(lay.bads[k]))
         for o in (1, 2, 3):
             family, j, positive = _occurrence(f, k, o)
             if family != "y":
@@ -71,22 +78,10 @@ def _sat_expected_edges(f: E2Formula, lay: SatLayout) -> Iterator[tuple[int, int
             own = lay.y_pos[j] if positive else lay.y_neg[j]
             others = [w for jp in lay.y_pos if jp != j for w in (lay.y_pos[jp], lay.y_neg[jp])]
             yield from _bipartite_edges([lay.goods[k][o - 1]], [own, *others])
-        yield from _bipartite_edges([lay.bads[k][0]], all_y)   # the ugly vertex
-    for j in sorted(lay.y_pos):
-        for jp in sorted(lay.y_pos):
-            if j < jp:
-                yield from _bipartite_edges((lay.y_pos[j], lay.y_neg[j]),
-                                            (lay.y_pos[jp], lay.y_neg[jp]))
-    cross: dict[int, list[int]] = {}
-    for k in range(1, c + 1):
-        members = list(lay.bads[k])
-        for o in (1, 2, 3):
-            if _occurrence(f, k, o)[0] == "y":
-                members.append(lay.goods[k][o - 1])
-        cross[k] = members
-    for k in range(1, c + 1):
-        for kp in range(k + 1, c + 1):
-            yield from _bipartite_edges(cross[k], cross[kp])
+            cross[-1].append(lay.goods[k][o - 1])
+        yield from _bipartite_edges([lay.bads[k][0]], [*lay.y_pos.values(), *lay.y_neg.values()])
+    yield from _multipartite_edges([(lay.y_pos[j], lay.y_neg[j]) for j in lay.y_pos])
+    yield from _multipartite_edges(cross)
 
 
 def _budget(f: E2Formula) -> tuple[int, int]:
@@ -137,12 +132,13 @@ def _sat_layout(f: E2Formula, cap: float = inf) -> tuple[SatLayout, _Labels]:
              for i in range(1, f.a + 1)}
     x_neg = {i: tuple(fresh(f"x{i}:neg:{p}") for p in range(1, c + 1))
              for i in range(1, f.a + 1)}
-    x_pads = {}
-    for i in range(1, f.a + 1):
-        for p in range(1, c + 1):
-            for q in range(1, c + 1):
-                x_pads[(i, p, q)] = tuple(
-                    fresh(f"x{i}:pad:{p}:{q}:{j}") for j in range(1, t - 1))
+    cliques: list[tuple[int, ...]] = []
+
+    def padded(ends: Sequence[int], name: str, count: int) -> None:
+        cliques.append((*ends, *(fresh(f"{name}:{j}") for j in range(1, count + 1))))
+
+    for i, p, q in product(range(1, f.a + 1), range(1, c + 1), range(1, c + 1)):
+        padded((x_pos[i][p - 1], x_neg[i][q - 1]), f"x{i}:pad:{p}:{q}", t - 2)
     y_pos = {j: fresh(f"y{j}:pos") for j in range(1, f.b + 1)}
     y_neg = {j: fresh(f"y{j}:neg") for j in range(1, f.b + 1)}
     goods = {}
@@ -155,31 +151,21 @@ def _sat_layout(f: E2Formula, cap: float = inf) -> tuple[SatLayout, _Labels]:
             occ_labels.append(fresh(f"c{k}:good:{o}:{family}{idx}:{sign}"))
         goods[k] = tuple(occ_labels)
         bads[k] = (fresh(f"c{k}:ugly:1"), fresh(f"c{k}:bad:2"), fresh(f"c{k}:bad:3"))
-    c_pads = {}
-    for k in range(1, c + 1):
-        for o in (1, 2, 3):
-            for op in (1, 2, 3):
-                c_pads[(k, o, op)] = tuple(
-                    fresh(f"c{k}:pad:{o}:{op}:{j}") for j in range(1, t - 1))
-    qpads = {}
-    q_members = {}
+    for k, o, op in product(range(1, c + 1), (1, 2, 3), (1, 2, 3)):
+        padded((goods[k][o - 1], bads[k][op - 1]), f"c{k}:pad:{o}:{op}", t - 2)
     for k in range(1, c + 1):
         z: list[int] = []
         for o in (1, 2, 3):
             family, i, positive = _occurrence(f, k, o)
             if family != "x":
                 continue
-            z.append(goods[k][o - 1])
             member = x_pos[i][k - 1] if positive else x_neg[i][k - 1]
             labels[member] += ":Q"
-            z.append(member)
-        g = len(z) // 2
-        qpads[k] = tuple(fresh(f"c{k}:qpad:{j}") for j in range(1, t - g))
-        q_members[k] = tuple(sorted(z + list(qpads[k])))
+            z += (goods[k][o - 1], member)
+        padded(z, f"c{k}:qpad", t - 1 - len(z) // 2)
 
-    layout = SatLayout(x_pos=x_pos, x_neg=x_neg, x_pads=x_pads,
-                       y_pos=y_pos, y_neg=y_neg, goods=goods, bads=bads,
-                       c_pads=c_pads, qpads=qpads, q_members=q_members)
+    layout = SatLayout(x_pos=x_pos, x_neg=x_neg, y_pos=y_pos, y_neg=y_neg,
+                       goods=goods, bads=bads, cliques=tuple(cliques))
     return layout, labels
 
 

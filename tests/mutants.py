@@ -26,12 +26,14 @@ TIME_LIMIT = 300   # seconds per mutant
 SAT, MATCHING, DDS = "reductions/sat.py", "matching.py", "reductions/dds.py"
 SAT_TESTS = ["tests/test_reductions_sat.py", "tests/test_acceptance.py"]
 MATCHING_TESTS = ["tests/test_matching.py"]
+DDS_TESTS = ["tests/test_reductions_dds.py"]
 STATED_TESTS = ["tests/test_reductions_dds.py", "tests/test_reductions_sat.py",
                 "tests/test_cli.py::test_audits_read_every_parameter_off_the_labels",
                 "tests/test_cli.py::test_rebuild_layouts_stop_at_the_file_size"]
 DDS_STATED = ('_require_stated(stated, {"k": k, "ell": ell, "s": s, "t": t}, '
               'f"n={n}, s={s}, t={t}")')
 DDS_LAYOUT = "layout, built = _dds_layout(inst, cap=g.n)"
+ALARM = "old = signal.signal(signal.SIGALRM, handler)"
 
 # (name, file, old text, new text, tests expected to kill it)
 MUTANTS = [
@@ -61,6 +63,24 @@ MUTANTS = [
      f"{DDS_LAYOUT}\n    {DDS_STATED}", STATED_TESTS),
     ("derived-s-off-by-one", DDS, 'label.startswith("I1#")) - n',
      'label.startswith("I1#")) - n - 1', STATED_TESTS),
+    ("multipartite-next-part-only", SAT, "parts[i + 1:]", "parts[i + 1:i + 2]", SAT_TESTS),
+    ("clause-clique-one-qpad-short", SAT, "t - 1 - len(z) // 2", "t - 2 - len(z) // 2",
+     SAT_TESTS),
+    ("cliques-stop-after-variable-gadgets", SAT, "for clique in lay.cliques:",
+     "for clique in lay.cliques[:f.a * f.c ** 2]:", SAT_TESTS),
+    ("default-upper-ignores-lower", "commands/solve_exact.py", "max(cap, lower.get(v, 0))",
+     "cap", ["tests/test_cli.py::test_default_upper_bound_meets_the_lower_one"]),
+    ("alarm-off-main-thread-escapes", "cli.py",
+     f"try:\n        {ALARM}\n    except ValueError:", f"{ALARM}\n    if False:",
+     ["tests/test_cli.py::test_time_limit_off_the_main_thread_is_an_input_error"]),
+    ("pruned-gate-strict", "defense.py", "bisect_left(comp[3], m) >= m",
+     "bisect_left(comp[3], m) > m", ["tests/test_defense.py"]),
+    ("ell-one-more", DDS, "n * t - (t + 1)", "n * t - t", DDS_TESTS),
+    ("twin-copies-uncounted", DDS,
+     "defense.get(lay.v_prime[v], 0) + defense.get(lay.v_second[v], 0)",
+     "defense.get(lay.v_prime[v], 0)", DDS_TESTS),
+    ("deleted-ends-kept", "graphs.py", "if u > v and new[u]:", "if u > v:",
+     ["tests/test_graphs.py"]),
 ]
 
 

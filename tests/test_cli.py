@@ -6,6 +6,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -123,6 +124,24 @@ def test_solve_exact_constrained_infeasible(tmp_path, capsys):
     code, (verdict, _, _), _ = run(
         capsys, "solve-exact", graph, "--attacks", attacks, "--upper", upper)
     assert code == 1 and verdict == "none"
+
+
+def test_default_upper_bound_meets_the_lower_one(tmp_path, capsys):
+    # with no --upper a vertex may hold the longest listed attack or its
+    # --lower count, whichever is larger; an explicit --upper below --lower
+    # is still refused
+    graph, attacks = tmp_path / "p3.dds", tmp_path / "a.atk"
+    lower, upper = tmp_path / "l.ms", tmp_path / "u.ms"
+    write_graph(graph, path_graph(3))
+    write_attacks(attacks, [[1, 2]])
+    write_multiset(lower, {2: 4})
+    code, record, _ = run(capsys, "solve-exact", graph, "--attacks", attacks, "--lower", lower)
+    assert (code, record) == (0, ("optimal", "4", "-"))
+    write_multiset(upper, {2: 2})
+    code, record, err = run(capsys, "solve-exact", graph, "--attacks", attacks,
+                            "--lower", lower, "--upper", upper)
+    assert (code, record) == (2, ("error", "-", "-"))
+    assert "lower bound exceeds upper bound at vertex 2" in err
 
 
 def test_long_augmenting_path_ends_with_a_record(tmp_path, capsys):
@@ -401,6 +420,21 @@ def test_time_limit_exit_code(tmp_path, capsys):
     code, (verdict, _, _), _ = run(
         capsys, "--time-limit", 1, "solve-exact", graph, 4)
     assert code == 3 and verdict == "timeout"
+
+
+def test_time_limit_off_the_main_thread_is_an_input_error(tmp_path, capsys):
+    # only the main thread may set a signal handler, so a limit asked for in
+    # another thread ends in the error record instead of escaping main
+    graph, codes = tmp_path / "p.dds", []
+    argv = ["--time-limit", "5", "gen", "path", "--n", "3", "-o", str(graph)]
+    worker = threading.Thread(target=lambda: codes.append(main(argv)))
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    out, err = capsys.readouterr()
+    assert codes == [2] and out == "verdict=error value=- certificate=-\n"
+    assert "error: --time-limit works only in the main thread" in err
+    assert not graph.exists()
 
 
 def test_out_of_range_values_are_input_errors(tmp_path, capsys):

@@ -31,6 +31,15 @@ def small_formulas():
     yield E2Formula(1, 2, ((1, 2, 3),) * 4)
 
 
+def clique_families(sc):
+    """The layout's cliques split by family: variable-gadget edges with
+    their pads, clause-gadget edges with their pads, and clause cliques."""
+    cliques, x_end = sc.layout.cliques, sc.formula.a * sc.formula.c ** 2
+    c_end = x_end + 9 * sc.formula.c
+    assert len(cliques) == c_end + sc.formula.c
+    return cliques[:x_end], cliques[x_end:c_end], cliques[c_end:]
+
+
 def test_frozen_construction_sizes():
     sc = e2sat_to_cnd(F7)
     assert (sc.graph.n, sc.graph.edge_count()) == (1073, 5117)
@@ -52,16 +61,17 @@ def test_clause_count_preconditions():
 
 def test_clause_clique_membership():
     sc = e2sat_to_cnd(F7)
-    f, lay = sc.formula, sc.layout
-    labels = sc.graph.labels
-    for k, clause in enumerate(f.clauses, start=1):
+    f, labels = sc.formula, sc.graph.labels
+    _, _, clause_cliques = clique_families(sc)
+    qpads = [[v for v in clique if ":qpad:" in labels[v]] for clique in clause_cliques]
+    for k, (clause, clique) in enumerate(zip(f.clauses, clause_cliques), start=1):
         g = sum(1 for lit in clause if abs(lit) <= f.a)
-        assert len(lay.qpads[k]) == sc.cnd.t - 1 - g
-        assert len(lay.q_members[k]) == sc.cnd.t - 1 + g
-        flagged = [v for v in lay.q_members[k] if labels[v].endswith(":Q")]
+        assert len(qpads[k - 1]) == sc.cnd.t - 1 - g
+        assert len(clique) == sc.cnd.t - 1 + g
+        flagged = [v for v in clique if labels[v].endswith(":Q")]
         assert len(flagged) == g
     # every F7 clause mentions both existential variables
-    assert all(len(lay.qpads[k]) == sc.cnd.t - 3 for k in range(1, f.c + 1))
+    assert all(len(pads) == sc.cnd.t - 3 for pads in qpads)
 
 
 def test_valuation_roundtrip_all_assignments():
@@ -183,13 +193,14 @@ def test_typed_audit_finds_a_clause_clique():
     # and a clause clique that names an existential variable still holds K_t
     for f in small_formulas():
         sc = e2sat_to_cnd(f, allow_small=True)
-        lay, t = sc.layout, sc.cnd.t
-        pads = [ids[0] for group in (lay.x_pads, lay.c_pads) for ids in group.values()]
+        t = sc.cnd.t
+        x_family, c_family, clause_cliques = clique_families(sc)
+        pads = [clique[2] for clique in x_family + c_family]
         remnant, trans = delete_vertices(sc.graph, pads)
         witness = typed_clique_audit(remnant, t)
         assert (witness is not None) == has_clique(remnant, t)
         assert witness is not None and len(witness) == t
-        cliques = [{trans[w] for w in lay.q_members[k]} for k in lay.q_members]
+        cliques = [{trans[w] for w in clique} for clique in clause_cliques]
         assert any(witness <= q for q in cliques)
 
 
@@ -210,16 +221,14 @@ def test_each_shape_finds_a_clique_of_its_family(f):
     # (c) and (d) in turn must answer, with a clique of its own kind
     sc = e2sat_to_cnd(f, allow_small=True)
     lay, t = sc.layout, sc.cnd.t
-    x_pads = [w for ids in lay.x_pads.values() for w in ids]
-    c_pads = [w for ids in lay.c_pads.values() for w in ids]
-    members = [w for ids in lay.q_members.values() for w in ids]
+    x_family, c_family, clause_cliques = clique_families(sc)
+    x_pads = [w for clique in x_family for w in clique[2:]]
+    c_pads = [w for clique in c_family for w in clique[2:]]
+    members = [w for clique in clause_cliques for w in clique]
     pool = {*lay.y_pos.values(), *lay.y_neg.values(),
             *(w for ids in [*lay.bads.values(), *lay.goods.values()] for w in ids)}
-    families = (
-        [{lay.x_pos[i][p - 1], lay.x_neg[i][q - 1], *ids} for (i, p, q), ids in lay.x_pads.items()],
-        [{lay.goods[k][o - 1], lay.bads[k][op - 1], *ids} for (k, o, op), ids in lay.c_pads.items()],
-        [set(ids) for ids in lay.q_members.values()],
-        [pool - set(members)])   # y, bad and y-good vertices
+    families = [[set(clique) for clique in family] for family in clique_families(sc)]
+    families.append([pool - set(members)])   # y, bad and y-good vertices
     found = []
     for cut, family in zip(([], x_pads, x_pads + c_pads, x_pads + c_pads + members), families):
         remnant, trans = delete_vertices(sc.graph, cut)
@@ -237,9 +246,7 @@ def test_typed_audit_refuses_a_witness_with_a_missing_edge(shape):
     # the shapes read roles, not edges, so a labeled graph that lacks one
     # edge of the clique a shape names must fail the edge-by-edge re-check
     sc = e2sat_to_cnd(YES4, allow_small=True)
-    lay = sc.layout
-    pads = [[w for ids in group.values() for w in ids]
-            for group in (lay.x_pads, lay.c_pads, lay.q_members)]
+    pads = [[w for clique in family for w in clique[2:]] for family in clique_families(sc)[:2]]
     u, v = sorted(SHAPE_WITNESSES[YES4][shape])[:2]
     edges = [e for e in sc.graph.edges() if e != (u, v)]
     broken = Graph(sc.graph.n, edges, sc.graph.labels)
@@ -298,7 +305,7 @@ def test_reconstruction_rejects_corruption():
     with pytest.raises(InputError, match="of more than 259 vertices, the graph has 259$"):
         sat_cnd_from_graph(cut)
     # another well-formed role label on one vertex, or one edge gone
-    pad = sc.layout.x_pads[(1, 1, 1)][0]
+    pad = sc.layout.cliques[0][2]   # the first pad of variable-gadget edge (1, 1, 1)
     labels = dict(sc.graph.labels)
     labels[pad] = "x1:pad:1:1:9"
     with pytest.raises(InputError, match=rf"^vertex {pad} "):
@@ -311,7 +318,8 @@ def test_reconstruction_rejects_corruption():
 
 def test_file_with_an_extra_edge_is_refused():
     sc = e2sat_to_cnd(YES4, allow_small=True)
-    u, v = sc.layout.x_pads[(1, 1, 1)][0], sc.layout.x_pads[(1, 1, 2)][0]
+    # the first pads of variable-gadget edges (1, 1, 1) and (1, 1, 2)
+    u, v = sc.layout.cliques[0][2], sc.layout.cliques[1][2]
     extra = Graph(sc.graph.n, [*sc.graph.edges(), (u, v)], sc.graph.labels)
     with pytest.raises(InputError, match="^the file has 1035 edges, the construction 1034$"):
         sat_cnd_from_graph(extra)
