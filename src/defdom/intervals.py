@@ -26,21 +26,23 @@ which keeps the selection rule total without touching the graph.
 `greedy_defense` is the fast path; the literal restatement
 `greedy_defense_reference` is kept for differential testing.
 
-The fast path rests on three invariants of that rule.  (1) A copy meets a
-block exactly when its right end reaches the block's least left end: a
-copy starts before the line where it is placed, and every block examined
-at that step or later contains the interval closing at the line then, so
-a copy still open meets it; a closed copy that reaches the least left end
-is a member or contains that end.  (2) The furthest-reaching open
-interval only reaches further as the line advances, so copies arrive in
-ascending order of right end, each beyond every left end already in the
-prefix; the number of copies ending before a top left end is therefore
-fixed once that left end is in the prefix.  Together these two turn each
-step into a maximum over runs of top left ends, with the standard library
-alone.  (3) The rule never looks back across a gap between components: a
-block that mixes components is short by no more than its part in the
-latest component, so the sweep starts afresh at every gap, and a step
-costs time in the size of the largest component, not of the whole prefix.
+The fast path ranks the endpoints in one pass over `order`, then sweeps
+`order` itself, and rests on three invariants of the rule.  (1) A copy
+meets a block exactly when its right end reaches the block's least left
+end: a copy starts before the line where it is placed, and every block
+examined at that step or later contains the interval closing at the line
+then, so a copy still open meets it; a closed copy that reaches the least
+left end is a member or contains that end.  (2) The furthest-reaching
+open interval only reaches further as the line advances, so copies arrive
+in ascending order of right end, each beyond every left end already in
+the prefix; the number of copies ending before a top left end is
+therefore fixed once that left end is in the prefix.  Together these two
+turn each step into a maximum over runs of top left ends, with the
+standard library alone.  (3) The rule never looks back across a gap
+between components: a block that mixes components is short by no more
+than its part in the latest component, so the sweep starts afresh at
+every gap, and a step costs time in the size of the largest component,
+not of the whole prefix.
 """
 
 import operator
@@ -252,15 +254,15 @@ def greedy_defense_reference(inst: IntervalInstance, k: int) -> "VertexMultiset"
 def greedy_defense(inst: IntervalInstance, k: int) -> "VertexMultiset":
     """Fast sweep producing the same multiset as the reference.
 
-    Works in endpoint-rank space: the instance's `order` ranks the 2n
-    endpoints, sorted when it was built.  `mate[x]`
-    is the rank of the other endpoint of the interval with an endpoint at
-    rank x, so mate[x] > x marks a left end and mate[x] < x a right end.
-    The sweep walks the ranks.  At a left end, `best_right` keeps the
-    furthest right reach among the intervals opened so far: the interval
-    that carries every copy placed.  At a right end x, the closing
-    interval's left joins the prefix, whose top-k lefts are kept in a heap;
-    if it enters the top-k, every block containing it is topped up at once.
+    Works in endpoint-rank space: one pass over the instance's `order`,
+    sorted when it was built, writes `rank[i]`, the rank of slot i, and the
+    sweep walks `order` itself.  Slot i < n at rank x is the left end of
+    vertex i + 1, reaching rank[i + n]; any other slot a right end, opened
+    at rank[i - n].  At a left end, `best_right` keeps the furthest right
+    reach among the intervals opened so far, and `best` its vertex carries
+    every copy placed.  At a right end x, the closing interval's left joins
+    the prefix, whose top-k lefts are kept in a heap; if it enters the
+    top-k, every block containing it is topped up at once.
     Two invariants make that step cheap:
 
     1. A copy placed at x starts before x, and every block examined at x or
@@ -295,21 +297,21 @@ def greedy_defense(inst: IntervalInstance, k: int) -> "VertexMultiset":
        `rights` there, while `best_right` stays, as the new interval
        reaches furthest.  A step then does O(min(k, c)) list work, c being
        the largest component, and the sweep O(n log n + n·min(k, c)) in all.
+
+    The common right-end step allocates nothing, by three shortcuts that
+    each do what the plain statement does: later runs are lowered only when
+    there are some (an empty tail has nothing to lower); a new top in the
+    lowest run (r == 0) reads run_key[0], the only key of runs 0..r; and a
+    single copy's right is appended to `rights`, the one item a list of one
+    would add.
     """
     if k < 1:
         raise InputError("attack budget k must be at least 1")
     n = inst.n
     order = inst.order
-    opened = array("l", [0]) * n            # rank of each lo, by slot
-    mate = array("l", [0]) * (2 * n)
-    for x, i in enumerate(order):           # a lo always ranks before its hi
-        if i < n:
-            opened[i] = x
-        else:
-            lo = opened[i - n]
-            mate[lo] = x
-            mate[x] = lo
-    del opened
+    rank = array("l", [0]) * (2 * n)        # rank of each endpoint, by slot
+    for x, i in enumerate(order):
+        rank[i] = x
 
     defense: VertexMultiset = {}
     tops: list[int] = []       # min-heap: the top-k left ranks of the prefix
@@ -318,16 +320,18 @@ def greedy_defense(inst: IntervalInstance, k: int) -> "VertexMultiset":
     run_key: list[int] = []    # below() plus tops in this and later runs, minus lift
     lift = 0
     rights: list[int] = []     # right rank of every copy placed, ascending
-    best_right = -1
-    for x, m in enumerate(mate):
-        if m > x:                                  # a left end, reaching m
+    best_right = best = -1     # furthest right rank open so far, and its vertex
+    for x, i in enumerate(order):
+        if i < n:                                  # the left end of vertex i + 1
             if x > best_right:                     # nothing open: a new component
                 tops, run_below, run_size, run_key, rights = [], [], [], [], []
                 lift = 0
-            if m > best_right:
-                best_right = m
+            if (right := rank[i + n]) > best_right:
+                best_right = right
+                best = i + 1
             continue
-        if len(tops) < k:                          # a right end, opened at m
+        m = rank[i - n]                            # a right end, opened at m
+        if len(tops) < k:
             heappush(tops, m)
         elif heappushpop(tops, m) == m:            # below every top: no new block
             continue
@@ -345,10 +349,13 @@ def greedy_defense(inst: IntervalInstance, k: int) -> "VertexMultiset":
             run_key.insert(r, below + later - lift)
         run_size[r] += 1
         lift += 1                                  # m joins the blocks of runs 0..r
-        run_key[r + 1:] = [key - 1 for key in run_key[r + 1:]]   # but no later one
-        need = max(run_key[:r + 1]) + lift - len(rights)
+        if r + 1 < len(run_key):                   # but no later one
+            run_key[r + 1:] = [key - 1 for key in run_key[r + 1:]]
+        need = (max(run_key[:r + 1]) if r else run_key[0]) + lift - len(rights)
         if need > 0:
-            best = order[best_right] - n + 1
             defense[best] = defense.get(best, 0) + need
-            rights += [best_right] * need
+            if need == 1:
+                rights.append(best_right)
+            else:
+                rights += [best_right] * need
     return defense

@@ -46,12 +46,14 @@ def dense_intervals(rng, n_max=10, allow_points=False):
     return IntervalInstance(rows)
 
 
-def clustered_intervals(rng, n, cluster=(4, 16)):
+def clustered_intervals(rng, n, cluster=(4, 16), points=0.0):
     """Bounded-length intervals in well-separated clusters, endpoints distinct.
 
     A cluster of c intervals draws its 2c endpoints from a window of 3c
     consecutive integers, and windows are one apart, so no component is
-    larger than its cluster and the ids run left to right.
+    larger than its cluster and the ids run left to right.  Each interval
+    is then a point, at the lesser of its two values, with probability
+    `points`; at 0, the default, nothing more is drawn from `rng`.
     """
     rows = {}
     base = 1
@@ -59,7 +61,10 @@ def clustered_intervals(rng, n, cluster=(4, 16)):
         c = min(rng.randint(*cluster), n - len(rows))
         values = rng.sample(range(base, base + 3 * c), 2 * c)
         for a, b in zip(values[0::2], values[1::2]):
-            rows[len(rows) + 1] = (min(a, b), max(a, b))
+            a, b = min(a, b), max(a, b)
+            if points and rng.random() < points:
+                b = a
+            rows[len(rows) + 1] = (a, b)
         base += 3 * c + 1
     return IntervalInstance(rows)
 

@@ -1,11 +1,15 @@
 """Re-runnable mutation check: does the suite notice each listed fault?
 
 Each entry names a file under `src/defdom`, an exact text that occurs in it
-once, the text that replaces it, and the test files expected to fail.  For
-each entry the script copies `src` to a temporary directory, applies the
-edit there, runs only those tests against the copy under a time limit and
-counts the mutant as killed (a test failed), survived (all passed) or timed
-out.  The counts print as one JSON object.
+once, the text that replaces it, and the test files expected to fail.  The
+script first runs each distinct test list once against an unmutated copy of
+`src`; a list that fails there cannot tell a mutant apart, so its mutants
+count as baseline_failed.  For every other entry it copies `src` to a
+temporary directory, applies the edit there, runs only those tests against
+the copy under a time limit and counts the mutant as killed (a test
+failed), survived (all passed) or timed out.  A mutant listed in
+`EQUIVALENT` changes no result the tests can see; it counts as equivalent
+when it survives.  The counts print as one JSON object.
 
     python tests/mutants.py            # every entry
     python tests/mutants.py pads-b-first skip-done   # the named ones
@@ -34,6 +38,9 @@ DDS_STATED = ('_require_stated(stated, {"k": k, "ell": ell, "s": s, "t": t}, '
               'f"n={n}, s={s}, t={t}")')
 DDS_LAYOUT = "layout, built = _dds_layout(inst, cap=g.n)"
 ALARM = "old = signal.signal(signal.SIGALRM, handler)"
+GREEDY, GREEDY_TESTS = "intervals.py", ["tests/test_intervals.py"]
+GREEDY_BEST = ("if (right := rank[i + n]) > best_right:\n"
+               "                best_right = right\n                best = i + 1")
 
 # (name, file, old text, new text, tests expected to kill it)
 MUTANTS = [
@@ -81,18 +88,37 @@ MUTANTS = [
      "defense.get(lay.v_prime[v], 0)", DDS_TESTS),
     ("deleted-ends-kept", "graphs.py", "if u > v and new[u]:", "if u > v:",
      ["tests/test_graphs.py"]),
+    ("greedy-later-runs-kept", GREEDY, "[key - 1 for key in run_key[r + 1:]]",
+     "run_key[r + 1:]", GREEDY_TESTS),
+    ("greedy-need-own-run-only", GREEDY, "(max(run_key[:r + 1]) if r else run_key[0])",
+     "run_key[r]", GREEDY_TESTS),
+    ("greedy-best-at-component-start", GREEDY, f"lift = 0\n            {GREEDY_BEST}",
+     "lift = 0\n                best_right, best = rank[i + n], i + 1", GREEDY_TESTS),
+    ("greedy-no-reset-at-gap", GREEDY, "if x > best_right:", "if False:", GREEDY_TESTS),
+    ("greedy-gap-test-ge", GREEDY, "if x > best_right:", "if x >= best_right:",
+     GREEDY_TESTS),
 ]
+# mutants that cannot change any result, with the reason
+EQUIVALENT = {
+    "greedy-gap-test-ge": "x is a left rank and best_right a right rank or -1, "
+                          "and no two endpoints share a rank, so x == best_right never holds",
+}
 
 
-def run(name, file, old, new, tests) -> str:
+def run(tests, edit=None) -> str:
+    """Run `tests` against a copy of `src`, with `edit`, a (name, file, old
+    text, new text) tuple, applied first when given: passed, failed or
+    timed_out."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
-        target = src / "defdom" / file
-        text = target.read_text()
-        if text.count(old) != 1:
-            raise SystemExit(f"{name}: the old text occurs {text.count(old)} times in {file}")
-        target.write_text(text.replace(old, new))
+        if edit:
+            name, file, old, new = edit
+            target = src / "defdom" / file
+            text = target.read_text()
+            if text.count(old) != 1:
+                raise SystemExit(f"{name}: the old text occurs {text.count(old)} times in {file}")
+            target.write_text(text.replace(old, new))
         env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
         argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                 *(str(ROOT / t) for t in tests)]
@@ -101,12 +127,24 @@ def run(name, file, old, new, tests) -> str:
                                   timeout=TIME_LIMIT)
         except subprocess.TimeoutExpired:
             return "timed_out"
-        return "survived" if done.returncode == 0 else "killed"
+        return "passed" if done.returncode == 0 else "failed"
+
+
+def outcome(name, file, old, new, tests, baseline) -> str:
+    if baseline[tuple(tests)] != "passed":
+        return "baseline_failed"
+    result = run(tests, (name, file, old, new))
+    if result == "failed":
+        return "killed"
+    if result == "passed":
+        return "equivalent" if name in EQUIVALENT else "survived"
+    return result
 
 
 if __name__ == "__main__":
     chosen = [m for m in MUTANTS if not sys.argv[1:] or m[0] in sys.argv[1:]]
-    outcomes = {m[0]: run(*m) for m in chosen}
+    baseline = {tests: run(tests) for tests in dict.fromkeys(tuple(m[4]) for m in chosen)}
+    outcomes = {m[0]: outcome(*m, baseline) for m in chosen}
     counts = {kind: sum(v == kind for v in outcomes.values())
-              for kind in ("killed", "survived", "timed_out")}
+              for kind in ("killed", "survived", "equivalent", "timed_out", "baseline_failed")}
     print(json.dumps({**counts, "mutants": outcomes}, indent=1))

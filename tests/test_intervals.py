@@ -229,6 +229,16 @@ def test_greedy_fast_equals_reference():
     # many clusters under one large k, so the top lefts form many runs
     inst = clustered_intervals(random.Random(27), 150)
     assert greedy_defense(inst, 500) == greedy_defense_reference(inst, 500)
+    # point intervals inside multi-interval components, at k = 1, 2, c, c + 1
+    # and n, c the largest component, with whole and with thirds as endpoints
+    for _ in range(40):
+        inst = clustered_intervals(rng, rng.randint(20, 60), cluster=(2, 12), points=0.15)
+        thirds = IntervalInstance({v: (Fraction(lo, 3), Fraction(hi, 3))
+                                   for v, (lo, hi) in inst.items()})
+        c = max(part.n for part, _ in interval_components(inst))
+        for k in {1, 2, c, c + 1, inst.n}:
+            assert greedy_defense(inst, k) == greedy_defense_reference(inst, k)
+            assert greedy_defense(thirds, k) == greedy_defense_reference(thirds, k)
 
 
 def test_greedy_large_k_stays_fast():
