@@ -10,8 +10,8 @@ a usage error.  `--help` alone prints its text and exits 0 without one.
 
 `_EXIT_CODES` maps the verdict to the exit code: 0 = affirmative/optimal
 (good, optimal, ok, pass, yes, found), 1 = negative/infeasible (bad, none,
-fail, no), 2 = usage or input error, or memory exhausted (error), 3 = time
-limit exceeded (timeout).
+fail, no), 2 = usage or input error, memory exhausted or a count past the
+index range (error), 3 = time limit exceeded (timeout).
 
 This module holds the record and exit-code contract, the helpers several
 commands share and the dispatcher.  Each command lives in its own module
@@ -186,6 +186,9 @@ def main(argv=None) -> int:
         record = ("error",)
     except MemoryError:
         _log("error: out of memory")
+        record = ("error",)
+    except OverflowError as exc:
+        _log(f"error: a count past the index range: {exc}")
         record = ("error",)
     except _Timeout:
         _log("time limit exceeded")

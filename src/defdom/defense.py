@@ -19,25 +19,29 @@ are the ones that enumeration returns.
 import itertools
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from defdom.errors import InputError, record
+from defdom.errors import InputError
 from defdom.graphs import (Graph, VertexMultiset, VertexSet, check_multiset,
                            closed_neighborhood, count_in, require_vertices)
 
 STRATEGIES = ("exhaustive", "pruned")
 
 
-@record
-class Violator:
-    """An attack the defense fails to counter, with its defender shortfall."""
-
+class _Violator(NamedTuple):
     attack: VertexSet
     deficiency: int
 
-    def __post_init__(self):
-        if self.deficiency <= 0:
+
+class Violator(_Violator):
+    """An attack the defense fails to counter, with its defender shortfall."""
+
+    __slots__ = ()
+
+    def __new__(cls, attack: VertexSet, deficiency: int):
+        if deficiency <= 0:
             raise InputError("a violator must have positive deficiency")
+        return super().__new__(cls, attack, deficiency)
 
 
 def hall_deficiency(g: Graph, defense: VertexMultiset, attack: Iterable[int]) -> int:

@@ -8,24 +8,27 @@ matter how the y variables are set.
 """
 
 from itertools import product
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from defdom.errors import InputError, record
+from defdom.errors import InputError
 
 Clause = tuple[int, int, int]
 Assignment = tuple[bool, ...]
 
 
-@record
-class E2Formula:
+class _E2Formula(NamedTuple):
     a: int
     b: int
     clauses: tuple[Clause, ...]
 
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
+
+class E2Formula(_E2Formula):
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, clauses: tuple[Clause, ...]):
+        if a < 0 or b < 0:
             raise InputError("variable counts must be nonnegative")
-        for idx, clause in enumerate(self.clauses, start=1):
+        for idx, clause in enumerate(clauses, start=1):
             if len(clause) != 3:
                 raise InputError(f"clause {idx} must have exactly 3 literals")
             variables = set()
@@ -33,11 +36,12 @@ class E2Formula:
                 if lit == 0:
                     raise InputError(f"clause {idx} contains a zero literal")
                 var = abs(lit)
-                if var > self.a + self.b:
+                if var > a + b:
                     raise InputError(f"clause {idx} references unknown variable {var}")
                 variables.add(var)
             if len(variables) != 3:
                 raise InputError(f"clause {idx} must use three distinct variables")
+        return super().__new__(cls, a, b, clauses)
 
     @property
     def c(self) -> int:
@@ -74,8 +78,7 @@ def satisfying_mu(f: E2Formula, nu: Assignment) -> Optional[Assignment]:
     return None
 
 
-@record
-class E2SatResult:
+class E2SatResult(NamedTuple):
     verdict: bool
     winning_nu: Optional[Assignment]
     refutations: dict[Assignment, Assignment]  # nu -> satisfying mu (NO case)

@@ -34,6 +34,8 @@ class Graph:
                  labels: Optional[Mapping[int, str]] = None):
         if n < 0:
             raise InputError("vertex count must be nonnegative")
+        # sized before any edge is read, so an impossible n fails at once
+        adj: list = [_NO_NEIGHBORS] * (n + 1)
         us: list[int] = []
         vs: list[int] = []
         for u, v in edges:
@@ -43,7 +45,7 @@ class Graph:
                 raise InputError(f"self-loop at vertex {u}")
             us.append(u)
             vs.append(v)
-        self._build(n, us, vs, labels)
+        self._build(n, us, vs, labels, adj)
 
     @classmethod
     def _from_columns(cls, n: int, us: Sequence[int], vs: Sequence[int],
@@ -51,15 +53,15 @@ class Graph:
         """The graph with edges (us[i], vs[i]), which the caller has already
         checked: ids in 1..n, no self-loop.  A repeated edge counts once."""
         g = cls.__new__(cls)
-        g._build(n, us, vs, labels)
+        g._build(n, us, vs, labels, [_NO_NEIGHBORS] * (n + 1))
         return g
 
     def _build(self, n: int, us: Sequence[int], vs: Sequence[int],
-               labels: Optional[Mapping[int, str]]) -> None:
+               labels: Optional[Mapping[int, str]], adj: list) -> None:
+        """Fill `adj`, n + 1 empty sets: only vertices with an edge get their
+        own set; isolated ones share one, so a header's n costs a pointer per
+        vertex."""
         self.n = n
-        # only vertices with an edge get a list; isolated ones share one
-        # empty set, so a header's n costs a pointer per vertex
-        adj: list = [_NO_NEIGHBORS] * (n + 1)
         touched = set(us).union(vs)
         for v in touched:
             adj[v] = []
@@ -257,9 +259,7 @@ def path_graph(n: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InputError("cycle needs n >= 3")
-    edges = [(v, v + 1) for v in range(1, n)]
-    edges.append((1, n))
-    return Graph(n, edges)
+    return Graph(n, ((v, v % n + 1) for v in range(1, n + 1)))
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:

@@ -13,32 +13,35 @@ directions and instances can be audited after a round trip through files.
 import re
 from itertools import combinations
 from math import comb, inf
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from defdom.errors import InputError, record
+from defdom.errors import InputError
 from defdom.graphs import (Graph, VertexMultiset, VertexSet, check_multiset,
                            delete_vertices, has_clique)
 
 
-@record
-class CndInstance:
-    """Delete at most s vertices so that no K_t remains."""
-
+class _CndInstance(NamedTuple):
     graph: Graph
     s: int
     t: int
 
-    def __post_init__(self):
-        if self.s < 1:
+
+class CndInstance(_CndInstance):
+    """Delete at most s vertices so that no K_t remains."""
+
+    __slots__ = ()
+
+    def __new__(cls, graph: Graph, s: int, t: int):
+        if s < 1:
             raise InputError("deletion budget s must be at least 1")
-        if self.t < 1:
+        if t < 1:
             raise InputError("clique size t must be at least 1")
-        if self.s > self.graph.n:
+        if s > graph.n:
             raise InputError("deletion budget s exceeds the vertex count")
+        return super().__new__(cls, graph, s, t)
 
 
-@record
-class DdsLayout:
+class DdsLayout(NamedTuple):
     """Vertex ids of every group in the constructed graph."""
 
     v_prime: dict[int, int]            # source vertex -> v'
@@ -103,8 +106,7 @@ def _expected_edges(lay: DdsLayout) -> Iterator[tuple[int, int]]:
         yield from _bipartite_edges(lay.i_v[v], lay.ip_v[v])
 
 
-@record
-class DdsInstance:
+class DdsInstance(NamedTuple):
     graph: Graph
     k: int
     ell: int

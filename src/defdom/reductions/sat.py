@@ -16,17 +16,16 @@ import re
 from collections import defaultdict
 from itertools import combinations, product
 from math import inf
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from defdom.errors import InputError, record
+from defdom.errors import InputError
 from defdom.formulas import Assignment, E2Formula
 from defdom.graphs import Graph, VertexSet, delete_vertices, find_clique
 from defdom.reductions.dds import (_INDEX, CndInstance, _bipartite_edges, _clique_edges,
                                    _Labels, _require_construction, _require_stated)
 
 
-@record
-class SatLayout:
+class SatLayout(NamedTuple):
     """Vertex ids of every gadget part, keyed by source indices, and every
     clique the construction wires, in the order its ids were laid out."""
 
@@ -89,8 +88,7 @@ def _budget(f: E2Formula) -> tuple[int, int]:
     return f.a * f.c + 3 * f.c, f.b + f.c
 
 
-@record
-class SatCnd:
+class SatCnd(NamedTuple):
     """A clique-node-deletion instance constructed from a formula."""
 
     formula: E2Formula

@@ -21,9 +21,9 @@ defense.  The first verified candidate is therefore the same optimum and the
 same witness that plain enumeration of every candidate returns."""
 
 import bisect
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
-from defdom.errors import InputError, record
+from defdom.errors import InputError
 from defdom.graphs import (Graph, VertexMultiset, VertexSet, check_multiset,
                            closed_neighborhood, count_in, multiset_size,
                            require_vertices)
@@ -32,8 +32,7 @@ from defdom.graphs import (Graph, VertexMultiset, VertexSet, check_multiset,
 Cut = tuple[Iterable[int], int]
 
 
-@record
-class SolveResult:
+class SolveResult(NamedTuple):
     """Optimum size, one optimal witness, and the candidates handed to the
     verifier (those that met every Hall cut in the pool)."""
 

@@ -9,7 +9,9 @@ temporary directory, applies the edit there, runs only those tests against
 the copy under a time limit and counts the mutant as killed (a test
 failed), survived (all passed) or timed out.  A mutant listed in
 `EQUIVALENT` changes no result the tests can see; it counts as equivalent
-when it survives.  The counts print as one JSON object.
+when it survives.  The counts print as one JSON object, and the script
+exits 1 when any mutant survived, timed out or had a failing baseline, so
+it can serve as a gate.
 
     python tests/mutants.py            # every entry
     python tests/mutants.py pads-b-first skip-done   # the named ones
@@ -39,6 +41,7 @@ DDS_STATED = ('_require_stated(stated, {"k": k, "ell": ell, "s": s, "t": t}, '
 DDS_LAYOUT = "layout, built = _dds_layout(inst, cap=g.n)"
 ALARM = "old = signal.signal(signal.SIGALRM, handler)"
 GREEDY, GREEDY_TESTS = "intervals.py", ["tests/test_intervals.py"]
+LOADED_TESTS = ["tests/test_cli.py::test_cli_import_leaves_numpy_out"]
 GREEDY_BEST = ("if (right := rank[i + n]) > best_right:\n"
                "                best_right = right\n                best = i + 1")
 
@@ -97,6 +100,19 @@ MUTANTS = [
     ("greedy-no-reset-at-gap", GREEDY, "if x > best_right:", "if False:", GREEDY_TESTS),
     ("greedy-gap-test-ge", GREEDY, "if x > best_right:", "if x >= best_right:",
      GREEDY_TESTS),
+    ("violator-zero-deficiency", "defense.py", "if deficiency <= 0:", "if deficiency < 0:",
+     ["tests/test_defense.py"]),
+    ("violator-without-slots", "defense.py", "__slots__ = ()\n\n    def __new__(cls, attack",
+     "def __new__(cls, attack", ["tests/test_defense.py"]),
+    ("formula-variable-past-range", "formulas.py", "if var > a + b:", "if var > a + b + 1:",
+     ["tests/test_formulas.py"]),
+    ("cnd-budget-past-n", DDS, "if s > graph.n:", "if s > graph.n + 1:", DDS_TESTS),
+    ("parser-imports-every-command", "cli.py", "if command in (None, name):", "if True:",
+     LOADED_TESTS),
+    ("solvers-import-matching-at-top", "solvers.py", "import bisect\n",
+     "import bisect\nfrom defdom.matching import uncountered\n", LOADED_TESTS),
+    ("solvers-import-verifier-at-top", "solvers.py", "import bisect\n",
+     "import bisect\nfrom defdom.defense import find_violator\n", LOADED_TESTS),
 ]
 # mutants that cannot change any result, with the reason
 EQUIVALENT = {
@@ -148,3 +164,4 @@ if __name__ == "__main__":
     counts = {kind: sum(v == kind for v in outcomes.values())
               for kind in ("killed", "survived", "equivalent", "timed_out", "baseline_failed")}
     print(json.dumps({**counts, "mutants": outcomes}, indent=1))
+    sys.exit(1 if counts["survived"] + counts["timed_out"] + counts["baseline_failed"] else 0)

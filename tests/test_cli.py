@@ -910,6 +910,33 @@ def test_hostile_header_exits_2_when_memory_runs_out(tmp_path):
     assert "out of memory" in err and "Traceback" not in err
 
 
+HUGE = 10**20   # past the index range, so nothing this size is ever allocated
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "h.dds", "d.ms", 2, "--multiset"],
+    ["solve-exact", "h.dds", 2],
+    ["clique", "h.dds", 3],
+    *(["gen", kind, "--n", HUGE, "-o", "o.dds"] for kind in ("interval", "complete", "path",
+                                                              "cycle")),
+    ["gen", "random", "--n", HUGE, "--p", 0.5, "-o", "o.dds"],
+    ["gen", "star", "--leaves", HUGE, "-o", "o.dds"],
+    ["gen", "formula", "--a", HUGE, "--b", 0, "--c", 1, "-o", "o.cnf"],
+], ids=lambda argv: "-".join(map(str, argv[:2])))
+def test_counts_past_the_index_range_exit_2_at_once(tmp_path, capsys, monkeypatch, argv):
+    # such a count once raised OverflowError and exited 1, and `gen path`,
+    # `star` and `cycle` spun in the edge loop until killed; the time limit
+    # turns a hang into a timeout record that fails the test
+    monkeypatch.chdir(tmp_path)
+    Path("h.dds").write_text(f"p dds {HUGE} 0\n")
+    write_multiset("d.ms", {1: 1})
+    start = time.perf_counter()
+    code, (verdict, _, _), err = run(capsys, "--time-limit", 2, *argv)
+    assert (code, verdict) == (2, "error"), err
+    assert time.perf_counter() - start < 1
+    assert "index range" in err and not Path("o.dds").exists()
+
+
 NINES = "9" * 5000   # beyond int()'s 4 300-digit string limit
 
 

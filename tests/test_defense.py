@@ -200,37 +200,52 @@ def test_strategy_names_and_validation():
         find_violator(g, {5: 1}, 1)
 
 
-def test_records_keep_frozen_dataclass_semantics():
+def test_records_are_named_tuples():
     from defdom.defense import Violator
-    from defdom.formulas import E2Formula
+    from defdom.formulas import E2Formula, solve_e2sat
+    from defdom.reductions import e2sat_to_cnd
     from defdom.solvers import SolveResult
 
     v = Violator(frozenset({1}), 1)
     w = Violator(deficiency=1, attack=frozenset({1}))
     assert v == w and hash(v) == hash(w)
     assert v != Violator(frozenset({1}), 2)
-    assert v != (frozenset({1}), 1) and v.__eq__((frozenset({1}), 1)) is NotImplemented
+    assert Violator(frozenset({1}), 1) == (frozenset({1}), 1)   # the tuple of its fields
     assert repr(v) == "Violator(attack=frozenset({1}), deficiency=1)"
 
     r = SolveResult(3, {1: 2}, 5)
     assert r == SolveResult(optimum=3, witness={1: 2}, explored=5)
-    assert r != (3, {1: 2}, 5) and r != v
+    assert r != v
     assert repr(r) == "SolveResult(optimum=3, witness={1: 2}, explored=5)"
     s = SolveResult(3, frozenset({1}), 5)
     assert hash(s) == hash(SolveResult(3, frozenset({1}), 5))
 
     k4_pendant = Graph(5, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5)])
-    layout = cnd_to_dds(CndInstance(k4_pendant, 1, 4)).layout
+    cnd = CndInstance(k4_pendant, 1, 4)
+    dds = cnd_to_dds(cnd)
+    layout = dds.layout
     assert layout == type(layout)(**{name: getattr(layout, name)
                                      for name in type(layout).__match_args__})
     with pytest.raises(TypeError):
         hash(layout)               # its fields hold dicts
 
-    for record, field in ((v, "deficiency"), (r, "optimum"), (layout, "i1")):
+    f = E2Formula(1, 2, ((-1, 2, 3), (-1, 2, -3), (-1, -2, 3), (-1, -2, -3)))
+    sat = e2sat_to_cnd(f, allow_small=True)
+    records = (v, r, f, solve_e2sat(f), cnd, layout, dds, sat.layout, sat)
+    assert [type(record).__name__ for record in records] == [
+        "Violator", "SolveResult", "E2Formula", "E2SatResult", "CndInstance",
+        "DdsLayout", "DdsInstance", "SatLayout", "SatCnd"]
+    for record in records:
+        fields = type(record)._fields
+        assert isinstance(record, tuple) and type(record).__match_args__ == fields
+        assert tuple(record) == tuple(getattr(record, name) for name in fields)
+        assert not hasattr(record, "__dict__")     # a validated subclass keeps __slots__ = ()
         with pytest.raises(AttributeError):
-            setattr(record, field, 0)
+            setattr(record, fields[0], 0)
         with pytest.raises(AttributeError):
-            delattr(record, field)
+            delattr(record, fields[0])
+    assert f.c == 4 and sat.graph is sat.cnd.graph and dds.layout.v_group()
+
     with pytest.raises(TypeError, match="missing 1 required positional argument: 'deficiency'"):
         Violator(frozenset({1}))
     with pytest.raises(TypeError, match="unexpected keyword argument 'size'"):
@@ -241,3 +256,5 @@ def test_records_keep_frozen_dataclass_semantics():
         Violator(frozenset({1}), 0)
     with pytest.raises(InputError, match="exactly 3 literals"):
         E2Formula(1, 2, ((1, 2),))
+    with pytest.raises(InputError, match="deletion budget s must be at least 1"):
+        CndInstance(k4_pendant, 0, 4)
