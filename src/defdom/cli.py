@@ -20,7 +20,9 @@ library modules it runs when it runs.  `main` imports the invoked command's
 module alone and builds its parser alone, so a job compiles and loads only
 its own code: `solve-exact g 3` loads the solvers and the exhaustive
 verifier but not the matching code, and `solve-exact --attacks` the matching
-code but not the verifier.  Help and usage errors import every command.
+code but not the verifier.  A leading `--time-limit N` or `--time-limit=N`
+keeps that so; help, usage errors and any other leading option import
+every command.
 """
 
 import argparse
@@ -149,9 +151,14 @@ _COMMANDS = {
 
 
 def _invoked(argv: list[str]) -> Optional[str]:
-    """The command `argv` runs when it comes first; None otherwise (help, an
-    option or an unknown command), since then the parser needs every
-    command, to list them or name the choices."""
+    """The command `argv` runs when it comes first, after a leading
+    `--time-limit N` or `--time-limit=N`; None otherwise (help, another
+    option or spelling, or an unknown command), since then the parser needs
+    every command, to list them or name the choices."""
+    if argv[:1] == ["--time-limit"]:
+        argv = argv[2:]
+    elif argv and argv[0].startswith("--time-limit="):
+        argv = argv[1:]
     return argv[0] if argv and argv[0] in _COMMANDS else None
 
 

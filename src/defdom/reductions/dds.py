@@ -5,13 +5,17 @@ construction builds a labeled graph G' with an attack bound k = n+s and a
 defense bound ell such that s deletions can make G free of K_t exactly when
 G' admits an ell-defense countering every k-attack.
 
-The layout of G' (all vertex groups and their complete-bipartite wiring) is
-retained alongside the graph so certificates can be transformed in both
-directions and instances can be audited after a round trip through files.
+The layout of G' is retained alongside the graph so certificates can be
+transformed in both directions and instances can be audited after a round
+trip through files.  It holds the vertex groups and lists the wiring as
+data: the groups wired as cliques and the joins, each a tuple of groups
+wired completely to one another.
+`_wired_edges` draws the edges of that list, for this construction and for
+the formula one in `defdom.reductions.sat` alike.
 """
 
 import re
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, inf
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -41,41 +45,30 @@ class CndInstance(_CndInstance):
         return super().__new__(cls, graph, s, t)
 
 
+# a complete multipartite join: every id of each part is wired to every id
+# of every later part; most joins have two parts
+_Join = tuple[tuple[int, ...], ...]
+
+
 class DdsLayout(NamedTuple):
-    """Vertex ids of every group in the constructed graph."""
+    """Vertex ids of every group in the constructed graph, and its wiring:
+    the cliques Q1, Q2 and Q4, and the joins between groups."""
 
     v_prime: dict[int, int]            # source vertex -> v'
     v_second: dict[int, int]           # source vertex -> v''
     e_vertex: dict[tuple[int, int], int]   # source edge (u<v) -> e'
-    i1: tuple[int, ...]
     i2: tuple[int, ...]
     i3: tuple[int, ...]
-    i4: tuple[int, ...]
     q1: tuple[int, ...]
     q2: tuple[int, ...]
     q4: tuple[int, ...]
     i_v: dict[int, tuple[int, ...]]    # source vertex -> its one-per-pair class
     ip_v: dict[int, tuple[int, ...]]   # source vertex -> its size-t class
-
-    def v_group(self) -> tuple[int, ...]:
-        out = []
-        for v in sorted(self.v_prime):
-            out.append(self.v_prime[v])
-            out.append(self.v_second[v])
-        return tuple(out)
-
-    def e_group(self) -> tuple[int, ...]:
-        return tuple(self.e_vertex[e] for e in sorted(self.e_vertex))
-
-    def i_v_all(self) -> tuple[int, ...]:
-        return tuple(w for v in sorted(self.i_v) for w in self.i_v[v])
-
-    def ip_v_all(self) -> tuple[int, ...]:
-        return tuple(w for v in sorted(self.ip_v) for w in self.ip_v[v])
+    cliques: tuple[tuple[int, ...], ...]
+    joins: tuple[_Join, ...]
 
 
-def _bipartite_edges(left: Iterable[int], right: Iterable[int]) -> Iterator[tuple[int, int]]:
-    right = tuple(right)
+def _bipartite_edges(left: tuple[int, ...], right: tuple[int, ...]) -> Iterator[tuple[int, int]]:
     for u in left:
         for w in right:
             yield (u, w) if u < w else (w, u)
@@ -88,22 +81,18 @@ def _clique_edges(members: Iterable[int]) -> Iterator[tuple[int, int]]:
             yield (u, w)
 
 
-def _expected_edges(lay: DdsLayout) -> Iterator[tuple[int, int]]:
-    """Every edge the construction mandates for a layout, each exactly once
-    (the wired groups are disjoint), as (smaller id, larger id)."""
-    for (u, v), ev in lay.e_vertex.items():
-        yield from _bipartite_edges([ev], (lay.v_prime[u], lay.v_second[u],
-                                           lay.v_prime[v], lay.v_second[v]))
-    for q in (lay.q1, lay.q2, lay.q4):
-        yield from _clique_edges(q)
-    yield from _bipartite_edges(lay.i1, lay.q1)
-    hub = lay.q1 + lay.i2 + lay.e_group() + lay.i_v_all()
-    yield from _bipartite_edges(lay.q2, hub)
-    yield from _bipartite_edges(lay.v_group(), lay.q4 + lay.i3)
-    yield from _bipartite_edges(lay.q4, lay.i4)
-    for v in lay.v_prime:
-        yield from _bipartite_edges((lay.v_prime[v], lay.v_second[v]), lay.i_v[v])
-        yield from _bipartite_edges(lay.i_v[v], lay.ip_v[v])
+def _wired_edges(lay) -> Iterator[tuple[int, int]]:
+    """Every edge a `DdsLayout` or `SatLayout` wires, as (smaller id, larger
+    id): its cliques, then its joins, each in list order.  A join's part
+    pairs are reached as its edges are drawn, so a rebuild that stops at a
+    missing edge never lists them.  The construction wires no pair twice,
+    so each edge comes exactly once."""
+    for clique in lay.cliques:
+        yield from _clique_edges(clique)
+    for parts in lay.joins:
+        for i, part in enumerate(parts):
+            for other in parts[i + 1:]:
+                yield from _bipartite_edges(part, other)
 
 
 class DdsInstance(NamedTuple):
@@ -130,7 +119,7 @@ def cnd_to_dds(inst: CndInstance) -> DdsInstance:
     defense of ell + 1 copies exists although no deletion set does.
     """
     layout, labels = _dds_layout(inst)
-    graph = Graph(len(labels), _expected_edges(layout), labels)
+    graph = Graph(len(labels), _wired_edges(layout), labels)
     return DdsInstance(graph, inst.graph.n + inst.s, _ell(inst), inst.s, inst.t, layout)
 
 
@@ -156,7 +145,8 @@ class _Labels(dict):
 
 
 def _dds_layout(inst: CndInstance, cap: float = inf) -> tuple[DdsLayout, _Labels]:
-    """The construction's vertex groups and the role label of each vertex id."""
+    """The construction's vertex groups and wiring, and the role label of
+    each vertex id."""
     g, s, t = inst.graph, inst.s, inst.t
     n = g.n
     if t < 4:
@@ -181,11 +171,19 @@ def _dds_layout(inst: CndInstance, cap: float = inf) -> tuple[DdsLayout, _Labels
            for v in range(1, n + 1)}
     ip_v = {v: tuple(fresh(f"I'v({v})#{i}") for i in range(1, t + 1))
             for v in range(1, n + 1)}
-
+    q1, q2, q4 = groups["Q1"], groups["Q2"], groups["Q4"]
+    # each e' to both twins of its ends, four group pairs, then per source
+    # vertex its twins to its Iv class and that class to its I'v class
+    joins = [((ev,), (v_prime[u], v_second[u], v_prime[v], v_second[v]))
+             for (u, v), ev in e_vertex.items()]
+    hub = (*q1, *groups["I2"], *e_vertex.values(), *chain.from_iterable(i_v.values()))
+    v_group = tuple(w for v in v_prime for w in (v_prime[v], v_second[v]))
+    joins += [(groups["I1"], q1), (q2, hub), (v_group, q4 + groups["I3"]), (q4, groups["I4"])]
+    for v in v_prime:
+        joins += [((v_prime[v], v_second[v]), i_v[v]), (i_v[v], ip_v[v])]
     layout = DdsLayout(v_prime=v_prime, v_second=v_second, e_vertex=e_vertex,
-                       i1=groups["I1"], i2=groups["I2"], i3=groups["I3"],
-                       i4=groups["I4"], q1=groups["Q1"], q2=groups["Q2"],
-                       q4=groups["Q4"], i_v=i_v, ip_v=ip_v)
+                       i2=groups["I2"], i3=groups["I3"], q1=q1, q2=q2, q4=q4,
+                       i_v=i_v, ip_v=ip_v, cliques=(q1, q2, q4), joins=tuple(joins))
     return layout, labels
 
 
@@ -260,7 +258,7 @@ def dds_from_graph(g: Graph, stated: Optional[Mapping[str, int]] = None) -> DdsI
     k, ell = n + s, _ell(inst)
     _require_stated(stated, {"k": k, "ell": ell, "s": s, "t": t}, f"n={n}, s={s}, t={t}")
     layout, built = _dds_layout(inst, cap=g.n)
-    _require_construction(g, built, _expected_edges(layout))
+    _require_construction(g, built, _wired_edges(layout))
     return DdsInstance(g, k, ell, s, t, layout)
 
 
@@ -278,7 +276,7 @@ def proof_defense(dds: DdsInstance, deletion: VertexSet) -> VertexMultiset:
         if v not in lay.v_prime:
             raise InputError(f"deletion set mentions unknown source vertex {v}")
     defense: VertexMultiset = {}
-    for vid in lay.q1 + lay.q2 + lay.q4 + lay.ip_v_all():
+    for vid in chain(lay.q1, lay.q2, lay.q4, *lay.ip_v.values()):
         defense[vid] = 1
     for v in sorted(lay.v_prime):
         defense[lay.v_prime[v]] = 1
@@ -295,7 +293,7 @@ def enumerate_serious_attacks(dds: DdsInstance) -> Iterator[VertexSet]:
     """
     lay = dds.layout
     base = frozenset(lay.i2)
-    e_ids = sorted(lay.e_group())
+    e_ids = sorted(lay.e_vertex.values())
     for combo in combinations(e_ids, comb(dds.t, 2)):
         yield base | frozenset(combo)
 

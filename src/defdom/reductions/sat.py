@@ -16,18 +16,18 @@ import re
 from collections import defaultdict
 from itertools import combinations, product
 from math import inf
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from defdom.errors import InputError
 from defdom.formulas import Assignment, E2Formula
 from defdom.graphs import Graph, VertexSet, delete_vertices, find_clique
-from defdom.reductions.dds import (_INDEX, CndInstance, _bipartite_edges, _clique_edges,
-                                   _Labels, _require_construction, _require_stated)
+from defdom.reductions.dds import (_INDEX, CndInstance, _Join, _Labels, _require_construction,
+                                   _require_stated, _wired_edges)
 
 
 class SatLayout(NamedTuple):
-    """Vertex ids of every gadget part, keyed by source indices, and every
-    clique the construction wires, in the order its ids were laid out."""
+    """Vertex ids of every gadget part, keyed by source indices, and the
+    construction's wiring: every clique and every join it wires."""
 
     x_pos: dict[int, tuple[int, ...]]   # variable index -> ids numbered 1..c
     x_neg: dict[int, tuple[int, ...]]
@@ -39,6 +39,11 @@ class SatLayout(NamedTuple):
     # (k, o, o'), each as its two ends and its t-2 pads; then per clause k its
     # clause clique: the x goods, each followed by its `:Q` core, and q pads
     cliques: tuple[tuple[int, ...], ...]
+    # per clause k: each universal good to its own y vertex and both of every
+    # other universal gadget, then the ugly vertex to every y vertex; then
+    # one join whose parts are the universal gadgets, and one whose parts
+    # are the clauses, each its bads and its universal goods
+    joins: tuple[_Join, ...]
 
 
 def _occurrence(f: E2Formula, k: int, o: int) -> tuple[str, int, bool]:
@@ -48,39 +53,6 @@ def _occurrence(f: E2Formula, k: int, o: int) -> tuple[str, int, bool]:
     if var <= f.a:
         return ("x", var, lit > 0)
     return ("y", var - f.a, lit > 0)
-
-
-def _multipartite_edges(parts: Sequence[Iterable[int]]) -> Iterator[tuple[int, int]]:
-    """Every edge between two different parts, part by part in order."""
-    for i, part in enumerate(parts):
-        for other in parts[i + 1:]:
-            yield from _bipartite_edges(part, other)
-
-
-def _sat_expected_edges(f: E2Formula, lay: SatLayout) -> Iterator[tuple[int, int]]:
-    """Every edge the construction mandates for a layout, each exactly once,
-    as (smaller id, larger id): the layout's cliques, the wiring of each
-    good and ugly vertex to the universal gadgets, and two complete
-    multipartite graphs, one on the universal gadgets and one on each
-    clause's bads plus its universal goods.  A variable- or clause-gadget
-    edge comes with its pad clique, the only clique that holds both its
-    ends."""
-    for clique in lay.cliques:
-        yield from _clique_edges(clique)
-    cross = []
-    for k in range(1, f.c + 1):
-        cross.append(list(lay.bads[k]))
-        for o in (1, 2, 3):
-            family, j, positive = _occurrence(f, k, o)
-            if family != "y":
-                continue
-            own = lay.y_pos[j] if positive else lay.y_neg[j]
-            others = [w for jp in lay.y_pos if jp != j for w in (lay.y_pos[jp], lay.y_neg[jp])]
-            yield from _bipartite_edges([lay.goods[k][o - 1]], [own, *others])
-            cross[-1].append(lay.goods[k][o - 1])
-        yield from _bipartite_edges([lay.bads[k][0]], [*lay.y_pos.values(), *lay.y_neg.values()])
-    yield from _multipartite_edges([(lay.y_pos[j], lay.y_neg[j]) for j in lay.y_pos])
-    yield from _multipartite_edges(cross)
 
 
 def _budget(f: E2Formula) -> tuple[int, int]:
@@ -112,12 +84,13 @@ def e2sat_to_cnd(f: E2Formula, allow_small: bool = False) -> SatCnd:
     if not allow_small and f.c <= 6:
         raise InputError(f"construction requires c > 6 (got c = {f.c})")
     layout, labels = _sat_layout(f)
-    graph = Graph(len(labels), _sat_expected_edges(f, layout), labels)
+    graph = Graph(len(labels), _wired_edges(layout), labels)
     return SatCnd(f, CndInstance(graph, *_budget(f)), layout)
 
 
 def _sat_layout(f: E2Formula, cap: float = inf) -> tuple[SatLayout, _Labels]:
-    """The construction's gadget parts and the role label of each vertex id."""
+    """The construction's gadget parts and wiring, and the role label of
+    each vertex id."""
     c = f.c
     _, t = _budget(f)
     if t < 4:
@@ -151,19 +124,32 @@ def _sat_layout(f: E2Formula, cap: float = inf) -> tuple[SatLayout, _Labels]:
         bads[k] = (fresh(f"c{k}:ugly:1"), fresh(f"c{k}:bad:2"), fresh(f"c{k}:bad:3"))
     for k, o, op in product(range(1, c + 1), (1, 2, 3), (1, 2, 3)):
         padded((goods[k][o - 1], bads[k][op - 1]), f"c{k}:pad:{o}:{op}", t - 2)
+    # with the 9c(t-2) clause pads laid out within cap, the 2b neighbours
+    # listed per universal good stay within the ids laid out
+    ys = (*y_pos.values(), *y_neg.values())
+    joins: list[_Join] = []
+    cross = []   # per clause: its bads, then its universal goods
     for k in range(1, c + 1):
         z: list[int] = []
+        y_goods = []
         for o in (1, 2, 3):
             family, i, positive = _occurrence(f, k, o)
-            if family != "x":
+            good = goods[k][o - 1]
+            if family == "y":
+                own = y_pos[i] if positive else y_neg[i]
+                others = (w for j in y_pos if j != i for w in (y_pos[j], y_neg[j]))
+                joins.append(((good,), (own, *others)))
+                y_goods.append(good)
                 continue
             member = x_pos[i][k - 1] if positive else x_neg[i][k - 1]
             labels[member] += ":Q"
-            z += (goods[k][o - 1], member)
+            z += (good, member)
         padded(z, f"c{k}:qpad", t - 1 - len(z) // 2)
-
+        joins.append((bads[k][:1], ys))
+        cross.append((*bads[k], *y_goods))
+    joins += [tuple((y_pos[j], y_neg[j]) for j in y_pos), tuple(cross)]
     layout = SatLayout(x_pos=x_pos, x_neg=x_neg, y_pos=y_pos, y_neg=y_neg,
-                       goods=goods, bads=bads, cliques=tuple(cliques))
+                       goods=goods, bads=bads, cliques=tuple(cliques), joins=tuple(joins))
     return layout, labels
 
 
@@ -230,7 +216,7 @@ def sat_cnd_from_graph(g: Graph, stated: Optional[Mapping[str, int]] = None) -> 
     s, t = _budget(formula)
     _require_stated(stated, {"s": s, "t": t, "a": a, "b": b, "c": c}, f"a={a}, b={b}, c={c}")
     layout, built = _sat_layout(formula, cap=g.n)
-    _require_construction(g, built, _sat_expected_edges(formula, layout))
+    _require_construction(g, built, _wired_edges(layout))
     return SatCnd(formula, CndInstance(g, s, t), layout)
 
 

@@ -73,11 +73,13 @@ MUTANTS = [
      f"{DDS_LAYOUT}\n    {DDS_STATED}", STATED_TESTS),
     ("derived-s-off-by-one", DDS, 'label.startswith("I1#")) - n',
      'label.startswith("I1#")) - n - 1', STATED_TESTS),
-    ("multipartite-next-part-only", SAT, "parts[i + 1:]", "parts[i + 1:i + 2]", SAT_TESTS),
+    ("multipartite-next-part-only", DDS, "for other in parts[i + 1:]",
+     "for other in parts[i + 1:i + 2]", SAT_TESTS),
     ("clause-clique-one-qpad-short", SAT, "t - 1 - len(z) // 2", "t - 2 - len(z) // 2",
      SAT_TESTS),
-    ("cliques-stop-after-variable-gadgets", SAT, "for clique in lay.cliques:",
-     "for clique in lay.cliques[:f.a * f.c ** 2]:", SAT_TESTS),
+    ("cliques-stop-after-variable-gadgets", SAT, "cliques=tuple(cliques)",
+     "cliques=tuple(cliques[:f.a * c * c])", SAT_TESTS),
+    ("dds-q4-i4-join-dropped", DDS, ', (q4, groups["I4"])]', "]", DDS_TESTS),
     ("default-upper-ignores-lower", "commands/solve_exact.py", "max(cap, lower.get(v, 0))",
      "cap", ["tests/test_cli.py::test_default_upper_bound_meets_the_lower_one"]),
     ("alarm-off-main-thread-escapes", "cli.py",
@@ -109,6 +111,12 @@ MUTANTS = [
     ("cnd-budget-past-n", DDS, "if s > graph.n:", "if s > graph.n + 1:", DDS_TESTS),
     ("parser-imports-every-command", "cli.py", "if command in (None, name):", "if True:",
      LOADED_TESTS),
+    ("time-limit-value-read-as-command", "cli.py", "argv = argv[2:]", "argv = argv[1:]",
+     LOADED_TESTS),
+    ("pruned-stops-below-k", "defense.py", "range(2, min(k, g.n) + 1)", "range(2, min(k, g.n))",
+     ["tests/test_defense.py::test_strategies_agree_on_violator_existence"]),
+    ("shift-first-holder-only", MATCHING, "for b in held:", "for b in held[:1]:",
+     ["tests/test_matching.py::test_uncountered_matches_per_attack_checks"]),
     ("solvers-import-matching-at-top", "solvers.py", "import bisect\n",
      "import bisect\nfrom defdom.matching import uncountered\n", LOADED_TESTS),
     ("solvers-import-verifier-at-top", "solvers.py", "import bisect\n",

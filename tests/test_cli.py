@@ -228,17 +228,19 @@ def test_huge_copy_counts_end_at_once(tmp_path, capsys):
         assert "Traceback" not in err
 
 
-def count_drawn(monkeypatch, module, name):
-    """Replace the edge generator `module.name` by one that records each
-    edge it yields; returns the record."""
-    original, drawn = getattr(module, name), []
+def count_drawn(monkeypatch):
+    """Replace the edge generator `_wired_edges`, in both reduction modules
+    that call it, by one that records each edge it yields; returns the
+    record."""
+    original, drawn = dds._wired_edges, []
 
     def recording(*args):
         for edge in original(*args):
             drawn.append(edge)
             yield edge
 
-    monkeypatch.setattr(module, name, recording)
+    for module in (dds, sat):
+        monkeypatch.setattr(module, "_wired_edges", recording)
     return drawn
 
 
@@ -265,7 +267,7 @@ def test_reduce_and_audit_chain(tmp_path, capsys, monkeypatch):
     assert "serious attack" in err
 
     # stated parameters far beyond the file are refused before any edge is drawn
-    drawn = count_drawn(monkeypatch, dds, "_expected_edges")
+    drawn = count_drawn(monkeypatch)
     g, params = read_graph(reduced)
     bogus = tmp_path / "bogus.dds"
     for name in ("k", "ell"):
@@ -313,14 +315,12 @@ def test_sat_reduction_chain(tmp_path, capsys):
     assert code == 0 and verdict == "pass"
 
 
-@pytest.mark.parametrize("reduce, audit, edges", [
-    (["cnd-to-dds", "cnd.dds"], ["dds-forward", "--deletion", "x.set"],
-     (dds, "_expected_edges")),
-    (["e2sat-to-cnd", "f.cnf", "--allow-small"], ["cnd-certificate", "--valuation", "nu.val"],
-     (sat, "_sat_expected_edges")),
+@pytest.mark.parametrize("reduce, audit", [
+    (["cnd-to-dds", "cnd.dds"], ["dds-forward", "--deletion", "x.set"]),
+    (["e2sat-to-cnd", "f.cnf", "--allow-small"], ["cnd-certificate", "--valuation", "nu.val"]),
 ], ids=["dds", "sat"])
 def test_edgeless_reduction_files_end_before_the_builder(
-        tmp_path, capsys, monkeypatch, reduce, audit, edges):
+        tmp_path, capsys, monkeypatch, reduce, audit):
     # an edgeless copy of a construction, labels and parameters intact, once
     # made the audit build the whole construction before comparing; the
     # rebuild must stop at the first edge of the construction's stream
@@ -336,7 +336,7 @@ def test_edgeless_reduction_files_end_before_the_builder(
     g, params = read_graph("r.dds")
     write_graph("r.dds", Graph(g.n, [], g.labels), params)
 
-    drawn = count_drawn(monkeypatch, *edges)
+    drawn = count_drawn(monkeypatch)
     code, (verdict, _, _), err = run(capsys, "audit", audit[0], "r.dds", *audit[1:])
     assert code == 2 and verdict == "error"
     assert "edges" in err and "Traceback" not in err
@@ -599,7 +599,9 @@ def test_one_command_parser_reads_as_the_full_one(capsys):
     # a job builds only its own command's subparser; its help and the
     # usage line of a top-level error stay those of the full parser
     for argv in (["greedy", "-h"], ["reduce", "cnd-to-dds", "--help"],
-                 ["greedy", "i.ivl", "2", "extra"]):
+                 ["greedy", "i.ivl", "2", "extra"], ["--time-limit", "5", "greedy", "-h"],
+                 ["--time-limit=5", "greedy", "i.ivl", "2", "extra"],
+                 ["--time-limit", "x", "greedy", "i.ivl", "2"]):
         with pytest.raises((SystemExit, InputError)) as full:
             cli._parser().parse_args(argv)
         expected = capsys.readouterr()
@@ -609,7 +611,10 @@ def test_one_command_parser_reads_as_the_full_one(capsys):
         assert str(one.value) == str(full.value), argv
     assert [cli._invoked(argv) for argv in (
         ["greedy", "f", "2"], ["-h", "greedy"], ["--help"], ["frobnicate"],
-        ["--", "greedy"], [])] == ["greedy", None, None, None, None, None]
+        ["--", "greedy"], [], ["--time-limit", "5", "gen"], ["--time-limit=5", "gen"],
+        ["--time", "5", "gen"], ["--time-limit"], ["--time-limit", "gen"],
+        ["--time-limit=5", "--time-limit", "5", "gen"])] == [
+            "greedy", None, None, None, None, None, "gen", "gen", None, None, None, None]
 
 
 def test_unknown_command_names_the_choices(capsys):
@@ -774,6 +779,45 @@ def test_hostile_sat_labels_exit_2_in_bounded_memory(tmp_path):
     assert "give a construction of more than 3202 vertices" in err
 
 
+def wide_sat_labels(b, c, pads):
+    """The labels of the construction for c clauses (y1, y2, y3) over b
+    universal variables, its pads left out unless `pads`."""
+    labels = [f"y{j}:{sign}" for sign in ("pos", "neg") for j in range(1, b + 1)]
+    for k in range(1, c + 1):
+        labels += [f"c{k}:good:{o}:y{o}:pos" for o in (1, 2, 3)]
+        labels += [f"c{k}:ugly:1", f"c{k}:bad:2", f"c{k}:bad:3"]
+    t = b + c
+    if pads:
+        labels += [f"c{k}:pad:{o}:{op}:{j}" for k in range(1, c + 1) for o in (1, 2, 3)
+                   for op in (1, 2, 3) for j in range(1, t - 1)]
+        labels += [f"c{k}:qpad:{j}" for k in range(1, c + 1) for j in range(1, t)]
+    return labels
+
+
+@pytest.mark.parametrize("b, c, pads, message", [
+    (10 ** 4, 1, True, "edges"),
+    (5000, 5000, False, "give a construction of more than 40000 vertices"),
+], ids=["one-clause", "no-pads"])
+def test_wide_edgeless_sat_files_exit_2_in_bounded_memory(tmp_path, b, c, pads, message):
+    # one-clause: every label of the construction, 119 997 vertices and no
+    # edges; a layout that listed the b(b-1)/2 pairs of universal gadgets
+    # before the first edge check ran out of memory.  no-pads: the
+    # clause pads missing; one that listed each universal good's 2b
+    # neighbours before laying out the pads ran out of memory
+    graph = tmp_path / "wide.dds"
+    labels = wide_sat_labels(b, c, pads)
+    write_graph(graph, Graph(len(labels), [], dict(enumerate(labels, start=1))))
+    valuation = tmp_path / "nu.val"
+    write_valuation(valuation, [True])
+    code, record, err, _ = run_child("audit", "cnd-certificate", graph,
+                                     "--valuation", valuation, timeout=30,
+                                     address_space=1 << 30)
+    assert code == 2, err
+    assert RECORD.match(record).group(1) == "error"
+    assert "Traceback" not in err and "out of memory" not in err
+    assert message in err
+
+
 def count_ids(monkeypatch):
     """Make every construction layout record each vertex id it asks for;
     returns the record.  A runaway layout stops at 10**6 ids."""
@@ -821,8 +865,7 @@ def test_rebuild_layouts_stop_at_the_file_size(tmp_path, capsys, monkeypatch):
     write_valuation("nu.val", [True] * a)
 
     asked = count_ids(monkeypatch)
-    drawn = count_drawn(monkeypatch, dds, "_expected_edges")
-    drawn += count_drawn(monkeypatch, sat, "_sat_expected_edges")
+    drawn = count_drawn(monkeypatch)
     code, (verdict, _, _), err = run(capsys, "audit", "dds-forward", "bogus.dds",
                                      "--deletion", "x.set")
     assert code == 2 and verdict == "error", err
@@ -971,9 +1014,10 @@ def run_loaded(argv, probe):
     record, probed, loaded = proc.stdout.strip().splitlines()
     # a job imports its own command's module and no other command's
     modules = loaded.split()
+    command = next(str(a) for a in argv if str(a) in COMMANDS)
     assert "defdom.commands" in modules, argv
     assert [m for m in modules if m.startswith("defdom.commands.")] == [
-        "defdom.commands." + argv[0].replace("-", "_")], argv
+        "defdom.commands." + command.replace("-", "_")], argv
     return record, probed, {m for m in modules if not m.startswith("defdom.commands")}
 
 
@@ -995,6 +1039,15 @@ def test_cli_import_leaves_numpy_out(tmp_path):
     assert record.startswith("verdict=ok value=3")
     assert probed == "False False False"
     assert loaded == {"defdom", "defdom.cli", "defdom.errors", "defdom.intervals", "defdom.io"}
+
+    # a time limit before the command, in either full spelling, changes no
+    # module the job loads
+    for limit in (["--time-limit", "5"], ["--time-limit=5"]):
+        record, _, loaded = run_loaded(
+            [*limit, "gen", "path", "--n", "3", "-o", tmp_path / "p.dds"], "0")
+        assert record.startswith("verdict=ok"), limit
+        assert loaded == {"defdom", "defdom.cli", "defdom.errors", "defdom.graphs",
+                          "defdom.io"}, limit
 
     # a graph job loads neither the interval module nor fractions
     graph = tmp_path / "star.dds"

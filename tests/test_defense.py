@@ -244,7 +244,7 @@ def test_records_are_named_tuples():
             setattr(record, fields[0], 0)
         with pytest.raises(AttributeError):
             delattr(record, fields[0])
-    assert f.c == 4 and sat.graph is sat.cnd.graph and dds.layout.v_group()
+    assert f.c == 4 and sat.graph is sat.cnd.graph and dds.layout.v_prime
 
     with pytest.raises(TypeError, match="missing 1 required positional argument: 'deficiency'"):
         Violator(frozenset({1}))

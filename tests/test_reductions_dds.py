@@ -11,7 +11,7 @@ from defdom.matching import counters, uncountered
 from defdom.reductions import (CndInstance, cnd_to_dds, dds_from_graph,
                                enumerate_serious_attacks, extract_deletion_set,
                                proof_defense, solve_cnd_bruteforce)
-from defdom.reductions.dds import _dds_layout, _expected_edges
+from defdom.reductions.dds import _dds_layout, _wired_edges
 
 
 def k4_pendant():
@@ -216,8 +216,9 @@ def test_extraction_of_fuzzed_good_defenses():
     for inst in itertools.islice(tiny_instances(), 3):
         dds = cnd_to_dds(inst)
         lay = dds.layout
-        sources = lay.v_group() + lay.q2 + lay.i_v_all()
-        targets = sources + lay.i2 + lay.e_group()
+        v_group = tuple(w for v in lay.v_prime for w in (lay.v_prime[v], lay.v_second[v]))
+        sources = v_group + lay.q2 + tuple(w for ids in lay.i_v.values() for w in ids)
+        targets = sources + lay.i2 + tuple(lay.e_vertex.values())
         deletions = [frozenset(c) for c in itertools.combinations(inst.graph.vertices, inst.s)
                      if not has_clique(delete_vertices(inst.graph, c)[0], inst.t)]
         for trial in range(400):
@@ -225,7 +226,7 @@ def test_extraction_of_fuzzed_good_defenses():
             defense = proof_defense(dds, rng.choice(deletions))
             for _ in range(rng.randint(1, 4)):
                 src = rng.choice([w for w in sources if w in defense])
-                pool = lay.v_group() if rng.random() < 0.5 else targets
+                pool = v_group if rng.random() < 0.5 else targets
                 dst = rng.choice([w for w in pool if w != src and (stack or w not in defense)])
                 defense = moved(defense, src, dst)
             if find_violator(dds.graph, defense, dds.k, strategy="pruned") is not None:
@@ -324,7 +325,7 @@ def test_edge_stream_yields_each_edge_once():
         inst = CndInstance(random_graph(n, rng.random(), rng.randrange(1000)),
                            rng.randint(1, n), 4)
         layout, _ = _dds_layout(inst)
-        assert sum(1 for _ in _expected_edges(layout)) == cnd_to_dds(inst).graph.edge_count()
+        assert sum(1 for _ in _wired_edges(layout)) == cnd_to_dds(inst).graph.edge_count()
 
 
 def test_file_with_an_extra_edge_is_refused():

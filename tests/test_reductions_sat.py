@@ -9,7 +9,8 @@ from defdom.graphs import Graph, delete_vertices, has_clique
 from defdom.reductions import (e2sat_to_cnd, deletion_to_valuation,
                                kt_witness_from_y, sat_cnd_from_graph,
                                typed_clique_audit, valuation_to_deletion)
-from defdom.reductions.sat import _sat_expected_edges, _sat_layout
+from defdom.reductions.dds import _wired_edges
+from defdom.reductions.sat import _sat_layout
 
 # Four clauses that pin x1=True to a contradiction over every (y1, y2) sign
 # pattern: yes-instance with winning assignment (True,).
@@ -268,7 +269,7 @@ def test_edge_stream_yields_each_edge_once():
             clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
         f = E2Formula(a, b, tuple(clauses))
         layout, _ = _sat_layout(f)
-        streamed = sum(1 for _ in _sat_expected_edges(f, layout))
+        streamed = sum(1 for _ in _wired_edges(layout))
         assert streamed == e2sat_to_cnd(f, allow_small=True).graph.edge_count()
 
 
