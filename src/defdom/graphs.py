@@ -21,6 +21,13 @@ _NO_NEIGHBORS: VertexSet = frozenset()
 VertexMultiset = dict[int, int]
 
 
+def _no_edges(n: int) -> list:
+    """n + 1 empty neighbourhoods, one shared set; a negative n is refused."""
+    if n < 0:
+        raise InputError("vertex count must be nonnegative")
+    return [_NO_NEIGHBORS] * (n + 1)
+
+
 class Graph:
     """A finite simple graph, immutable by convention.
 
@@ -32,10 +39,7 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]],
                  labels: Optional[Mapping[int, str]] = None):
-        if n < 0:
-            raise InputError("vertex count must be nonnegative")
-        # sized before any edge is read, so an impossible n fails at once
-        adj: list = [_NO_NEIGHBORS] * (n + 1)
+        adj = _no_edges(n)   # sized before any edge is read, so an impossible n fails at once
         us: list[int] = []
         vs: list[int] = []
         for u, v in edges:
@@ -53,7 +57,7 @@ class Graph:
         """The graph with edges (us[i], vs[i]), which the caller has already
         checked: ids in 1..n, no self-loop.  A repeated edge counts once."""
         g = cls.__new__(cls)
-        g._build(n, us, vs, labels, [_NO_NEIGHBORS] * (n + 1))
+        g._build(n, us, vs, labels, _no_edges(n))
         return g
 
     def _build(self, n: int, us: Sequence[int], vs: Sequence[int],

@@ -27,22 +27,7 @@ which keeps the selection rule total without touching the graph.
 `greedy_defense_reference` is kept for differential testing.
 
 The fast path ranks the endpoints in one pass over `order`, then sweeps
-`order` itself, and rests on three invariants of the rule.  (1) A copy
-meets a block exactly when its right end reaches the block's least left
-end: a copy starts before the line where it is placed, and every block
-examined at that step or later contains the interval closing at the line
-then, so a copy still open meets it; a closed copy that reaches the least
-left end is a member or contains that end.  (2) The furthest-reaching
-open interval only reaches further as the line advances, so copies arrive
-in ascending order of right end, each beyond every left end already in
-the prefix; the number of copies ending before a top left end is
-therefore fixed once that left end is in the prefix.  Together these two
-turn each step into a maximum over runs of top left ends, with the
-standard library alone.  (3) The rule never looks back across a gap
-between components: a block that mixes components is short by no more
-than its part in the latest component, so the sweep starts afresh at
-every gap, and a step costs time in the size of the largest component,
-not of the whole prefix.
+`order` itself; `greedy_defense` states the three invariants it rests on.
 """
 
 import operator

@@ -13,21 +13,24 @@ are a single line of 0/1 bits.
 Every parse failure raises InputError with the offending line number; a
 file that cannot be read as UTF-8 text, or cannot be written, raises it too.
 The line readers below are the one definition of each format and of every
-error text.  Interval and graph files also have a bulk path for the
-canonical layout that `write_intervals` and `write_graph` produce: for
-intervals, the header, then lines "<id> <lo> <hi>" of integers with ids
-1..n in order; for graphs, any lines up to the first edge, then exactly
-the header's m lines "e <u> <v>" of unsigned integers; in both, single
-spaces and a final newline.  Such a file is checked in one pass over the
-text and read column-wise.  Any other file, or one that fails a check,
-goes to the line reader, so every other spelling is accepted or refused
-exactly as that reader says.
+error text.  Graph and interval files are read in one shape.  The line
+reader reads the header block: a graph file's lines before its first
+edge, an interval file's first line.  If the block holds the header and
+no edge or interval, the rest is checked in one pass for the canonical
+body that `write_graph` and `write_intervals` write, exactly the header's
+count of lines "e <u> <v>" or "<id> <lo> <hi>" (ids 1..n in order) of
+integers with single spaces and a final newline, and read column-wise.
+Any other file goes to the line reader, so every spelling is accepted or
+refused exactly as that reader says.  Both graph paths end in one tail:
+the header's m against the edge lines, the role range, the build, whose
+labels must cover 1..n, and a repeated edge, found by the built graph's
+edge count.
 """
 
 import operator
 import re
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from defdom.errors import InputError
 
@@ -82,32 +85,30 @@ def read_graph(path: PathLike) -> tuple["Graph", dict[str, int]]:
     """Parse a graph file; returns the graph and any "c params" entries."""
     text = _read(path)
     cut = text.find("\ne ") + 1      # the first "e " line after line 1; 0 if none
-    if cut:
-        header, edges, labels, params = _graph_lines(text[:cut], path)
-        if header is not None and not edges:
-            g = _canonical_edges(text[cut:], header, labels)
-            if g is not None:
-                return g, params
-    header, edges, labels, params = _graph_lines(text, path)
-    if header is None:
-        raise InputError(f"{path}: missing 'p dds' header")
+    header, columns, labels, params = _graph_lines(text[:cut], path)
+    if header is None or columns[0] or (columns := _canonical_edges(text[cut:], *header)) is None:
+        header, columns, labels, params = _graph_lines(text, path)
+        if header is None:
+            raise InputError(f"{path}: missing 'p dds' header")
     n, m = header
-    if len(edges) != m:
-        raise InputError(f"{path}: header promises {m} edges, found {len(edges)}")
-    if len(set(edges)) != len(edges):
-        raise InputError(f"{path}: duplicate edge lines")
+    if len(columns[0]) != m:
+        raise InputError(f"{path}: header promises {m} edges, found {len(columns[0])}")
     for v in labels:
         if not 1 <= v <= n:
             raise InputError(f"{path}: role line for out-of-range vertex {v}")
     from defdom.graphs import Graph
-    return Graph(n, edges, labels or None), params
+    g = Graph._from_columns(n, *columns, labels or None)
+    if g.edge_count() != m:
+        raise InputError(f"{path}: duplicate edge lines")
+    return g, params
 
 
 def _graph_lines(text: str, path: PathLike):
-    """The header (or None), edges, role labels and params of a graph
-    file's lines, each line checked on its own."""
+    """The header (or None), the edges as two id columns, the role labels
+    and the params of a graph file's lines, each line checked on its own."""
     header: Optional[tuple[int, int]] = None
-    edges: list[tuple[int, int]] = []
+    us: list[int] = []
+    vs: list[int] = []
     labels: dict[int, str] = {}
     params: dict[str, int] = {}
     for num, line in _lines(text, keep=("role", "params")):
@@ -146,46 +147,44 @@ def _graph_lines(text: str, path: PathLike):
             if not (1 <= u < v <= n):
                 raise InputError(f"{path}:{num}: edge ({u},{v}) must satisfy "
                                  f"1 <= u < v <= {n}")
-            edges.append((u, v))
+            us.append(u)
+            vs.append(v)
             continue
         raise InputError(f"{path}:{num}: unrecognized line {line!r}")
-    return header, edges, labels, params
+    return header, (us, vs), labels, params
 
 
-_DIGITS = str.maketrans("", "", "0123456789")
+_NUMERALS = str.maketrans("", "", "0123456789-")
 
 
-def _canonical_edges(block: str, header: tuple[int, int],
-                     labels: dict[int, str]) -> Optional["Graph"]:
-    """The graph of a file whose lines from the first edge on are exactly
-    the header's m lines "e <u> <v>" (digits, single spaces, final
-    newline) with 1 <= u < v <= n, no edge twice, and roles, if any, on
-    exactly 1..n; None for any other file.
-
-    Deleting the digits leaves "e  \n" once per edge; given the final
-    newline, 3m tokens, every third an "e", then mean that each line is
-    "e <u> <v>" with no id empty.  The newlines are counted first, so a
-    header's m sizes nothing before the file has shown m lines.
-    """
-    n, m = header
-    if (block.count("\n") != m or not block.endswith("\n")
-            or block.translate(_DIGITS) != "e  \n" * m):
+def _rows(block: str, count: int, shape: str) -> Optional[list[str]]:
+    """The fields of `block` if it is `count` lines of three nonempty fields
+    that read `shape` once digits and '-' are deleted; None otherwise.
+    Newlines are counted first, so `count` sizes nothing before the block
+    has that many lines; the deletion would hide numerals after the last
+    one, so it must end the block; and with two spaces a line, 3 * count
+    fields mean that none is empty."""
+    if (block.count("\n") != count or not block.endswith("\n")
+            or block.translate(_NUMERALS) != shape * count):
         return None
-    tokens = block.split()
-    if len(tokens) != 3 * m or tokens[::3].count("e") != m:
+    fields = block.split()
+    return fields if len(fields) == 3 * count else None
+
+
+def _canonical_edges(block: str, n: int, m: int) -> Optional[tuple[list[int], list[int]]]:
+    """The id columns of an edge block that is exactly m lines "e <u> <v>"
+    of integers with 1 <= u < v <= n; None for any other block.  Given
+    `_rows`, every third field an "e" means that each line starts with one."""
+    tokens = _rows(block, m, "e  \n")
+    if tokens is None or tokens[::3].count("e") != m:
         return None
     try:
         us, vs = list(map(int, tokens[1::3])), list(map(int, tokens[2::3]))
-    except ValueError:            # past int()'s digit limit
+    except ValueError:            # a stray '-', or past int()'s digit limit
         return None
-    del tokens
-    if not (min(us) >= 1 and max(vs) <= n and all(map(operator.lt, us, vs))):
-        return None
-    if labels and (len(labels) != n or min(labels) < 1 or max(labels) > n):
-        return None
-    from defdom.graphs import Graph
-    g = Graph._from_columns(n, us, vs, labels or None)
-    return g if g.edge_count() == m else None     # else an edge is repeated
+    if min(us) >= 1 and max(vs) <= n and all(map(operator.lt, us, vs)):
+        return us, vs
+    return None
 
 
 def write_graph(path: PathLike, g: "Graph", params: Optional[Mapping[str, int]] = None) -> None:
@@ -254,38 +253,23 @@ def _endpoint(token: str) -> "Endpoint":
 def read_intervals(path: PathLike) -> "IntervalInstance":
     """Parse an interval file ("p intervals <n>" header)."""
     text = _read(path)
-    inst = _canonical_intervals(text)
-    return inst if inst is not None else _intervals_by_line(text, path)
+    cut = text.find("\n") + 1       # the end of the first line; 0 if none
+    header, rows = _interval_lines(text[:cut], path)
+    if header is None or rows or (inst := _canonical_intervals(text[cut:], *header)) is None:
+        inst = _intervals_by_line(text, path)
+    return inst
 
 
-_HEAD = "p intervals "
-_NUMERALS = str.maketrans("", "", "0123456789-")
-
-
-def _canonical_intervals(text: str) -> Optional["IntervalInstance"]:
-    """The instance in a file of canonical layout; None for any other file.
-
-    Deleting digits and '-' from a canonical file leaves the header's words
-    and then "  \n" once per interval.  Given that, 3n + 3 tokens mean that
-    no field is empty, and int() refuses a stray '-'.  The header's count
-    is compared with the file's line count before anything of that size
-    is built.
-    """
-    if not text.startswith(_HEAD):
+def _canonical_intervals(body: str, n: int) -> Optional["IntervalInstance"]:
+    """The instance whose body is exactly n lines "<id> <lo> <hi>" of
+    integers with ids 1..n in order; None for any other body."""
+    tokens = _rows(body, n, "  \n")
+    if tokens is None:
         return None
     try:
-        n = int(text[len(_HEAD):text.find("\n")])
-    except ValueError:            # not an integer, or past int()'s digit limit
-        return None
-    if text.count("\n") != n + 1 or text.translate(_NUMERALS) != f"{_HEAD}\n" + "  \n" * n:
-        return None
-    tokens = text.split()
-    if len(tokens) != 3 * n + 3:
-        return None
-    try:
-        if not all(map(operator.eq, map(int, tokens[3::3]), range(1, n + 1))):
+        if not all(map(operator.eq, map(int, tokens[::3]), range(1, n + 1))):
             return None
-        lo, hi = list(map(int, tokens[4::3])), list(map(int, tokens[5::3]))
+        lo, hi = list(map(int, tokens[1::3])), list(map(int, tokens[2::3]))
     except ValueError:
         return None
     from defdom.intervals import IntervalInstance
@@ -293,20 +277,22 @@ def _canonical_intervals(text: str) -> Optional["IntervalInstance"]:
 
 
 def _intervals_by_line(text: str, path: PathLike) -> "IntervalInstance":
+    header, rows = _interval_lines(text, path)
+    if header is None:
+        raise InputError(f"{path}: missing 'p intervals' header")
+    (n,) = header
+    if len(rows) != n:
+        raise InputError(f"{path}: header promises {n} intervals, found {len(rows)}")
     from defdom.intervals import IntervalInstance
-    header: Optional[int] = None
+    return IntervalInstance(rows)
+
+
+def _interval_lines(text: str, path: PathLike):
+    """The header's count in a list (or None) and the rows of an interval
+    file's lines, each line checked on its own."""
     rows: dict[int, tuple[Endpoint, Endpoint]] = {}
-    for num, line in _lines(text):
-        parts = line.split()
-        if parts[0] == "p":
-            if header is not None:
-                raise InputError(f"{path}:{num}: duplicate header")
-            if len(parts) != 3 or parts[1] != "intervals":
-                raise InputError(f"{path}:{num}: header must be 'p intervals <n>'")
-            header = _int(parts[2], path, num)
-            continue
-        if header is None:
-            raise InputError(f"{path}:{num}: interval before header")
+
+    def row(num: int, parts: list[str]) -> None:
         if len(parts) != 3:
             raise InputError(f"{path}:{num}: interval line must be '<id> <l> <r>'")
         v = _int(parts[0], path, num)
@@ -318,11 +304,28 @@ def _intervals_by_line(text: str, path: PathLike) -> "IntervalInstance":
         if v in rows:
             raise InputError(f"{path}:{num}: interval id {v} listed twice")
         rows[v] = (lo, hi)
-    if header is None:
-        raise InputError(f"{path}: missing 'p intervals' header")
-    if len(rows) != header:
-        raise InputError(f"{path}: header promises {header} intervals, found {len(rows)}")
-    return IntervalInstance(rows)
+    return _headed(text, path, "intervals", "<n>", "interval", row), rows
+
+
+def _headed(text: str, path: PathLike, kind: str, fields: str, what: str,
+            body: Callable[[int, list[str]], None]) -> Optional[list[int]]:
+    """The integers of the "p <kind> <fields>" header of `text`, or None if
+    it has none.  `body(num, words)` runs on each later line in turn, and a
+    line before the header is refused as a `what`."""
+    header = None
+    for num, line in _lines(text):
+        parts = line.split()
+        if parts[0] == "p":
+            if header is not None:
+                raise InputError(f"{path}:{num}: duplicate header")
+            if len(parts) != 2 + len(fields.split()) or parts[1] != kind:
+                raise InputError(f"{path}:{num}: header must be 'p {kind} {fields}'")
+            header = [_int(word, path, num) for word in parts[2:]]
+        elif header is None:
+            raise InputError(f"{path}:{num}: {what} before header")
+        else:
+            body(num, parts)
+    return header
 
 
 def write_intervals(path: PathLike, inst: "IntervalInstance") -> None:
@@ -334,29 +337,20 @@ def write_intervals(path: PathLike, inst: "IntervalInstance") -> None:
 
 def read_formula(path: PathLike) -> "E2Formula":
     """Parse "p e2cnf <a> <b> <c>" plus c zero-terminated clause lines."""
-    from defdom.formulas import E2Formula
-    header: Optional[tuple[int, int, int]] = None
     clauses: list[tuple[int, int, int]] = []
-    for num, line in _lines(_read(path)):
-        parts = line.split()
-        if parts[0] == "p":
-            if header is not None:
-                raise InputError(f"{path}:{num}: duplicate header")
-            if len(parts) != 5 or parts[1] != "e2cnf":
-                raise InputError(f"{path}:{num}: header must be 'p e2cnf <a> <b> <c>'")
-            header = tuple(_int(word, path, num) for word in parts[2:])
-            continue
-        if header is None:
-            raise InputError(f"{path}:{num}: clause before header")
+
+    def clause(num: int, parts: list[str]) -> None:
         lits = [_int(tok, path, num) for tok in parts]
         if len(lits) != 4 or lits[-1] != 0:
             raise InputError(f"{path}:{num}: clause line must hold three literals and a 0")
         clauses.append((lits[0], lits[1], lits[2]))
+    header = _headed(_read(path), path, "e2cnf", "<a> <b> <c>", "clause", clause)
     if header is None:
         raise InputError(f"{path}: missing 'p e2cnf' header")
     a, b, c = header
     if len(clauses) != c:
         raise InputError(f"{path}: header promises {c} clauses, found {len(clauses)}")
+    from defdom.formulas import E2Formula
     return E2Formula(a, b, tuple(clauses))
 
 

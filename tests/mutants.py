@@ -44,6 +44,7 @@ GREEDY, GREEDY_TESTS = "intervals.py", ["tests/test_intervals.py"]
 LOADED_TESTS = ["tests/test_cli.py::test_cli_import_leaves_numpy_out"]
 GREEDY_BEST = ("if (right := rank[i + n]) > best_right:\n"
                "                best_right = right\n                best = i + 1")
+IO = "io.py"
 
 # (name, file, old text, new text, tests expected to kill it)
 MUTANTS = [
@@ -121,6 +122,15 @@ MUTANTS = [
      "import bisect\nfrom defdom.matching import uncountered\n", LOADED_TESTS),
     ("solvers-import-verifier-at-top", "solvers.py", "import bisect\n",
      "import bisect\nfrom defdom.defense import find_violator\n", LOADED_TESTS),
+    ("rows-without-final-newline", IO, 'count or not block.endswith("\\n")', "count",
+     ["tests/test_io.py::test_bulk_and_line_readers_agree"]),
+    ("graph-tail-keeps-repeated-edges", IO, "if g.edge_count() != m:", "if False:",
+     ["tests/test_io.py::test_graph_parse_errors"]),
+    ("header-any-arity", IO, "len(parts) != 2 + len(fields.split()) or ", "",
+     ["tests/test_io.py::test_interval_parse_errors",
+      "tests/test_io.py::test_formula_parse_errors"]),
+    ("extraction-one-copy-held-twice", DDS, "if pair[v] > 1]", "if pair[v] >= 1]",
+     ["tests/test_reductions_dds.py::test_roundtrip_on_tiny_instances"]),
 ]
 # mutants that cannot change any result, with the reason
 EQUIVALENT = {

@@ -1,3 +1,4 @@
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -50,6 +51,9 @@ def test_graph_parse_errors(tmp_path):
         ("p dds 3 1\ne 2 2\n", "1 <= u < v <= 3"),
         ("p dds 3 1\ne 1 9\n", "1 <= u < v <= 3"),
         ("p dds 2 0\nc role 7 far\n", "out-of-range vertex 7"),
+        # a repeated edge and a missing role: the role fault is named
+        ("p dds 3 2\nc role 1 a\nc role 2 b\ne 1 2\ne 1 2\n",
+         "labels must cover vertices 1..n exactly"),
         ("p dds 2 0\nc params k\n", "name/value pairs"),
         # a repeated role or parameter is refused, not silently overwritten
         ("p dds 2 0\nc role 1 a\nc role 1 b\n", r"bad\.dds:3: second role line for vertex 1"),
@@ -123,6 +127,7 @@ def test_interval_parse_errors(tmp_path):
         ("1 0 2\n", "interval before header"),
         ("p intervals 1\n1 0 2\n1 3 4\n", "listed twice"),
         ("p intervals 2\n1 0 2\n", "promises 2 intervals"),
+        ("p intervals 1 1\n1 0 2\n", "header must be 'p intervals <n>'"),
         ("p intervals 1\n1 two 3\n", "decimal rationals"),
         ("p intervals 1\n1 5 2\n", "lo"),                 # validate(): lo > hi
         ("p intervals 2\n1 0 2\n2 2 4\n", "endpoint"),    # shared endpoint
@@ -209,6 +214,8 @@ SPELLINGS = [
     "p intervals 1000000000000\n1 0 1\n",
     "p intervals " + "9" * 5000 + "\n1 0 5\n",               # a count past int()'s limit
     CANONICAL.replace("2 2 9", "2  9"),                     # an empty field
+    "p intervals 1\n1 0 \n5",                               # a field after the last newline
+    CANONICAL.replace("-1\n", "\n-1"),
 ]
 
 
@@ -220,7 +227,7 @@ def test_bulk_and_line_readers_agree(tmp_path):
         path.write_text(text)
         expected = outcome(io._intervals_by_line, path.read_text(), path)
         assert outcome(read_intervals, path) == expected, text
-    fast = outcome(io._canonical_intervals, CANONICAL)
+    fast = outcome(io._canonical_intervals, CANONICAL.partition("\n")[2], 4)
     assert isinstance(fast, IntervalInstance) and fast.interval(4) == (-3, -1)
 
 
@@ -325,6 +332,40 @@ def test_canonical_graph_files_skip_the_line_reader(tmp_path, monkeypatch):
                 read_graph(path)
 
 
+def tail_edits(text, rng, count):
+    """`count` copies of `text`, each with 1 to 3 characters inserted,
+    deleted or replaced within its last 8."""
+    for _ in range(count):
+        chars = list(text)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(max(0, len(chars) - 8), len(chars))
+            kind = rng.randrange(3)
+            if kind and i < len(chars):
+                del chars[i]
+            if kind != 1:
+                chars.insert(i, rng.choice("0123456789 -e\n\t"))
+        yield "".join(chars)
+
+
+def test_bulk_and_line_readers_agree_near_the_end(tmp_path, monkeypatch):
+    # the end of the body is where the bulk check once fell short of the
+    # line reader: a field after the final newline was read as the last
+    # one; this seed's edits hold two such interval files
+    rng = random.Random(0)
+    path = tmp_path / "i.ivl"
+    for text in tail_edits(CANONICAL, rng, 2000):
+        path.write_bytes(text.encode())
+        expected = outcome(io._intervals_by_line, path.read_text(), path)
+        assert outcome(read_intervals, path) == expected, text
+    path = tmp_path / "g.dds"
+    for text in tail_edits(GRAPH, rng, 2000):
+        path.write_bytes(text.encode())
+        bulk = outcome(read_graph, path)
+        with monkeypatch.context() as patch:
+            patch.setattr(io, "_canonical_edges", lambda *args: None)
+            assert outcome(read_graph, path) == bulk, text
+
+
 def test_huge_interval_header_ends_at_once(tmp_path):
     # the header count is checked against the file before anything that
     # large is built
@@ -355,6 +396,7 @@ def test_formula_parse_errors(tmp_path):
     cases = [
         ("p e2cnf 2 1 1\n1 -2 3\n", "three literals and a 0"),
         ("p e2cnf 2 1 2\n1 -2 3 0\n", "promises 2 clauses"),
+        ("p e2cnf 2 1\n", "header must be 'p e2cnf <a> <b> <c>'"),
         ("1 2 3 0\n", "clause before header"),
         ("p e2cnf 1 1 1\n1 2 9 0\n", "unknown variable"),
     ]
