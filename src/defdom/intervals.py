@@ -283,12 +283,16 @@ def greedy_defense(inst: IntervalInstance, k: int) -> "VertexMultiset":
        reaches furthest.  A step then does O(min(k, c)) list work, c being
        the largest component, and the sweep O(n log n + n·min(k, c)) in all.
 
-    The common right-end step allocates nothing, by three shortcuts that
-    each do what the plain statement does: later runs are lowered only when
-    there are some (an empty tail has nothing to lower); a new top in the
-    lowest run (r == 0) reads run_key[0], the only key of runs 0..r; and a
-    single copy's right is appended to `rights`, the one item a list of one
-    would add.
+    The common right-end step allocates nothing, by two shortcuts that each
+    do what the plain statement does: later runs are lowered only when there
+    are some (an empty tail has nothing to lower), and a new top in the
+    lowest run (r == 0) reads run_key[0], the only key of runs 0..r.  Nor
+    does a step build a list of copies, since it places at most one: every
+    block is met before m enters; the new top m grows each block that
+    contains it by one member, and the new block whose least left is m is
+    short by at most one more than the met block of the tops above m,
+    because below(m) <= below(t) for t > m.  So the one copy's right is
+    appended to `rights`.
     """
     if k < 1:
         raise InputError("attack budget k must be at least 1")
@@ -337,10 +341,7 @@ def greedy_defense(inst: IntervalInstance, k: int) -> "VertexMultiset":
         if r + 1 < len(run_key):                   # but no later one
             run_key[r + 1:] = [key - 1 for key in run_key[r + 1:]]
         need = (max(run_key[:r + 1]) if r else run_key[0]) + lift - len(rights)
-        if need > 0:
-            defense[best] = defense.get(best, 0) + need
-            if need == 1:
-                rights.append(best_right)
-            else:
-                rights += [best_right] * need
+        if need > 0:                               # need is 1: one copy per step
+            defense[best] = defense.get(best, 0) + 1
+            rights.append(best_right)
     return defense

@@ -96,6 +96,8 @@ def read_graph(path: PathLike) -> tuple["Graph", dict[str, int]]:
     for v in labels:
         if not 1 <= v <= n:
             raise InputError(f"{path}: role line for out-of-range vertex {v}")
+    if labels and len(labels) != n:
+        raise InputError(f"{path}: labels must cover vertices 1..n exactly")
     from defdom.graphs import Graph
     g = Graph._from_columns(n, *columns, labels or None)
     if g.edge_count() != m:

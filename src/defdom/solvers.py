@@ -9,12 +9,11 @@ accepts is the optimum and its witness is canonical.
 By the counting criterion, a defense counters every attack of size <= k
 exactly when D(N[A]) >= |A| for each such attack A.  So every Hall violator
 the verifier returns is a Hall cut that all defenses satisfy.  The search
-learns one such cut per rejected candidate, keeps it across sizes,
-and skips a subtree as soon as the cuts can no longer all be met: the copies
-already placed in some N[A] plus the most that the remaining budget and
-caps can still put there fall short of |A|, or cuts with pairwise disjoint
-open vertices need more copies between them than the budget has left.
-Only candidates that meet every cut are handed to the verifier.
+learns one such cut per rejected candidate, keeps it across sizes, and
+prunes by one rule: cuts whose open vertices are pairwise disjoint cannot
+need more copies between them than the budget has left.  At a candidate
+nothing is left, so a candidate that breaks any cut is never reached, and
+only candidates that meet every cut are handed to the verifier.
 
 Invariant: a skipped candidate breaks a valid Hall inequality and so is no
 defense.  The first verified candidate is therefore the same optimum and the
@@ -46,19 +45,17 @@ def _least_defense(vertices: list[int], caps: list[int],
     """First candidate in (size, lexicographic) order that `separate` accepts.
 
     `separate(counts)` returns None to accept, or a cut the candidate breaks
-    to reject it.  Returns (size, counts, candidates verified), or None
-    when no candidate within the caps is accepted.
+    to reject it.  Returns (size, counts, candidates verified).  Both callers
+    pass caps that themselves form a defense, so some candidate is accepted.
 
     Positions are decided in order, each taking counts from the most it can
-    down to a floor.  Per cut the search keeps its deficit (need minus the
-    copies placed in its hood) and its slack (copies placed plus the caps
-    still open in its hood, minus need).  A count below the floor would make
-    some slack negative or leave more copies than later positions can take.
-    A node survives when the cuts whose open positions are pairwise disjoint
-    have deficits that the copies left can pay: a greedy packing, earliest
-    last position first, which also bounds every single deficit.  The search
-    uses an explicit stack, so its depth is not bounded by the recursion
-    limit.
+    down to the least that leaves no more copies than later positions can
+    take.  Per cut the search keeps its deficit: need minus the copies
+    placed in its hood.  A node survives when the cuts whose open positions
+    are pairwise disjoint have deficits that the copies left can pay: a
+    greedy packing, earliest last position first, which also bounds every
+    single deficit.  The search uses an explicit stack, so its depth is not
+    bounded by the recursion limit.
     """
     m = len(vertices)
     pos = {v: i for i, v in enumerate(vertices)}
@@ -67,16 +64,14 @@ def _least_defense(vertices: list[int], caps: list[int],
         suffix[i] = suffix[i + 1] + caps[i]
     member: list[list[int]] = [[] for _ in range(m)]   # cuts through each position
     deficit: list[int] = []
-    slack: list[int] = []
     hmask: list[int] = []  # positions of each cut's hood, as a bitmask
     order: list[int] = []  # cuts by last position, then hood size
     x = [0] * m            # copies at each decided position, 0 beyond
     rem = [0] * (m + 1)    # copies left to place before deciding position i
-    floor = [0] * m        # least count position i may take on this path
 
     def add_cut(hood: Iterable[int], need: int, depth: int) -> None:
         j = len(deficit)
-        placed = room = bits = 0
+        placed = bits = 0
         for v in hood:
             p = pos.get(v)
             if p is None:
@@ -85,10 +80,7 @@ def _least_defense(vertices: list[int], caps: list[int],
             bits |= 1 << p
             if p < depth:
                 placed += x[p]
-            else:
-                room += caps[p]
         deficit.append(need - placed)
-        slack.append(placed + room - need)
         hmask.append(bits)
         bisect.insort(order, j, key=lambda j: (hmask[j].bit_length(), hmask[j].bit_count()))
 
@@ -99,7 +91,6 @@ def _least_defense(vertices: list[int], caps: list[int],
         rem[0] = size
         i, fresh = 0, True
         while i >= 0:
-            hoods = member[i] if i < m else ()
             if fresh:
                 r = rem[i]
                 if r == 0:             # a candidate: later positions stay 0
@@ -111,32 +102,20 @@ def _least_defense(vertices: list[int], caps: list[int],
                     add_cut(*cut, i)
                     i, fresh = i - 1, False
                     continue
-                cap = caps[i]
-                c = min(cap, r)
-                least = max(0, r - suffix[i + 1])
-                if hoods:
-                    least = max(least, cap - min([slack[j] for j in hoods]))
-                if c < least:
-                    i, fresh = i - 1, False
-                    continue
-                floor[i] = least
-                x[i] = c
-                for j in hoods:
-                    slack[j] += c - cap
+                c = x[i] = min(caps[i], r)
+                for j in member[i]:
                     deficit[j] -= c
                 fresh = False
             else:
                 c = x[i]
-                if c <= floor[i]:
-                    for j in hoods:
-                        slack[j] += caps[i] - c
+                if c <= max(0, rem[i] - suffix[i + 1]):
+                    for j in member[i]:
                         deficit[j] += c
                     x[i] = 0
                     i -= 1
                     continue
                 c = x[i] = c - 1
-                for j in hoods:
-                    slack[j] -= 1
+                for j in member[i]:
                     deficit[j] += 1
             # Greedy packing over the cuts still short of their need.
             left = rem[i] - c
@@ -156,7 +135,7 @@ def _least_defense(vertices: list[int], caps: list[int],
             else:
                 rem[i + 1] = left
                 i, fresh = i + 1, True
-    return None
+    raise AssertionError("unreachable: the caps themselves form a defense")
 
 
 def _min_defense(g: Graph, k: int, cap: int):
@@ -174,10 +153,7 @@ def _min_defense(g: Graph, k: int, cap: int):
         attack = violator.attack
         return closed_neighborhood(g, attack), len(attack)
 
-    found = _least_defense(list(g.vertices), [cap] * g.n, separate)
-    if found is None:
-        raise AssertionError("unreachable: one defender per vertex is always enough")
-    return found
+    return _least_defense(list(g.vertices), [cap] * g.n, separate)
 
 
 def min_set_defense(g: Graph, k: int) -> SolveResult:
@@ -238,10 +214,7 @@ def min_constrained_multiset(g: Graph, attacks: Iterable[Iterable[int]],
         hood = closed_neighborhood(g, reached)
         return hood, len(reached) - count_in(lower, hood)
 
-    found = _least_defense(slack_vertices, caps, separate)
-    if found is None:
-        return None
-    extra, add, explored = found
+    extra, add, explored = _least_defense(slack_vertices, caps, separate)
     return SolveResult(multiset_size(lower) + extra, _plus(lower, add), explored)
 
 

@@ -103,6 +103,8 @@ MUTANTS = [
     ("greedy-no-reset-at-gap", GREEDY, "if x > best_right:", "if False:", GREEDY_TESTS),
     ("greedy-gap-test-ge", GREEDY, "if x > best_right:", "if x >= best_right:",
      GREEDY_TESTS),
+    ("greedy-step-places-two", GREEDY, "defense.get(best, 0) + 1", "defense.get(best, 0) + 2",
+     GREEDY_TESTS),
     ("violator-zero-deficiency", "defense.py", "if deficiency <= 0:", "if deficiency < 0:",
      ["tests/test_defense.py"]),
     ("violator-without-slots", "defense.py", "__slots__ = ()\n\n    def __new__(cls, attack",
@@ -118,6 +120,10 @@ MUTANTS = [
      ["tests/test_defense.py::test_strategies_agree_on_violator_existence"]),
     ("shift-first-holder-only", MATCHING, "for b in held:", "for b in held[:1]:",
      ["tests/test_matching.py::test_uncountered_matches_per_attack_checks"]),
+    ("packing-ignores-overlap", "solvers.py", "if not u & used:", "if True:",
+     ["tests/test_solvers.py"]),
+    ("cut-ignores-placed", "solvers.py", "placed += x[p]", "placed += 0",
+     ["tests/test_solvers.py"]),
     ("solvers-import-matching-at-top", "solvers.py", "import bisect\n",
      "import bisect\nfrom defdom.matching import uncountered\n", LOADED_TESTS),
     ("solvers-import-verifier-at-top", "solvers.py", "import bisect\n",

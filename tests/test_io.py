@@ -53,7 +53,8 @@ def test_graph_parse_errors(tmp_path):
         ("p dds 2 0\nc role 7 far\n", "out-of-range vertex 7"),
         # a repeated edge and a missing role: the role fault is named
         ("p dds 3 2\nc role 1 a\nc role 2 b\ne 1 2\ne 1 2\n",
-         "labels must cover vertices 1..n exactly"),
+         r"bad\.dds: labels must cover vertices 1\.\.n exactly"),
+        ("p dds 3 1\nc role 1 a\ne 1 2\n", r"bad\.dds: labels must cover"),
         ("p dds 2 0\nc params k\n", "name/value pairs"),
         # a repeated role or parameter is refused, not silently overwritten
         ("p dds 2 0\nc role 1 a\nc role 1 b\n", r"bad\.dds:3: second role line for vertex 1"),

@@ -6,7 +6,7 @@ import pytest
 from defdom.defense import good_defense
 from defdom.errors import InputError
 from defdom.graphs import (complete_graph, cycle_graph, multiset_size,
-                           path_graph, star_graph)
+                           path_graph, random_graph, star_graph)
 from defdom.matching import counters
 from defdom.solvers import (domination_number, min_constrained_multiset,
                             min_multiset_defense, min_set_defense)
@@ -146,6 +146,19 @@ def test_solvers_equal_enumeration_reference():
         else:
             assert (result.optimum, result.witness) == expected
     assert outcomes == {True, False}    # both feasible and infeasible bounds
+
+
+def test_solvers_equal_enumeration_reference_at_benchmark_sizes():
+    # the graphs of the exact benchmark, G(14-15, 0.25), are past the n <= 8
+    # of the test above: the learned cuts must still skip only non-defenses
+    rng = random.Random(15)
+    for _ in range(8):
+        g = random_graph(rng.randint(12, 15), rng.uniform(0.2, 0.3), rng.randrange(1 << 30))
+        for k in (2, 3):
+            result = min_set_defense(g, k)
+            assert (result.optimum, result.witness) == reference_min_set_defense(g, k)
+            result = min_multiset_defense(g, k)
+            assert (result.optimum, result.witness) == reference_min_multiset_defense(g, k)
 
 
 def test_constrained_solver_with_large_listed_attacks():
